@@ -144,7 +144,7 @@ def _standardize(col):
 def loglik(params, design, pvals):
     """Observed-data log-likelihood of the surrogate mixture."""
     X, logp = _prepare(design, pvals)
-    return _loglik(params.theta, params.beta, X, logp)
+    return _loglik_gamma(params.theta, params.beta, X, logp)[0]
 
 
 def loglik_grad(params, design, pvals):
@@ -166,7 +166,7 @@ def loglik_grad(params, design, pvals):
 def e_step(params, design, pvals):
     """Posterior signal probabilities gamma_i at the current parameters."""
     X, logp = _prepare(design, pvals)
-    return _e_step(params.theta, params.beta, X, logp)
+    return _loglik_gamma(params.theta, params.beta, X, logp)[1]
 
 
 def m_step(gamma, params, design, pvals, config=None):
@@ -219,17 +219,18 @@ def fit(design, pvals, config=None):
     theta[0] = logit(config.init_pi)
     beta = np.zeros(d)
 
-    ll = _loglik(theta, beta, X, logp)
+    # the E-step at (theta, beta) reuses the pieces of the log-likelihood
+    # already evaluated there
+    ll, gamma = _loglik_gamma(theta, beta, X, logp)
     trace_ll = [ll]
     trace_change = []
     converged = False
     n_iter = 0
     for _ in range(config.max_iter):
         n_iter += 1
-        gamma = _e_step(theta, beta, X, logp)
         theta_new, _ = _update_theta(theta.copy(), 1.0 - gamma, X, config)
         beta_new, _ = _update_beta(beta.copy(), gamma, X, logp, config)
-        ll_new = _loglik(theta_new, beta_new, X, logp)
+        ll_new, gamma = _loglik_gamma(theta_new, beta_new, X, logp)
         change = max(
             np.max(np.abs(theta_new - theta)), np.max(np.abs(beta_new - beta))
         )
@@ -292,15 +293,12 @@ def _pieces(theta, beta, X, logp):
     return pi, one_m_pi, k, one_m_k, h, denom
 
 
-def _loglik(theta, beta, X, logp):
-    denom = _pieces(theta, beta, X, logp)[5]
-    with np.errstate(divide="ignore"):
-        return float(np.log(denom).sum())
-
-
-def _e_step(theta, beta, X, logp):
+def _loglik_gamma(theta, beta, X, logp):
+    """Log-likelihood and posterior signal probabilities, one _pieces call."""
     _, one_m_pi, _, _, h, denom = _pieces(theta, beta, X, logp)
-    return one_m_pi * h / denom
+    with np.errstate(divide="ignore"):
+        ll = float(np.log(denom).sum())
+    return ll, one_m_pi * h / denom
 
 
 def _solve_ascent_direction(neg_hess, grad):

@@ -67,6 +67,8 @@ def fit_camt(pvals, covariates=None, spline_knots=0, em_config=None):
     em_config : EmConfig, optional
     """
     p = clamp_pvalues(pvals)
+    if p.size == 0:
+        raise ValueError("need at least one p-value")
     if covariates is None:
         covariates = np.empty((p.size, 0))
     design = build_design(covariates, spline_knots=spline_knots)

@@ -286,7 +286,8 @@ class SweepRow:
     fdp: float
     tpr: float
     n_rejections: int
-    runtime_ms: float
+    prepare_ms: float  # the procedure's fit, shared by every alpha row of a replicate
+    select_ms: float
 
 
 @dataclass
@@ -339,11 +340,14 @@ class MetricsReport:
         stream.write(f"# camt simulate v{__version__}\n")
         for key, value in meta:
             stream.write(f"# {key}: {value}\n")
-        stream.write("setup,procedure,alpha,replicate,fdp,tpr,n_rejections,runtime_ms\n")
+        stream.write(
+            "setup,procedure,alpha,replicate,fdp,tpr,n_rejections,prepare_ms,select_ms\n"
+        )
         for r in self.rows:
             stream.write(
                 f"{r.setup},{r.procedure},{r.alpha!r},{r.replicate},"
-                f"{r.fdp!r},{r.tpr!r},{r.n_rejections},{round(r.runtime_ms, 3)!r}\n"
+                f"{r.fdp!r},{r.tpr!r},{r.n_rejections},"
+                f"{round(r.prepare_ms, 3)!r},{round(r.select_ms, 3)!r}\n"
             )
 
 
@@ -354,7 +358,7 @@ def _se(values):
 
 
 def resolve_workers(n_workers=None):
-    """Worker count: explicit argument, else CAMT_THREADS, else one."""
+    """Worker count: explicit argument, else CAMT_THREADS, else os.cpu_count()."""
     if n_workers is not None:
         return max(1, int(n_workers))
     env = os.environ.get("CAMT_THREADS")
@@ -385,7 +389,8 @@ def _run_replicate(config, replicate, procedure_names):
                     fdp=fdp,
                     tpr=tpr,
                     n_rejections=int(np.count_nonzero(mask)),
-                    runtime_ms=prepare_ms + select_ms,
+                    prepare_ms=prepare_ms,
+                    select_ms=select_ms,
                 )
             )
     return rows
@@ -395,13 +400,14 @@ def run_sweep(config, procedures=DEFAULT_PROCEDURES, n_workers=None):
     """Run every procedure over every replicate and target level.
 
     Replicates are independent and fanned out over a process pool when
-    more than one worker is available; results are merged in replicate
-    order, so the report does not depend on the worker count.
+    more than one worker is available; the pool has at most one worker
+    per replicate. Results are merged in replicate order, so the report
+    does not depend on the worker count.
     """
     names = tuple(make_procedure(p).name for p in procedures)
-    workers = resolve_workers(n_workers)
+    workers = min(resolve_workers(n_workers), config.n_replicates)
     replicates = range(config.n_replicates)
-    if workers == 1 or config.n_replicates == 1:
+    if workers == 1:
         chunks = [_run_replicate(config, r, names) for r in replicates]
     else:
         n = config.n_replicates

@@ -86,19 +86,25 @@ def select_threshold(stats, alpha, cap_at_tup=True, offset=1.0, mixed_fitted=Non
 
     With mixed_fitted set (a FittedHypotheses), the numerator
     offset + count is replaced by the mixed estimate of the number of
-    false rejections, see :func:`mixed_false_rejection_estimate`.
+    false rejections, see :func:`mixed_false_rejection_estimate`. That
+    estimate is never below the mirror count, so a candidate with
+    count / max(1, rejections) > alpha cannot be admissible. The search
+    screens those out in one vectorized pass, then evaluates the
+    expected-count part only on the survivors, largest first, in blocks
+    of 1, 2, 4, ... candidates (at most one evaluation chunk), and stops
+    at the first admissible one. The answer is the one an evaluation of
+    every candidate gives, but only the candidates actually evaluated
+    cost O(m) each.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     candidates, num, den = _candidate_counts(stats, cap_at_tup)
     if candidates.size == 0:
         return 0.0
-    if mixed_fitted is None:
-        estimates = offset + num
-    else:
-        estimates = np.maximum(_expected_false_rejections(candidates, mixed_fitted), num)
+    if mixed_fitted is not None:
+        return _select_mixed(candidates, num, den, alpha, mixed_fitted)
     # same floating-point expression as fdp_up, so grid evaluation agrees
-    admissible = estimates / np.maximum(1, den) <= alpha
+    admissible = (offset + num) / np.maximum(1, den) <= alpha
     if not admissible.any():
         return 0.0
     return float(candidates[admissible].max())
@@ -132,7 +138,7 @@ def mixed_false_rejection_estimate(t, stats, fitted):
     """
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie in the open interval (0, 1)")
-    expected = float(_expected_false_rejections(np.asarray([t]), fitted)[0])
+    expected = float(next(_expected_false_rejections([t], fitted))[0])
     return max(expected, float(np.count_nonzero(stats.r < t)))
 
 
@@ -149,11 +155,33 @@ def _candidate_counts(stats, cap_at_tup):
     return candidates, num, den
 
 
-def _expected_false_rejections(ts, fitted):
-    """sum_i pi_i * cutoff(t, pi_i, k_i) for every t in ts, chunked.
+def _select_mixed(candidates, num, den, alpha, fitted):
+    """Screen-and-scan search of :func:`select_threshold` with mixed_fitted."""
+    den = np.maximum(1, den)
+    # max(E, num) / den >= num / den, so the mirror screen only drops
+    # candidates the full test would reject too
+    survivors = np.flatnonzero(num / den <= alpha)[::-1]
+    lo = 0
+    for expected in _expected_false_rejections(candidates[survivors], fitted):
+        idx = survivors[lo : lo + expected.size]
+        admissible = np.maximum(expected, num[idx]) / den[idx] <= alpha
+        if admissible.any():
+            return float(candidates[idx[np.argmax(admissible)]])
+        lo += expected.size
+    return 0.0
 
-    Written on the log scale: the cutoff is exp(min(0, (logit t +
-    log((1-k)(1-pi)/pi)) / k)), so the min against one costs nothing.
+
+def _expected_false_rejections(ts, fitted):
+    """Yield sum_i pi_i * cutoff(t, pi_i, k_i) for the thresholds ts.
+
+    The values come in order, in blocks of 1, 2, 4, ... thresholds up
+    to a chunk of about 4e6 matrix elements, so a caller can stop as
+    soon as it has what it needs. Written on the log scale: the cutoff
+    is exp(min(0, (logit t + log((1-k)(1-pi)/pi)) / k)), so the min
+    against one costs nothing. Each sum is its own dot product, so its
+    value does not depend on which other thresholds share its block:
+    the selector's scan and :func:`mixed_false_rejection_estimate`
+    agree bit for bit.
     """
     pi = fitted.pi_hat
     k = fitted.k_hat
@@ -161,11 +189,15 @@ def _expected_false_rejections(ts, fitted):
     log_pref = np.log1p(-k) + np.log1p(-pi) - np.log(pi)
     inv_k = 1.0 / k
     logit_t = np.log(ts) - np.log1p(-ts)
-    out = np.empty(ts.size)
     chunk = max(1, int(4_000_000 // max(1, pi.size)))
-    for lo in range(0, ts.size, chunk):
-        block = logit_t[lo : lo + chunk, None]
-        logc = (block + log_pref[None, :]) * inv_k[None, :]
+    buf = np.empty((min(chunk, ts.size), pi.size))
+    lo, size = 0, 1
+    while lo < ts.size:
+        logc = buf[: min(size, ts.size - lo)]
+        np.add(logit_t[lo : lo + logc.shape[0], None], log_pref, out=logc)
+        np.multiply(logc, inv_k, out=logc)
         np.minimum(logc, 0.0, out=logc)
-        out[lo : lo + chunk] = np.exp(logc) @ pi
-    return out
+        np.exp(logc, out=logc)
+        yield np.array([row @ pi for row in logc])
+        lo += logc.shape[0]
+        size = min(2 * size, chunk)

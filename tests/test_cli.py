@@ -223,14 +223,15 @@ def test_fit_with_noise_covariate_tracks_adaptive_baseline(tmp_path, capsys):
 # simulate command
 
 
-def _mask_runtime(text):
+def _mask_timings(text):
+    """Drop the two timing columns, prepare_ms and select_ms."""
     lines = text.splitlines()
     out = []
     for line in lines:
         if line.startswith(("#", "setup,")):
             out.append(line)
         else:
-            out.append(line.rsplit(",", 1)[0])
+            out.append(line.rsplit(",", 2)[0])
     return out
 
 
@@ -250,7 +251,7 @@ def test_simulate_smoke_and_determinism(tmp_path, capsys):
     assert stdout.count("fdp=") == 4  # 2 procedures x 2 alphas
     assert main([*args, "--output", str(out_b)]) == 0
     capsys.readouterr()
-    assert _mask_runtime(out_a.read_text()) == _mask_runtime(out_b.read_text())
+    assert _mask_timings(out_a.read_text()) == _mask_timings(out_b.read_text())
     data_rows = [
         l for l in out_a.read_text().splitlines() if not l.startswith(("#", "setup,"))
     ]

@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 from scipy.special import expit
 
+import camt.simulation
 from camt.simulation import (
     DEFAULT_PROCEDURES,
     RNG_NAME,
@@ -267,7 +268,13 @@ def test_run_sweep_row_layout_and_summary():
         assert 0.0 <= row.fdp <= 1.0
         assert 0.0 <= row.tpr <= 1.0
         assert row.n_rejections >= 0
-        assert row.runtime_ms >= 0.0
+        assert row.prepare_ms >= 0.0
+        assert row.select_ms >= 0.0
+    # one prepare per procedure and replicate, reported on each alpha row
+    for proc in ("bh", "storey"):
+        for rep in range(3):
+            sel = [r for r in report.rows if r.procedure == proc and r.replicate == rep]
+            assert len({r.prepare_ms for r in sel}) == 1
     summary = report.summarize()
     assert len(summary) == 4
     assert all(entry["n_replicates"] == 3 for entry in summary)
@@ -289,6 +296,32 @@ def test_run_sweep_is_deterministic_apart_from_runtimes():
     first = run_sweep(config, procedures=("camt", "bh"), n_workers=1)
     second = run_sweep(config, procedures=("camt", "bh"), n_workers=1)
     assert _masked(first) == _masked(second)
+
+
+def test_run_sweep_pool_has_at_most_one_worker_per_replicate(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """In-process stand-in for ProcessPoolExecutor that records its size."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(camt.simulation, "ProcessPoolExecutor", SerialPool)
+    config = SimulationConfig(setup="S0", m=300, n_replicates=2, seed=3)
+    report = run_sweep(config, procedures=("bh",), n_workers=8)
+    assert sizes == [2]
+    assert [r.replicate for r in report.rows] == [0, 1]
+    assert _masked(report) == _masked(run_sweep(config, procedures=("bh",), n_workers=1))
 
 
 def test_reference_procedures_hold_level_under_complete_null():
@@ -328,7 +361,7 @@ def test_write_csv_layout():
     assert f"# rng: {RNG_NAME}" in meta
     assert "# procedures: bh" in meta
     header = [l for l in lines if not l.startswith("#")][0]
-    assert header == "setup,procedure,alpha,replicate,fdp,tpr,n_rejections,runtime_ms"
+    assert header == "setup,procedure,alpha,replicate,fdp,tpr,n_rejections,prepare_ms,select_ms"
     data_lines = [l for l in lines if not l.startswith("#")][1:]
     assert len(data_lines) == 2
     fields = data_lines[0].split(",")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camt.em import FittedHypotheses
 from camt.kernel import cutoff, psi
@@ -263,6 +265,13 @@ def test_mixed_estimate_domain():
         )
 
 
+def test_mixed_select_keeps_a_candidate_on_the_mirror_bound():
+    # at t = 0.7 the mirror ratio is 2 / 4, exactly the level, and the
+    # expected count (below sum pi = 0.04) does not raise it
+    fitted = FittedHypotheses(pi_hat=np.full(4, 0.01), k_hat=np.full(4, 0.5))
+    assert select_threshold(WORKED, 0.5, mixed_fitted=fitted) == 0.7
+
+
 def test_reject_with_mixed_estimate_reports_its_fdp():
     rng = np.random.default_rng(37)
     m = 400
@@ -275,3 +284,104 @@ def test_reject_with_mixed_estimate_reports_its_fdp():
         est = mixed_false_rejection_estimate(t_hat, stats, fitted)
         assert result.fdp_hat == est / max(1, result.n_rejections)
         assert result.fdp_hat <= 0.3
+
+
+# ----------------------------------------------------------------------
+# properties of the selector
+
+
+def _reference_select_mixed(stats, alpha, cap_at_tup, fitted):
+    """The all-candidates mixed selector: E(t) at every candidate at once."""
+    s_sorted = np.sort(stats.s)
+    r_sorted = np.sort(stats.r)
+    candidates = s_sorted[s_sorted <= stats.t_up] if cap_at_tup else s_sorted
+    if candidates.size == 0:
+        return 0.0
+    den = np.searchsorted(s_sorted, candidates, side="right")
+    num = np.searchsorted(r_sorted, candidates, side="left")
+    pi, k = fitted.pi_hat, fitted.k_hat
+    log_pref = np.log1p(-k) + np.log1p(-pi) - np.log(pi)
+    inv_k = 1.0 / k
+    logit_t = np.log(candidates) - np.log1p(-candidates)
+    expected = np.empty(candidates.size)
+    chunk = max(1, int(4_000_000 // max(1, pi.size)))
+    for lo in range(0, candidates.size, chunk):
+        logc = (logit_t[lo : lo + chunk, None] + log_pref[None, :]) * inv_k[None, :]
+        np.minimum(logc, 0.0, out=logc)
+        expected[lo : lo + chunk] = np.exp(logc) @ pi
+    admissible = np.maximum(expected, num) / np.maximum(1, den) <= alpha
+    if not admissible.any():
+        return 0.0
+    return float(candidates[admissible].max())
+
+
+@st.composite
+def _instances(draw):
+    """Mirror statistics and fits with ties, p = 0.5 and m up to 500."""
+    m = draw(st.integers(1, 500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # one shared fit: tied p-values give tied statistics
+        pi = np.full(m, rng.uniform(0.01, 0.999))
+        k = np.full(m, rng.uniform(0.01, 0.99))
+    else:
+        pi = rng.uniform(0.01, 0.999, m)
+        k = rng.uniform(0.01, 0.99, m)
+    signal = rng.random(m) < draw(st.floats(0.0, 1.0))
+    p = np.where(signal, rng.uniform(0.0, 0.01, m), rng.random(m))
+    if draw(st.booleans()):
+        p = np.round(p, 2)  # ties, exact zeros and ones
+    p[rng.random(m) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.5
+    fitted = FittedHypotheses(pi_hat=pi, k_hat=k)
+    return mirror_statistics(p, fitted), fitted
+
+
+# simple fractions let mirror ratios such as 1/5 hit the level exactly
+_alphas = st.one_of(
+    st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0, exclude_min=True)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_instances(), _alphas, st.booleans())
+def test_mixed_select_matches_all_candidates_reference(instance, alpha, cap):
+    stats, fitted = instance
+    t_hat = select_threshold(stats, alpha, cap_at_tup=cap, mixed_fitted=fitted)
+    assert t_hat == _reference_select_mixed(stats, alpha, cap, fitted)
+    # and, bit for bit, the largest candidate the public estimate admits
+    cap_value = stats.t_up if cap else 1.0
+    admitted = [
+        t
+        for t in stats.s[stats.s <= cap_value]
+        if mixed_false_rejection_estimate(t, stats, fitted)
+        / max(1, int(np.count_nonzero(stats.s <= t)))
+        <= alpha
+    ]
+    assert t_hat == max(admitted, default=0.0)
+    if t_hat > 0.0:
+        assert reject(stats, t_hat, mixed_fitted=fitted).fdp_hat <= alpha
+
+
+@settings(max_examples=100, deadline=None)
+@given(_instances(), _alphas, _alphas, st.booleans(), st.booleans())
+def test_rejection_sets_are_nested_in_alpha(instance, a1, a2, cap, mixed):
+    stats, fitted = instance
+    mixed_fitted = fitted if mixed else None
+    lo, hi = sorted((a1, a2))
+    small = stats.s <= select_threshold(stats, lo, cap_at_tup=cap, mixed_fitted=mixed_fitted)
+    large = stats.s <= select_threshold(stats, hi, cap_at_tup=cap, mixed_fitted=mixed_fitted)
+    assert np.all(large[small])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_instances(), _alphas, st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_permuting_hypotheses_permutes_the_mask(instance, alpha, cap, mixed, seed):
+    stats, fitted = instance
+    perm = np.random.default_rng(seed).permutation(stats.s.size)
+    shuffled_fit = FittedHypotheses(pi_hat=fitted.pi_hat[perm], k_hat=fitted.k_hat[perm])
+    shuffled = MirrorStatistics(s=stats.s[perm], r=stats.r[perm], t_up=stats.t_up)
+    t_hat = select_threshold(stats, alpha, cap_at_tup=cap, mixed_fitted=fitted if mixed else None)
+    t_perm = select_threshold(
+        shuffled, alpha, cap_at_tup=cap, mixed_fitted=shuffled_fit if mixed else None
+    )
+    assert t_perm == t_hat
+    assert np.array_equal(reject(shuffled, t_perm).rejected, reject(stats, t_hat).rejected[perm])
