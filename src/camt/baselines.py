@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, ndtri
-from scipy.stats import norm
 
 
 def bh(pvals, alpha):
@@ -141,7 +140,9 @@ def lfdr_values(pvals, truth):
         f1 = np.exp(truth.effect * z - 0.5 * truth.effect**2)
     else:
         scale, delta = noncentral_gamma_params(truth.effect)
-        f1 = _noncentral_gamma_pdf(z, scale, delta) / norm.pdf(z)
+        # standard normal density, written as scipy.stats.norm.pdf computes it
+        normal_pdf = np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)
+        f1 = _noncentral_gamma_pdf(z, scale, delta) / normal_pdf
     null_part = truth.pi0 * f0
     alt_part = (1.0 - truth.pi0) * f1
     return null_part / (null_part + alt_part)

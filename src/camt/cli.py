@@ -16,12 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import gif, null_histogram_summary
+from .em import CovariateError
 from .kernel import P_CLAMP, clamp_pvalues
 from .pipeline import run_camt
 from .simulation import DEFAULT_PROCEDURES, SimulationConfig, resolve_workers, run_sweep
 
 MIN_FIT_M = 200
 WARN_FIT_M = 1000
+WRITE_BLOCK_ROWS = 8192
 
 
 class CliError(Exception):
@@ -36,43 +38,34 @@ class ParsedTable:
     n_clamped: int
 
 
-def parse_table(path):
-    """Read a delimited hypothesis table.
+def _parse_cells_fast(data_lines, delimiter, n_cols):
+    """Parse well-formed data lines in one pass; None on any irregularity.
 
-    Expects a header row with exactly one column named "pvalue"; every
-    other column is a numeric covariate. The delimiter is detected from
-    the header line (tab if present, comma otherwise), so the same
-    table parses identically from CSV and TSV. Lines starting with '#'
-    are comments. P-values of exactly 0 or 1 are clamped into the open
-    interval and counted in n_clamped.
+    Irregular means a quote character, a line whose delimiter count does
+    not match the header, or a cell that is not a finite number. The
+    caller then falls back to :func:`_parse_cells`, which reports the
+    first problem by line and column. Each cell goes through float(), as
+    in the fallback, so both paths give the same values.
     """
+    if any(line.count(delimiter) != n_cols - 1 for line in data_lines):
+        return None
+    body = delimiter.join(data_lines)
+    if '"' in body:
+        return None
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        values = np.array(list(map(float, body.split(delimiter))))
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values.reshape(len(data_lines), n_cols)
 
-    lines = [
-        (idx + 1, line)
-        for idx, line in enumerate(text.splitlines())
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    if not lines:
-        raise CliError(f"empty input file: {path}")
 
-    delimiter = "\t" if "\t" in lines[0][1] else ","
-    header = next(csv.reader(io.StringIO(lines[0][1]), delimiter=delimiter))
-    header = [h.strip() for h in header]
-    seen = set()
-    for name in header:
-        if name in seen:
-            raise CliError(f"duplicate header column {name!r}")
-        seen.add(name)
-    if "pvalue" not in header:
-        raise CliError('missing required column "pvalue"')
-    p_col = header.index("pvalue")
-
-    values = np.empty((len(lines) - 1, len(header)))
-    for row_idx, (line_no, line) in enumerate(lines[1:]):
+def _parse_cells(data_lines, delimiter, header):
+    """Cell-by-cell parse of (line number, line) pairs; raises CliError
+    naming the line and column of the first malformed cell."""
+    values = np.empty((len(data_lines), len(header)))
+    for row_idx, (line_no, line) in enumerate(data_lines):
         cells = next(csv.reader(io.StringIO(line), delimiter=delimiter))
         if len(cells) != len(header):
             short = min(len(cells), len(header))
@@ -92,6 +85,47 @@ def parse_table(path):
                     f"column {header[col_idx]!r}"
                 )
             values[row_idx, col_idx] = value
+    return values
+
+
+def parse_table(path):
+    """Read a delimited hypothesis table.
+
+    Expects a header row with exactly one column named "pvalue"; every
+    other column is a numeric covariate. The delimiter is detected from
+    the header line (tab if present, comma otherwise), so the same
+    table parses identically from CSV and TSV. Lines starting with '#'
+    are comments. P-values of exactly 0 or 1 are clamped into the open
+    interval and counted in n_clamped.
+    """
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
+
+    lines = [
+        (line_no, line)
+        for line_no, line in enumerate(text.splitlines(), start=1)
+        if line.lstrip()[:1] not in ("", "#")  # skip blank and comment lines
+    ]
+    if not lines:
+        raise CliError(f"empty input file: {path}")
+
+    delimiter = "\t" if "\t" in lines[0][1] else ","
+    header = next(csv.reader(io.StringIO(lines[0][1]), delimiter=delimiter))
+    header = [h.strip() for h in header]
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise CliError(f"duplicate header column {name!r}")
+        seen.add(name)
+    if "pvalue" not in header:
+        raise CliError('missing required column "pvalue"')
+    p_col = header.index("pvalue")
+
+    values = _parse_cells_fast([line for _, line in lines[1:]], delimiter, len(header))
+    if values is None:
+        values = _parse_cells(lines[1:], delimiter, header)
 
     if values.shape[0] == 0:
         raise CliError(f"no data rows in {path}")
@@ -100,7 +134,7 @@ def parse_table(path):
     bad = np.flatnonzero((p < 0.0) | (p > 1.0))
     if bad.size:
         line_no = lines[1 + bad[0]][0]
-        raise CliError(f'line {line_no}: p-value {p[bad[0]]!r} outside [0, 1]')
+        raise CliError(f"line {line_no}: p-value {float(p[bad[0]])!r} outside [0, 1]")
     n_clamped = int(np.count_nonzero((p < P_CLAMP) | (p > 1.0 - P_CLAMP)))
     cov_cols = [j for j in range(len(header)) if j != p_col]
     return ParsedTable(
@@ -113,6 +147,23 @@ def parse_table(path):
 
 def _fmt(x):
     return repr(float(x))
+
+
+def _write_rows(out, columns, rejected):
+    """Write "index,<columns...>,rejected" lines, floats as repr(float(x)).
+
+    Rows are formatted and written in blocks of WRITE_BLOCK_ROWS, so the
+    formatted text held in memory stays bounded at any m.
+    """
+    m = rejected.size
+    for start in range(0, m, WRITE_BLOCK_ROWS):
+        stop = min(start + WRITE_BLOCK_ROWS, m)
+        fields = [
+            map(str, range(start, stop)),
+            *(map(repr, col[start:stop].tolist()) for col in columns),
+            ("1" if r else "0" for r in rejected[start:stop].tolist()),
+        ]
+        out.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def cmd_fit(args):
@@ -138,14 +189,17 @@ def cmd_fit(args):
         gif_text, warn_text = "na", "na"
 
     covs = table.covariates if table.covariates.shape[1] else None
-    result = run_camt(
-        table.pvals,
-        covs,
-        alpha=args.alpha,
-        spline_knots=args.spline_knots,
-        mixed=args.mixed,
-        cap_at_tup=not args.no_tup_cap,
-    )
+    try:
+        result = run_camt(
+            table.pvals,
+            covs,
+            alpha=args.alpha,
+            spline_knots=args.spline_knots,
+            mixed=args.mixed,
+            cap_at_tup=not args.no_tup_cap,
+        )
+    except CovariateError as exc:
+        raise CliError(f"covariate {table.covariate_names[exc.column]!r}: {exc.reason}") from exc
 
     from . import __version__
 
@@ -165,22 +219,13 @@ def cmd_fit(args):
         out.write(f"# em_converged: {str(result.trace.converged).lower()}\n")
         out.write(f"# gif: {gif_text}\n")
         out.write(f"# gif_warn: {warn_text}\n")
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
+        # the covariate names may need quoting, so the header goes through
+        # csv; the numeric rows never do
+        csv.writer(out, lineterminator="\n").writerow(
             ["index", "pvalue", *table.covariate_names, "pi0_hat", "k_hat", "psi_stat", "rejected"]
         )
-        for i in range(m):
-            writer.writerow(
-                [
-                    i,
-                    _fmt(table.pvals[i]),
-                    *(_fmt(v) for v in table.covariates[i]),
-                    _fmt(result.pi_hat[i]),
-                    _fmt(result.k_hat[i]),
-                    _fmt(result.psi_stat[i]),
-                    int(result.rejected[i]),
-                ]
-            )
+        columns = [table.pvals, *table.covariates.T, result.pi_hat, result.k_hat, result.psi_stat]
+        _write_rows(out, columns, result.rejected)
     print(
         f"fit: m={m}, t_hat={result.t_hat:.6g}, rejections={result.n_rejections}, "
         f"output={args.output}"

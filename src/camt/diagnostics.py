@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtri
 
 GIF_WARN_THRESHOLD = 1.05
 MIN_TAIL_PVALUES = 20
@@ -48,8 +48,8 @@ def gif(pvals, threshold=GIF_WARN_THRESHOLD):
             f"insufficient data: {retained.size} p-values in [0.5, 1], "
             f"need at least {MIN_TAIL_PVALUES}"
         )
-    q = chi2.isf(retained, df=1)
-    reference = chi2.isf(0.75, df=1)
+    q = chdtri(1, retained)  # upper chi-square(1) quantile, as chi2.isf(p, df=1)
+    reference = chdtri(1, 0.75)
     value = float(np.median(q) / reference)
     return GifReport(
         gif=value,

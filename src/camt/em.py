@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, logit
@@ -29,6 +30,15 @@ from .splines import spline_basis
 # Fitted k values are pulled off the exact endpoints so that downstream
 # formulas with 1/k and log(1-k) stay finite.
 K_CLIP = 1e-12
+
+
+class CovariateError(ValueError):
+    """A covariate column the design cannot use; column is its index."""
+
+    def __init__(self, column, reason):
+        super().__init__(f"covariate column {column}: {reason}")
+        self.column = column
+        self.reason = reason
 
 
 @dataclass
@@ -110,6 +120,13 @@ def build_design(covariates, spline_knots=0):
     spline_knots : int
         0 for raw covariate columns, otherwise the number of knots per
         covariate, between 2 and 20.
+
+    Raises
+    ------
+    CovariateError
+        When a column cannot be standardized (its mean or standard
+        deviation overflows) or has too few distinct values for the
+        spline knots.
     """
     x = np.asarray(covariates, dtype=float)
     if x.ndim == 1:
@@ -123,20 +140,29 @@ def build_design(covariates, spline_knots=0):
     m, q = x.shape
     blocks = [np.ones((m, 1))]
     for j in range(q):
-        col = _standardize(x[:, j])
+        col = _standardize(x[:, j], j)
         if spline_knots == 0:
             blocks.append(col[:, None])
         else:
-            basis, _ = spline_basis(col, spline_knots)
+            try:
+                basis, _ = spline_basis(col, spline_knots)
+            except ValueError:  # the equiquantile knots collide
+                raise CovariateError(
+                    j, f"too few distinct values for a {spline_knots}-knot spline basis"
+                ) from None
             expanded = basis[:, 1:]  # drop the basis constant, intercept is global
-            blocks.append(np.column_stack([_standardize(b) for b in expanded.T]))
+            blocks.append(np.column_stack([_standardize(b, j) for b in expanded.T]))
     return np.hstack(blocks)
 
 
-def _standardize(col):
-    mu = col.mean()
-    sd = col.std()
-    if sd == 0.0 or not np.isfinite(sd):
+def _standardize(col, j):
+    """Center and scale a column derived from covariate j."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = col.mean()
+        sd = col.std()
+    if not (np.isfinite(mu) and np.isfinite(sd)):
+        raise CovariateError(j, "mean or standard deviation is not finite; rescale the column")
+    if sd == 0.0:
         sd = 1.0
     return (col - mu) / sd
 
@@ -156,7 +182,7 @@ def loglik_grad(params, design, pvals):
         Gradients with respect to theta and beta.
     """
     X, logp = _prepare(design, pvals)
-    pi, one_m_pi, k, one_m_k, h, denom = _pieces(params.theta, params.beta, X, logp)
+    _, pi, one_m_pi, _, k, one_m_k, h, denom = _pieces(params.theta, params.beta, X, logp)
     grad_theta = X.T @ ((1.0 - h) * pi * one_m_pi / denom)
     dh_dk = -np.exp(-k * logp) * (1.0 + one_m_k * logp)
     grad_beta = X.T @ (one_m_pi * dh_dk * k * one_m_k / denom)
@@ -179,8 +205,9 @@ def m_step(gamma, params, design, pvals, config=None):
     config = config or EmConfig()
     X, logp = _prepare(design, pvals)
     gamma = np.asarray(gamma, dtype=float)
-    theta, _ = _update_theta(params.theta.copy(), 1.0 - gamma, X, config)
-    beta, _ = _update_beta(params.beta.copy(), gamma, X, logp, config)
+    pieces = _pieces(params.theta, params.beta, X, logp)
+    theta = _update_theta(params.theta.copy(), 1.0 - gamma, X, pieces, config)
+    beta = _update_beta(params.beta.copy(), gamma, X, logp, pieces, config)
     return CoefVector(theta=theta, beta=beta)
 
 
@@ -219,18 +246,18 @@ def fit(design, pvals, config=None):
     theta[0] = logit(config.init_pi)
     beta = np.zeros(d)
 
-    # the E-step at (theta, beta) reuses the pieces of the log-likelihood
-    # already evaluated there
-    ll, gamma = _loglik_gamma(theta, beta, X, logp)
+    # the E-step and the M-step's starting point at (theta, beta) reuse
+    # the pieces of the log-likelihood already evaluated there
+    ll, gamma, pieces = _loglik_gamma(theta, beta, X, logp)
     trace_ll = [ll]
     trace_change = []
     converged = False
     n_iter = 0
     for _ in range(config.max_iter):
         n_iter += 1
-        theta_new, _ = _update_theta(theta.copy(), 1.0 - gamma, X, config)
-        beta_new, _ = _update_beta(beta.copy(), gamma, X, logp, config)
-        ll_new, gamma = _loglik_gamma(theta_new, beta_new, X, logp)
+        theta_new = _update_theta(theta.copy(), 1.0 - gamma, X, pieces, config)
+        beta_new = _update_beta(beta.copy(), gamma, X, logp, pieces, config)
+        ll_new, gamma, pieces = _loglik_gamma(theta_new, beta_new, X, logp)
         change = max(
             np.max(np.abs(theta_new - theta)), np.max(np.abs(beta_new - beta))
         )
@@ -249,8 +276,8 @@ def fit(design, pvals, config=None):
             stacklevel=2,
         )
 
-    pi_hat = winsorize(expit(X @ theta), config.eps1, config.eps2)
-    k_hat = np.clip(expit(X @ beta), K_CLIP, 1.0 - K_CLIP)
+    pi_hat = winsorize(pieces.pi, config.eps1, config.eps2)
+    k_hat = np.clip(pieces.k, K_CLIP, 1.0 - K_CLIP)
     return FitResult(
         coef=CoefVector(theta=theta, beta=beta),
         fitted=FittedHypotheses(pi_hat=pi_hat, k_hat=k_hat),
@@ -281,6 +308,19 @@ def _prepare(design, pvals):
     return X, np.log(p)
 
 
+class _Pieces(NamedTuple):
+    """Link values and mixture terms at one (theta, beta)."""
+
+    u_pi: np.ndarray  # X @ theta
+    pi: np.ndarray
+    one_m_pi: np.ndarray
+    u_k: np.ndarray  # X @ beta
+    k: np.ndarray
+    one_m_k: np.ndarray
+    h: np.ndarray  # alternative density of p under k
+    denom: np.ndarray  # mixture density
+
+
 def _pieces(theta, beta, X, logp):
     u_pi = X @ theta
     u_k = X @ beta
@@ -290,15 +330,16 @@ def _pieces(theta, beta, X, logp):
     one_m_k = expit(-u_k)
     h = one_m_k * np.exp(-k * logp)
     denom = pi + one_m_pi * h
-    return pi, one_m_pi, k, one_m_k, h, denom
+    return _Pieces(u_pi, pi, one_m_pi, u_k, k, one_m_k, h, denom)
 
 
 def _loglik_gamma(theta, beta, X, logp):
-    """Log-likelihood and posterior signal probabilities, one _pieces call."""
-    _, one_m_pi, _, _, h, denom = _pieces(theta, beta, X, logp)
+    """Log-likelihood, posterior signal probabilities and the _pieces
+    they were computed from."""
+    pieces = _pieces(theta, beta, X, logp)
     with np.errstate(divide="ignore"):
-        ll = float(np.log(denom).sum())
-    return ll, one_m_pi * h / denom
+        ll = float(np.log(pieces.denom).sum())
+    return ll, pieces.one_m_pi * pieces.h / pieces.denom, pieces
 
 
 def _solve_ascent_direction(neg_hess, grad):
@@ -320,62 +361,74 @@ def _solve_ascent_direction(neg_hess, grad):
     return evecs @ (inv * (evecs.T @ grad))
 
 
-def _ascend(coef, direction, objective, value, config):
-    """Backtracking line search; accepts only non-decreasing moves."""
+def _ascend(coef, direction, X, objective, value, config):
+    """Backtracking line search; accepts only non-decreasing moves.
+
+    objective maps u = X @ coef to (value, state), state being whatever
+    the next Newton step can reuse. Returns (coef, value, state) of the
+    accepted candidate, or state None when every halving failed.
+    """
     step = 1.0
     for _ in range(config.max_halvings + 1):
         cand = np.clip(coef + step * direction, -config.coef_bound, config.coef_bound)
-        val = objective(cand)
+        val, state = objective(X @ cand)
         if np.isfinite(val) and val >= value:
-            return cand, val, True
+            return cand, val, state
         step *= 0.5
-    return coef, value, False
+    return coef, value, None
 
 
-def _update_theta(theta, y, X, config):
-    """Damped Newton / IRLS for the pi link with soft null labels y."""
+def _update_theta(theta, y, X, pieces, config):
+    """Damped Newton / IRLS for the pi link with soft null labels y.
 
-    def obj(th):
-        u = X @ th
-        return -float(y @ np.logaddexp(0.0, -u) + (1.0 - y) @ np.logaddexp(0.0, u))
+    pieces holds the link values at the starting theta.
+    """
 
-    value = obj(theta)
+    def obj(u):
+        return -float(y @ np.logaddexp(0.0, -u) + (1.0 - y) @ np.logaddexp(0.0, u)), u
+
+    u, piv, one_m_piv = pieces.u_pi, pieces.pi, pieces.one_m_pi
+    value, _ = obj(u)
     grad_tol = 1e-8 * X.shape[0]
     for _ in range(config.inner_max_iter):
-        u = X @ theta
-        piv = expit(u)
         grad = X.T @ (y - piv)
         if np.max(np.abs(grad)) <= grad_tol:
             break
-        w = piv * expit(-u)
+        w = piv * one_m_piv
         neg_hess = X.T @ (X * w[:, None])
         direction = _solve_ascent_direction(neg_hess, grad)
         if direction is None:
             gmax = np.max(np.abs(grad))
             direction = grad / gmax
-        theta_new, value, accepted = _ascend(theta, direction, obj, value, config)
+        theta_new, value, u_new = _ascend(theta, direction, X, obj, value, config)
         moved = np.max(np.abs(theta_new - theta))
         theta = theta_new
-        if not accepted or moved < 1e-10:
+        if u_new is None or moved < 1e-10:
             break
-    return theta, value
+        u = u_new
+        piv, one_m_piv = expit(u), expit(-u)
+    return theta
 
 
-def _update_beta(beta, gamma, X, logp, config):
+def _update_beta(beta, gamma, X, logp, pieces, config):
     """Damped Newton for the k link; the Hessian here is not always
     negative definite, in which case a normalized gradient step with
-    backtracking is used instead."""
+    backtracking is used instead.
 
-    def obj(b):
-        u = X @ b
-        return -float(gamma @ (np.logaddexp(0.0, u) + expit(u) * logp))
+    pieces holds the link values at the starting beta.
+    """
 
-    value = obj(beta)
+    def value_at(u, k):
+        return -float(gamma @ (np.logaddexp(0.0, u) + k * logp))
+
+    def obj(u):
+        k = expit(u)
+        return value_at(u, k), (u, k)
+
+    u, k, one_m_k = pieces.u_k, pieces.k, pieces.one_m_k
+    value = value_at(u, k)
     grad_tol = 1e-8 * X.shape[0]
     for _ in range(config.inner_max_iter):
-        u = X @ beta
-        k = expit(u)
-        one_m_k = expit(-u)
         grad_u = -gamma * k * (1.0 + one_m_k * logp)
         grad = X.T @ grad_u
         if np.max(np.abs(grad)) <= grad_tol:
@@ -386,9 +439,11 @@ def _update_beta(beta, gamma, X, logp, config):
         if direction is None:
             gmax = np.max(np.abs(grad))
             direction = grad / gmax
-        beta_new, value, accepted = _ascend(beta, direction, obj, value, config)
+        beta_new, value, state = _ascend(beta, direction, X, obj, value, config)
         moved = np.max(np.abs(beta_new - beta))
         beta = beta_new
-        if not accepted or moved < 1e-10:
+        if state is None or moved < 1e-10:
             break
-    return beta, value
+        u, k = state
+        one_m_k = expit(-u)
+    return beta

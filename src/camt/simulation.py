@@ -29,7 +29,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import expit, ndtr
 
 from .baselines import OracleTruth, bh, lfdr_values, noncentral_gamma_params, storey
@@ -169,6 +168,8 @@ def _noise(setup, m, rng):
             parts.append(rng.standard_normal(rem) @ chol[:rem, :rem].T)
         return np.concatenate(parts)
     if setup in ("S3.3", "S3.4"):
+        from scipy.signal import lfilter  # ~0.1 s to import, only these setups need it
+
         rho = 0.75 if setup == "S3.3" else -0.75
         eps = rng.standard_normal(m)
         eps[1:] *= np.sqrt(1.0 - rho**2)

@@ -1,8 +1,20 @@
 """Tests for table parsing and the fit / simulate / diagnose commands."""
 
+import csv
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import camt
+import camt.cli
 from camt.baselines import storey
 from camt.cli import CliError, main, parse_table
 from camt.kernel import P_CLAMP
@@ -125,6 +137,111 @@ def test_parse_missing_file():
         parse_table("/no/such/file.csv")
 
 
+def _parse_outcome(path):
+    """Everything parse_table returns, or the message it raises."""
+    try:
+        table = parse_table(path)
+    except CliError as exc:
+        return str(exc)
+    return (
+        table.pvals.tobytes(),
+        table.covariates.shape,
+        table.covariates.tobytes(),
+        table.covariate_names,
+        table.n_clamped,
+    )
+
+
+_CELL_FORMATS = (repr, "{:.17e}".format, "{:.6g}".format, "{:+.3E}".format, "{:f}".format)
+_IRREGULAR_CELLS = ("", "abc", "nan", "-inf", "1e400", '"0.5"', "0x1p-2")
+
+
+@st.composite
+def _tables(draw):
+    """(text, regular): a random table; regular when no cell is malformed."""
+    sep = draw(st.sampled_from([",", "\t"]))
+    n_cov = draw(st.integers(0, 3))
+    header = [f"x{j}" for j in range(n_cov)]
+    p_col = draw(st.integers(0, n_cov))
+    header.insert(p_col, "pvalue")
+    pad = st.sampled_from(["", " ", "   "])
+    irregular = draw(st.booleans()) and draw(st.integers(0, 4)) == 0
+    lines = [sep.join(header)]
+    for _ in range(draw(st.integers(1, 20))):
+        cells = []
+        for j in range(len(header)):
+            if j == p_col:
+                value = draw(st.floats(0.0, 1.0))
+            else:
+                # bounded so that no format rounds a value up to inf
+                value = draw(st.floats(-1e300, 1e300))
+            text = draw(st.sampled_from(_CELL_FORMATS))(value)
+            cells.append(draw(pad) + text + draw(pad))
+        if irregular and draw(st.integers(0, 3)) == 0:
+            j = draw(st.integers(0, len(cells) - 1))
+            if draw(st.booleans()):
+                cells[j] = draw(st.sampled_from(_IRREGULAR_CELLS))
+            else:
+                del cells[j]
+        lines.append(sep.join(cells))
+    for _ in range(draw(st.integers(0, 4))):
+        filler = draw(st.sampled_from(["", "   ", "# note", "  # indented, comment"]))
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    return "\n".join(lines) + "\n", not irregular
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_parse_fast_path_matches_per_cell_parse(tmp_path_factory, drawn):
+    text, regular = drawn
+    path = tmp_path_factory.mktemp("parse") / "t.csv"
+    path.write_text(text)
+    fast_parse = camt.cli._parse_cells_fast
+    took_fast_path = []
+
+    def spy(*args):
+        values = fast_parse(*args)
+        took_fast_path.append(values is not None)
+        return values
+
+    with patch.object(camt.cli, "_parse_cells_fast", spy):
+        fast = _parse_outcome(path)
+    with patch.object(camt.cli, "_parse_cells_fast", lambda *args: None):
+        per_cell = _parse_outcome(path)
+    assert fast == per_cell
+    if regular:
+        assert took_fast_path == [True]
+
+
+def _long_table_lines(m=5000):
+    rng = np.random.default_rng(61)
+    rows = [f"{p!r},{a!r},{b!r}" for p, a, b in rng.random((m, 3)).tolist()]
+    return ["# a comment shifts line numbers", "pvalue,x1,x2", *rows]
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        ({4321: "0.5,1.0,abc"}, "non-numeric value 'abc' at line 4324, column 'x2'"),
+        ({3000: "0.5, nan ,1.0"}, "non-numeric value 'nan' at line 3003, column 'x1'"),
+        # one short row and one long row: the total cell count still fits
+        (
+            {2000: "0.5,1.0", 2001: "0.5,1.0,2.0,3.0"},
+            "line 2003: expected 3 cells, got 2 (missing value for column 'x2')",
+        ),
+        ({4999: '0.5,"1.0",'}, "non-numeric value '' at line 5002, column 'x2'"),
+        ({10: "1.5,0.0,0.0"}, "line 13: p-value 1.5 outside [0, 1]"),
+    ],
+)
+def test_parse_errors_on_long_tables_name_line_and_column(tmp_path, edit, message):
+    lines = _long_table_lines()
+    for row, line in edit.items():
+        lines[2 + row] = line
+    with pytest.raises(CliError) as err:
+        parse_table(_write_lines(tmp_path / "t.csv", lines))
+    assert str(err.value) == message
+
+
 # ----------------------------------------------------------------------
 # fit command
 
@@ -174,6 +291,65 @@ def test_fit_round_trip(tmp_path, capsys):
     assert np.array_equal(np.array([float(r[4]) for r in rows]), oracle.k_hat)
     assert np.array_equal(np.array([float(r[5]) for r in rows]), oracle.psi_stat)
     assert np.array_equal(np.array([int(r[6]) for r in rows]), oracle.rejected.astype(int))
+
+
+def _reference_body(table, result):
+    """The column-name row and data rows as the per-row csv writer
+    camt fit used before block writing produced them."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(
+        ["index", "pvalue", *table.covariate_names, "pi0_hat", "k_hat", "psi_stat", "rejected"]
+    )
+    for i in range(table.pvals.size):
+        writer.writerow(
+            [
+                i,
+                repr(float(table.pvals[i])),
+                *(repr(float(v)) for v in table.covariates[i]),
+                repr(float(result.pi_hat[i])),
+                repr(float(result.k_hat[i])),
+                repr(float(result.psi_stat[i])),
+                int(result.rejected[i]),
+            ]
+        )
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_fit_output_matches_per_row_writer(tmp_path, capsys, monkeypatch, mixed):
+    data = generate(SimulationConfig(setup="S0", m=1300, seed=36), 0)
+    x = np.column_stack([data.covariates[:, 0], -1e-7 * data.covariates[:, 0], np.zeros(1300)])
+    # a name with the delimiter in it must be quoted in the column-name row
+    in_path = _write_table(tmp_path / "in.csv", data.pvals, x, names=["x", '"a,b"', "zero"])
+    monkeypatch.setattr(camt.cli, "WRITE_BLOCK_ROWS", 500)  # three blocks, the last partial
+    out = tmp_path / "o.csv"
+    args = ["fit", "--input", in_path, "--alpha", "0.2", "--output", str(out)]
+    assert main(args + ["--mixed"] if mixed else args) == 0
+    capsys.readouterr()
+
+    table = parse_table(in_path)
+    result = run_camt(table.pvals, table.covariates, alpha=0.2, mixed=mixed)
+    assert result.n_rejections > 0
+    text = out.read_text()
+    body = text[text.index("\nindex,") + 1 :]
+    assert body == _reference_body(table, result)
+
+
+@pytest.mark.parametrize(
+    "column,knots,message",
+    [
+        (np.arange(1200) * 1e300, "0", "covariate 'big': mean or standard deviation is not finite"),
+        (np.arange(1200) % 3 == 0, "3", "covariate 'big': too few distinct values for a 3-knot spline"),
+    ],
+)
+def test_fit_names_an_unusable_covariate(tmp_path, capsys, column, knots, message):
+    rng = np.random.default_rng(37)
+    x = np.column_stack([rng.standard_normal(1200), column])
+    in_path = _write_table(tmp_path / "in.csv", rng.random(1200), x, names=["x", "big"])
+    out = str(tmp_path / "o.csv")
+    assert main(["fit", "--input", in_path, "--spline-knots", knots, "--output", out]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_fit_refuses_tiny_tables(tmp_path, capsys):
@@ -340,6 +516,21 @@ def test_usage_errors_exit_one(capsys):
     assert main(["frobnicate"]) == 1  # unknown command
     assert main([]) == 1  # missing subcommand
     capsys.readouterr()
+
+
+def test_import_loads_neither_scipy_stats_nor_scipy_signal():
+    # each costs a fresh `camt fit` process a large share of its run time
+    code = (
+        "import sys, camt.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.signal'))))"
+    )
+    src = str(Path(camt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_help_exits_zero():

@@ -9,6 +9,7 @@ from scipy.special import expit, logit
 
 from camt.em import (
     CoefVector,
+    CovariateError,
     EmConfig,
     FittedHypotheses,
     build_design,
@@ -20,6 +21,7 @@ from camt.em import (
 )
 from camt.em import _solve_ascent_direction
 from camt.kernel import clamp_pvalues, psi
+from camt.pipeline import run_camt
 from camt.simulation import SimulationConfig, generate
 
 
@@ -313,6 +315,28 @@ def test_build_design_validation():
         build_design(np.array([[1.0], [np.nan]]))
     with pytest.raises(ValueError):
         build_design(np.zeros((10, 1)), spline_knots=1)
+
+
+def test_build_design_names_a_column_it_cannot_standardize():
+    rng = np.random.default_rng(52)
+    x = rng.random(500)
+    with np.errstate(all="raise"):  # a clear error, no numpy overflow on the way
+        with pytest.raises(CovariateError, match="covariate column 1: mean or standard") as err:
+            build_design(np.column_stack([x, x * 1e300]))
+    assert err.value.column == 1
+    # still standardizes at scales whose variance is finite
+    assert np.allclose(build_design(x * 1e150), build_design(x))
+    with pytest.raises(CovariateError, match="covariate column 0"):
+        run_camt(rng.random(500), x * 1e300)
+
+
+def test_build_design_names_a_discrete_column_for_splines():
+    rng = np.random.default_rng(53)
+    x = np.column_stack([rng.standard_normal(500), np.arange(500) % 3 == 0])
+    with pytest.raises(CovariateError) as err:
+        build_design(x, spline_knots=3)
+    assert err.value.column == 1
+    assert str(err.value) == "covariate column 1: too few distinct values for a 3-knot spline basis"
 
 
 def test_fit_rejects_design_without_intercept():
