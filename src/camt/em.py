@@ -13,6 +13,10 @@ is a signal, the M-step solves one weighted logistic regression for
 theta and one damped Newton ascent for beta. Every M-step move is
 accepted only if it does not decrease its objective, which makes the
 observed-data log-likelihood monotone along the iteration.
+
+Each link vector u = X @ coef costs one exponential, e = exp(-|u|):
+expit(u), expit(-u) and softplus(u) = log(1 + exp(u)) are all cheap
+arithmetic on e, and none of them can overflow.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, logit
+from scipy.special import logit
 
 from .kernel import EPS1_DEFAULT, EPS2_DEFAULT, clamp_pvalues, winsorize
 from .splines import spline_basis
@@ -146,7 +150,7 @@ def build_design(covariates, spline_knots=0):
         else:
             try:
                 basis, _ = spline_basis(col, spline_knots)
-            except ValueError:  # the equiquantile knots collide
+            except ValueError:  # too few distinct values, or the equiquantile knots collide
                 raise CovariateError(
                     j, f"too few distinct values for a {spline_knots}-knot spline basis"
                 ) from None
@@ -182,10 +186,10 @@ def loglik_grad(params, design, pvals):
         Gradients with respect to theta and beta.
     """
     X, logp = _prepare(design, pvals)
-    _, pi, one_m_pi, _, k, one_m_k, h, denom = _pieces(params.theta, params.beta, X, logp)
-    grad_theta = X.T @ ((1.0 - h) * pi * one_m_pi / denom)
-    dh_dk = -np.exp(-k * logp) * (1.0 + one_m_k * logp)
-    grad_beta = X.T @ (one_m_pi * dh_dk * k * one_m_k / denom)
+    pc = _pieces(params.theta, params.beta, X, logp)
+    grad_theta = X.T @ ((1.0 - pc.h) * pc.pi * pc.one_m_pi / pc.denom)
+    dh_dk = -np.exp(-pc.k * logp) * (1.0 + pc.one_m_k * logp)
+    grad_beta = X.T @ (pc.one_m_pi * dh_dk * pc.k * pc.one_m_k / pc.denom)
     return grad_theta, grad_beta
 
 
@@ -198,9 +202,10 @@ def e_step(params, design, pvals):
 def m_step(gamma, params, design, pvals, config=None):
     """One M-step: update theta, then beta, holding gamma fixed.
 
-    Neither update is run to full convergence; each is a damped Newton
-    ascent that never decreases its share of the complete-data
-    objective, which is all the EM argument needs.
+    Each update is a damped Newton ascent of its share of the
+    complete-data objective, run for at most ``config.inner_max_iter``
+    steps or until its gradient is below 1e-8 * m in every coordinate.
+    No step decreases that share, which is all the EM argument needs.
     """
     config = config or EmConfig()
     X, logp = _prepare(design, pvals)
@@ -312,25 +317,75 @@ class _Pieces(NamedTuple):
     """Link values and mixture terms at one (theta, beta)."""
 
     u_pi: np.ndarray  # X @ theta
+    e_pi: np.ndarray  # exp(-|u_pi|)
     pi: np.ndarray
     one_m_pi: np.ndarray
     u_k: np.ndarray  # X @ beta
+    e_k: np.ndarray  # exp(-|u_k|)
     k: np.ndarray
     one_m_k: np.ndarray
     h: np.ndarray  # alternative density of p under k
     denom: np.ndarray  # mixture density
 
 
+def _exp_neg_abs(u):
+    """exp(-|u|), the one exponential a link vector u needs; in [0, 1]."""
+    e = np.abs(u)
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
+
+
+def _sigmoid_pair(u, e):
+    """(expit(u), expit(-u)) from e = exp(-|u|).
+
+    With r = 1 / (1 + e), expit(|u|) = r and expit(-|u|) = e * r. The
+    factor in front of r is 1 or e, picked without a branch:
+    max(e, sign(u)) is 1 for u > 0 and e for u < 0, and at u = 0 both
+    are 1 = e.
+    """
+    r = 1.0 + e
+    np.divide(1.0, r, out=r)
+    sign = np.sign(u)
+    at_u = np.maximum(e, sign)
+    at_u *= r
+    np.negative(sign, out=sign)
+    at_minus_u = np.maximum(e, sign, out=sign)
+    at_minus_u *= r
+    return at_u, at_minus_u
+
+
+def _softplus(u, e):
+    """log(1 + exp(u)) from e = exp(-|u|); also softplus(-u) as _softplus(-u, e)."""
+    return np.maximum(u, 0.0) + np.log1p(e)
+
+
+def _theta_value(u, e, y, one_m_y):
+    """The pi link's share of the complete-data objective at u = X @ theta,
+    -(y . softplus(-u) + (1 - y) . softplus(u)), with e = exp(-|u|).
+
+    softplus(+-u) = max(+-u, 0) + log1p(e), and max(-u, 0) is
+    max(u, 0) - u exactly, so one maximum and one log1p serve both.
+    """
+    pos = np.maximum(u, 0.0)
+    return -float(one_m_y @ pos + y @ (pos - u) + np.log1p(e).sum())
+
+
+def _beta_value(u, e, k, gamma, logp):
+    """The k link's share at u = X @ beta, -gamma . (softplus(u) + k log p),
+    with e = exp(-|u|) and k = expit(u)."""
+    return -float(gamma @ (_softplus(u, e) + k * logp))
+
+
 def _pieces(theta, beta, X, logp):
     u_pi = X @ theta
+    e_pi = _exp_neg_abs(u_pi)
+    pi, one_m_pi = _sigmoid_pair(u_pi, e_pi)
     u_k = X @ beta
-    pi = expit(u_pi)
-    one_m_pi = expit(-u_pi)
-    k = expit(u_k)
-    one_m_k = expit(-u_k)
+    e_k = _exp_neg_abs(u_k)
+    k, one_m_k = _sigmoid_pair(u_k, e_k)
     h = one_m_k * np.exp(-k * logp)
     denom = pi + one_m_pi * h
-    return _Pieces(u_pi, pi, one_m_pi, u_k, k, one_m_k, h, denom)
+    return _Pieces(u_pi, e_pi, pi, one_m_pi, u_k, e_k, k, one_m_k, h, denom)
 
 
 def _loglik_gamma(theta, beta, X, logp):
@@ -383,12 +438,14 @@ def _update_theta(theta, y, X, pieces, config):
 
     pieces holds the link values at the starting theta.
     """
+    one_m_y = 1.0 - y
 
     def obj(u):
-        return -float(y @ np.logaddexp(0.0, -u) + (1.0 - y) @ np.logaddexp(0.0, u)), u
+        e = _exp_neg_abs(u)
+        return _theta_value(u, e, y, one_m_y), (u, e)
 
-    u, piv, one_m_piv = pieces.u_pi, pieces.pi, pieces.one_m_pi
-    value, _ = obj(u)
+    piv, one_m_piv = pieces.pi, pieces.one_m_pi
+    value = _theta_value(pieces.u_pi, pieces.e_pi, y, one_m_y)
     grad_tol = 1e-8 * X.shape[0]
     for _ in range(config.inner_max_iter):
         grad = X.T @ (y - piv)
@@ -400,13 +457,12 @@ def _update_theta(theta, y, X, pieces, config):
         if direction is None:
             gmax = np.max(np.abs(grad))
             direction = grad / gmax
-        theta_new, value, u_new = _ascend(theta, direction, X, obj, value, config)
+        theta_new, value, state = _ascend(theta, direction, X, obj, value, config)
         moved = np.max(np.abs(theta_new - theta))
         theta = theta_new
-        if u_new is None or moved < 1e-10:
+        if state is None or moved < 1e-10:
             break
-        u = u_new
-        piv, one_m_piv = expit(u), expit(-u)
+        piv, one_m_piv = _sigmoid_pair(*state)
     return theta
 
 
@@ -418,15 +474,13 @@ def _update_beta(beta, gamma, X, logp, pieces, config):
     pieces holds the link values at the starting beta.
     """
 
-    def value_at(u, k):
-        return -float(gamma @ (np.logaddexp(0.0, u) + k * logp))
-
     def obj(u):
-        k = expit(u)
-        return value_at(u, k), (u, k)
+        e = _exp_neg_abs(u)
+        k, one_m_k = _sigmoid_pair(u, e)
+        return _beta_value(u, e, k, gamma, logp), (k, one_m_k)
 
-    u, k, one_m_k = pieces.u_k, pieces.k, pieces.one_m_k
-    value = value_at(u, k)
+    k, one_m_k = pieces.k, pieces.one_m_k
+    value = _beta_value(pieces.u_k, pieces.e_k, k, gamma, logp)
     grad_tol = 1e-8 * X.shape[0]
     for _ in range(config.inner_max_iter):
         grad_u = -gamma * k * (1.0 + one_m_k * logp)
@@ -444,6 +498,5 @@ def _update_beta(beta, gamma, X, logp, pieces, config):
         beta = beta_new
         if state is None or moved < 1e-10:
             break
-        u, k = state
-        one_m_k = expit(-u)
+        k, one_m_k = state
     return beta

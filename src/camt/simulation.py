@@ -204,8 +204,12 @@ def metrics(rejected, is_alternative):
 # procedures
 
 
+# Procedures whose prepare_key is equal prepare the same state from a
+# replicate's data, so a sweep prepares it once and shares it.
+
+
 class _BhProcedure:
-    name = "bh"
+    name = prepare_key = "bh"
 
     def prepare(self, data):
         return data.pvals
@@ -215,7 +219,7 @@ class _BhProcedure:
 
 
 class _StoreyProcedure:
-    name = "storey"
+    name = prepare_key = "storey"
 
     def __init__(self, lam=0.5):
         self.lam = lam
@@ -228,7 +232,7 @@ class _StoreyProcedure:
 
 
 class _OracleProcedure:
-    name = "oracle"
+    name = prepare_key = "oracle"
 
     def prepare(self, data):
         values = lfdr_values(data.pvals, data.truth)
@@ -250,6 +254,10 @@ class _CamtProcedure:
         self.spline_knots = spline_knots
         self.mixed = mixed
         self.cap_at_tup = cap_at_tup
+
+    @property
+    def prepare_key(self):
+        return ("camt", self.spline_knots)  # mixed and cap_at_tup act only in reject
 
     def prepare(self, data):
         return fit_camt(data.pvals, data.covariates, spline_knots=self.spline_knots)
@@ -288,6 +296,7 @@ class SweepRow:
     tpr: float
     n_rejections: int
     prepare_ms: float  # the procedure's fit, shared by every alpha row of a replicate
+    # and by every procedure with the same fit (camt and camt-mixed)
     select_ms: float
 
 
@@ -371,11 +380,14 @@ def resolve_workers(n_workers=None):
 def _run_replicate(config, replicate, procedure_names):
     data = generate(config, replicate)
     rows = []
+    prepared = {}  # prepare_key -> (state, prepare_ms)
     for name in procedure_names:
         proc = make_procedure(name)
-        t0 = time.perf_counter()
-        state = proc.prepare(data)
-        prepare_ms = (time.perf_counter() - t0) * 1e3
+        if proc.prepare_key not in prepared:
+            t0 = time.perf_counter()
+            state = proc.prepare(data)
+            prepared[proc.prepare_key] = (state, (time.perf_counter() - t0) * 1e3)
+        state, prepare_ms = prepared[proc.prepare_key]
         for alpha in config.alpha_grid:
             t1 = time.perf_counter()
             mask = proc.reject(state, alpha)

@@ -35,6 +35,13 @@ def equiquantile_knots(x, n_knots):
         raise ValueError("n_knots must be at least 2")
     if x.ndim != 1 or x.size < n_knots:
         raise ValueError("x must be a 1-d sample with at least n_knots values")
+    # n_knots distinct knots can still sit on fewer distinct values (a
+    # balanced 0/1 column gets knots 0, 0.5, 1), and the basis then has
+    # fewer distinct rows than columns
+    if np.unique(x).size < n_knots:
+        raise ValueError(
+            f"degenerate covariate: fewer than {n_knots} distinct values for a spline basis"
+        )
     probs = np.arange(1, n_knots + 1) / (n_knots + 1)
     knots = np.quantile(x, probs)
     if np.any(np.diff(knots) <= 0.0):

@@ -341,6 +341,7 @@ def test_fit_output_matches_per_row_writer(tmp_path, capsys, monkeypatch, mixed)
     [
         (np.arange(1200) * 1e300, "0", "covariate 'big': mean or standard deviation is not finite"),
         (np.arange(1200) % 3 == 0, "3", "covariate 'big': too few distinct values for a 3-knot spline"),
+        (np.arange(1200) % 2, "3", "covariate 'big': too few distinct values for a 3-knot spline"),
     ],
 )
 def test_fit_names_an_unusable_covariate(tmp_path, capsys, column, knots, message):

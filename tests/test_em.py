@@ -5,8 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit, logit
 
+import camt.em
 from camt.em import (
     CoefVector,
     CovariateError,
@@ -19,10 +22,11 @@ from camt.em import (
     loglik_grad,
     m_step,
 )
-from camt.em import _solve_ascent_direction
+from camt.em import _exp_neg_abs, _sigmoid_pair, _softplus, _solve_ascent_direction
 from camt.kernel import clamp_pvalues, psi
 from camt.pipeline import run_camt
 from camt.simulation import SimulationConfig, generate
+from camt.threshold import mirror_statistics, reject, select_threshold
 
 
 def _mixture_draw(theta_true, beta_true, m, seed):
@@ -332,11 +336,14 @@ def test_build_design_names_a_column_it_cannot_standardize():
 
 def test_build_design_names_a_discrete_column_for_splines():
     rng = np.random.default_rng(53)
-    x = np.column_stack([rng.standard_normal(500), np.arange(500) % 3 == 0])
-    with pytest.raises(CovariateError) as err:
-        build_design(x, spline_knots=3)
-    assert err.value.column == 1
-    assert str(err.value) == "covariate column 1: too few distinct values for a 3-knot spline basis"
+    # both have two distinct values; the balanced one's interpolated
+    # knots 0, 0.5, 1 would not collide
+    for binary in (np.arange(500) % 3 == 0, np.arange(500) % 2):
+        x = np.column_stack([rng.standard_normal(500), binary])
+        with pytest.raises(CovariateError) as err:
+            build_design(x, spline_knots=3)
+        assert err.value.column == 1
+        assert str(err.value) == "covariate column 1: too few distinct values for a 3-knot spline basis"
 
 
 def test_fit_rejects_design_without_intercept():
@@ -353,3 +360,125 @@ def test_fitted_hypotheses_validation():
         FittedHypotheses(pi_hat=np.array([1.0]), k_hat=np.array([0.5]))
     with pytest.raises(ValueError):
         FittedHypotheses(pi_hat=np.array([0.5]), k_hat=np.array([0.0]))
+
+
+# ----------------------------------------------------------------------
+# shared-exp link evaluation against the expit / logaddexp formulas
+
+
+def _expit_pair(u, e):
+    return expit(u), expit(-u)
+
+
+def _theta_value_logaddexp(u, e, y, one_m_y):
+    return -float(y @ np.logaddexp(0.0, -u) + (1.0 - y) @ np.logaddexp(0.0, u))
+
+
+def _beta_value_logaddexp(u, e, k, gamma, logp):
+    return -float(gamma @ (np.logaddexp(0.0, u) + k * logp))
+
+
+def _reference_fit(monkeypatch, design, pvals):
+    """fit with every link evaluated by scipy expit and np.logaddexp, as
+    before the shared exp(-|u|); the Newton loops are the module's own."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(camt.em, "_sigmoid_pair", counted(_expit_pair))
+        patch.setattr(camt.em, "_theta_value", counted(_theta_value_logaddexp))
+        patch.setattr(camt.em, "_beta_value", counted(_beta_value_logaddexp))
+        result = fit(design, pvals)
+    assert {"_expit_pair", "_theta_value_logaddexp", "_beta_value_logaddexp"} <= set(calls)
+    return result
+
+
+def _rejections(result, pvals, alpha, mixed):
+    stats = mirror_statistics(clamp_pvalues(pvals), result.fitted)
+    mixed_fitted = result.fitted if mixed else None
+    t_hat = select_threshold(stats, alpha, mixed_fitted=mixed_fitted)
+    return reject(stats, t_hat, mixed_fitted=mixed_fitted).rejected
+
+
+@pytest.mark.parametrize("knots", [0, 3])
+@pytest.mark.parametrize("setup", ["S0", "S2"])
+def test_fit_matches_the_expit_logaddexp_reference(monkeypatch, setup, knots):
+    data = generate(SimulationConfig(setup=setup, m=10_000, seed=44), 0)
+    design = build_design(data.covariates, spline_knots=knots)
+    new = fit(design, data.pvals)
+    ref = _reference_fit(monkeypatch, design, data.pvals)
+    assert new.trace.n_iter == ref.trace.n_iter
+    assert new.trace.converged and ref.trace.converged
+    assert new.trace.loglik[-1] == pytest.approx(ref.trace.loglik[-1], rel=1e-12, abs=0.0)
+    assert np.max(np.abs(new.fitted.pi_hat - ref.fitted.pi_hat)) <= 1e-9
+    assert np.max(np.abs(new.fitted.k_hat - ref.fitted.k_hat)) <= 1e-9
+    for alpha in (0.05, 0.1, 0.2):
+        for mixed in (False, True):
+            got = _rejections(new, data.pvals, alpha, mixed)
+            assert np.array_equal(got, _rejections(ref, data.pvals, alpha, mixed))
+            assert got.any()
+
+
+def _ulps(got, want):
+    return np.max(np.abs(got - want) / np.spacing(np.abs(want)), initial=0.0)
+
+
+_LINK_EDGES = (0.0, -0.0, 36.0, -36.0, 709.0, -709.0, 745.2, -745.2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(_LINK_EDGES), st.floats(-1e4, 1e4)),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_shared_exp_helpers_match_expit_and_logaddexp(values):
+    u = np.array(values)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        e = _exp_neg_abs(u)
+        pair = _sigmoid_pair(u, e)
+        softplus = (_softplus(u, e), _softplus(-u, e))
+    normal_floor = np.finfo(float).tiny
+    for got, want in zip(pair, (expit(u), expit(-u))):
+        normal = want >= normal_floor
+        assert _ulps(got[normal], want[normal]) <= 4
+        assert np.all(np.abs(got[~normal] - want[~normal]) <= 1e-300)
+    for got, want in zip(softplus, (np.logaddexp(0.0, u), np.logaddexp(0.0, -u))):
+        assert _ulps(got, want) <= 4
+
+
+def test_links_at_the_coefficient_box_raise_no_floating_point_warnings():
+    rng = np.random.default_rng(0)
+    m = 60
+    X = np.column_stack([np.ones(m), rng.standard_normal(m)])
+    p = rng.uniform(0.01, 0.99, m)
+    # design values up to 100 put |u| at the box up to 1515, where
+    # exp(-|u|) underflows to 0
+    wide = np.column_stack([np.ones(m), rng.uniform(50.0, 100.0, m)])
+    box = np.array([15.0, 15.0])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        start = CoefVector(theta=np.array([logit(0.9), 0.0]), beta=np.zeros(2))
+        assert m_step(np.zeros(m), start, X, p).theta[0] == 15.0
+        for theta, beta in ((box, -box), (box, box), (-box, -box)):
+            params = CoefVector(theta=theta, beta=beta)
+            assert np.isfinite(loglik(params, wide, p))
+            gamma = e_step(params, wide, p)
+            assert np.all(np.isfinite(gamma))
+            assert all(np.all(np.isfinite(g)) for g in loglik_grad(params, wide, p))
+            m_step(gamma, params, wide, p)
+        # p-values near 1 carry no signal: the fit drives k's intercept into the box
+        n = 2_000
+        design = np.column_stack([np.ones(n), rng.uniform(50.0, 100.0, n)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fit(design, rng.uniform(0.9, 1.0, n))
+    assert result.trace.converged
+    assert result.coef.beta[0] == -15.0

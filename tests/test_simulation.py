@@ -324,6 +324,34 @@ def test_run_sweep_pool_has_at_most_one_worker_per_replicate(monkeypatch):
     assert _masked(report) == _masked(run_sweep(config, procedures=("bh",), n_workers=1))
 
 
+def test_run_sweep_fits_once_for_camt_and_camt_mixed(monkeypatch):
+    fits = []
+    real_fit = camt.simulation.fit_camt
+
+    def counting_fit(*args, **kwargs):
+        fits.append(1)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(camt.simulation, "fit_camt", counting_fit)
+    config = SimulationConfig(setup="S0", m=1500, n_replicates=2, seed=23, alpha_grid=(0.05, 0.2))
+    procedures = ("camt", "bh", "camt-mixed")
+    shared = run_sweep(config, procedures=procedures, n_workers=1)
+    assert len(fits) == config.n_replicates
+    alone = [run_sweep(config, procedures=(p,), n_workers=1) for p in procedures]
+    expected = [
+        row
+        for rep in range(config.n_replicates)
+        for report in alone
+        for row in _masked(report)
+        if row[3] == rep
+    ]
+    assert _masked(shared) == expected
+    for rep in range(config.n_replicates):
+        camt_ms = {r.prepare_ms for r in shared.rows
+                   if r.replicate == rep and r.procedure in ("camt", "camt-mixed")}
+        assert len(camt_ms) == 1  # both report the shared fit's time
+
+
 def test_reference_procedures_hold_level_under_complete_null():
     # under the complete null every rejection is false, so the mean FDP
     # is each procedure's realized FDR; two standard errors of slack

@@ -28,6 +28,10 @@ def test_knots_validation():
         equiquantile_knots(np.arange(3.0), 4)
     with pytest.raises(ValueError, match="degenerate covariate"):
         equiquantile_knots(np.full(100, 3.14), 4)
+    # balanced 0/1: the quantiles 0, 0.5, 1 are distinct, the values are not
+    with pytest.raises(ValueError, match="fewer than 3 distinct values"):
+        equiquantile_knots(np.arange(100.0) % 2, 3)
+    assert np.array_equal(equiquantile_knots(np.arange(99.0) % 3, 3), [0.0, 1.0, 2.0])
 
 
 def test_basis_shape_and_leading_columns():
