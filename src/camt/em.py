@@ -16,13 +16,21 @@ observed-data log-likelihood monotone along the iteration.
 
 Each link vector u = X @ coef costs one exponential, e = exp(-|u|):
 expit(u), expit(-u) and softplus(u) = log(1 + exp(u)) are all cheap
-arithmetic on e, and none of them can overflow.
+arithmetic on e, and none of them can overflow. Each M-step update
+returns u, softplus(u) and expit(+-u) for the coefficients it accepted,
+so the E-step that follows and the next update's starting objective
+recompute none of them.
+
+The design is kept column-major (:func:`build_design` returns an
+F-ordered array, :func:`fit` converts any other layout once), so X.T is
+a C-ordered view: gradients X.T @ v read it without a copy, and the
+Newton Hessians X.T diag(w) X are formed as (X.T * w) @ X.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -73,12 +81,22 @@ class CoefVector:
 
 @dataclass
 class EmTrace:
-    """Per-iteration diagnostics of one EM run."""
+    """Per-iteration diagnostics of one EM run.
+
+    The step counts add up the inner M-step steps of both links over the
+    whole run: newton_steps moved along the Newton direction,
+    gradient_fallbacks along the normalized gradient (the Hessian was
+    not negative semi-definite), and line_search_halvings counts the
+    candidates a line search rejected before it accepted one or gave up.
+    """
 
     loglik: np.ndarray
     param_change: np.ndarray
     n_iter: int
     converged: bool
+    newton_steps: int = 0
+    line_search_halvings: int = 0
+    gradient_fallbacks: int = 0
 
 
 @dataclass
@@ -142,11 +160,11 @@ def build_design(covariates, spline_knots=0):
     if spline_knots != 0 and not 2 <= spline_knots <= 20:
         raise ValueError("spline_knots must be 0 or between 2 and 20")
     m, q = x.shape
-    blocks = [np.ones((m, 1))]
+    columns = [np.ones(m)]
     for j in range(q):
         col = _standardize(x[:, j], j)
         if spline_knots == 0:
-            blocks.append(col[:, None])
+            columns.append(col)
         else:
             try:
                 basis, _ = spline_basis(col, spline_knots)
@@ -154,9 +172,9 @@ def build_design(covariates, spline_knots=0):
                 raise CovariateError(
                     j, f"too few distinct values for a {spline_knots}-knot spline basis"
                 ) from None
-            expanded = basis[:, 1:]  # drop the basis constant, intercept is global
-            blocks.append(np.column_stack([_standardize(b, j) for b in expanded.T]))
-    return np.hstack(blocks)
+            # drop the basis constant, intercept is global
+            columns.extend(_standardize(b, j) for b in basis[:, 1:].T)
+    return np.array(columns).T  # column-major (m, d)
 
 
 def _standardize(col, j):
@@ -172,9 +190,18 @@ def _standardize(col, j):
 
 
 def loglik(params, design, pvals):
-    """Observed-data log-likelihood of the surrogate mixture."""
+    """Observed-data log-likelihood of the surrogate mixture.
+
+    Raises
+    ------
+    ValueError
+        When the mixture density underflows to 0 on some row (pi is 0
+        and the alternative density is 0 there), where the
+        log-likelihood would be -inf.
+    """
     X, logp = _prepare(design, pvals)
-    return _loglik_gamma(params.theta, params.beta, X, logp)[0]
+    _, _, denom = _checked_mixture(*_links(params, X), logp)
+    return float(np.log(denom).sum())
 
 
 def loglik_grad(params, design, pvals):
@@ -184,19 +211,35 @@ def loglik_grad(params, design, pvals):
     -------
     (numpy.ndarray, numpy.ndarray)
         Gradients with respect to theta and beta.
+
+    Raises
+    ------
+    ValueError
+        As :func:`loglik`, when the mixture density underflows to 0.
     """
     X, logp = _prepare(design, pvals)
-    pc = _pieces(params.theta, params.beta, X, logp)
-    grad_theta = X.T @ ((1.0 - pc.h) * pc.pi * pc.one_m_pi / pc.denom)
-    dh_dk = -np.exp(-pc.k * logp) * (1.0 + pc.one_m_k * logp)
-    grad_beta = X.T @ (pc.one_m_pi * dh_dk * pc.k * pc.one_m_k / pc.denom)
+    pi_link, k_link = _links(params, X)
+    h, _, denom = _checked_mixture(pi_link, k_link, logp)
+    pi, one_m_pi = pi_link.p, pi_link.one_m_p
+    k, one_m_k = k_link.p, k_link.one_m_p
+    grad_theta = X.T @ ((1.0 - h) * pi * one_m_pi / denom)
+    dh_dk = -np.exp(-k * logp) * (1.0 + one_m_k * logp)
+    grad_beta = X.T @ (one_m_pi * dh_dk * k * one_m_k / denom)
     return grad_theta, grad_beta
 
 
 def e_step(params, design, pvals):
-    """Posterior signal probabilities gamma_i at the current parameters."""
+    """Posterior signal probabilities gamma_i at the current parameters.
+
+    Raises
+    ------
+    ValueError
+        As :func:`loglik`, when the mixture density underflows to 0,
+        where gamma would be 0 / 0.
+    """
     X, logp = _prepare(design, pvals)
-    return _loglik_gamma(params.theta, params.beta, X, logp)[1]
+    _, alt, denom = _checked_mixture(*_links(params, X), logp)
+    return alt / denom
 
 
 def m_step(gamma, params, design, pvals, config=None):
@@ -210,9 +253,10 @@ def m_step(gamma, params, design, pvals, config=None):
     config = config or EmConfig()
     X, logp = _prepare(design, pvals)
     gamma = np.asarray(gamma, dtype=float)
-    pieces = _pieces(params.theta, params.beta, X, logp)
-    theta = _update_theta(params.theta.copy(), 1.0 - gamma, X, pieces, config)
-    beta = _update_beta(params.beta.copy(), gamma, X, logp, pieces, config)
+    pi_link, k_link = _links(params, X)
+    counts = _StepCounts()
+    theta, _ = _update_theta(params.theta.copy(), 1.0 - gamma, X, pi_link, config, counts)
+    beta, _ = _update_beta(params.beta.copy(), gamma, X, logp, k_link, config, counts)
     return CoefVector(theta=theta, beta=beta)
 
 
@@ -251,18 +295,20 @@ def fit(design, pvals, config=None):
     theta[0] = logit(config.init_pi)
     beta = np.zeros(d)
 
-    # the E-step and the M-step's starting point at (theta, beta) reuse
-    # the pieces of the log-likelihood already evaluated there
-    ll, gamma, pieces = _loglik_gamma(theta, beta, X, logp)
+    # each update returns the link values of the coefficients it ends
+    # at; the E-step and the next update start from them
+    pi_link, k_link = _link(X @ theta), _link(X @ beta)
+    ll, gamma = _loglik_gamma(pi_link, k_link, logp)
+    counts = _StepCounts()
     trace_ll = [ll]
     trace_change = []
     converged = False
     n_iter = 0
     for _ in range(config.max_iter):
         n_iter += 1
-        theta_new = _update_theta(theta.copy(), 1.0 - gamma, X, pieces, config)
-        beta_new = _update_beta(beta.copy(), gamma, X, logp, pieces, config)
-        ll_new, gamma, pieces = _loglik_gamma(theta_new, beta_new, X, logp)
+        theta_new, pi_link = _update_theta(theta, 1.0 - gamma, X, pi_link, config, counts)
+        beta_new, k_link = _update_beta(beta, gamma, X, logp, k_link, config, counts)
+        ll_new, gamma = _loglik_gamma(pi_link, k_link, logp)
         change = max(
             np.max(np.abs(theta_new - theta)), np.max(np.abs(beta_new - beta))
         )
@@ -281,8 +327,8 @@ def fit(design, pvals, config=None):
             stacklevel=2,
         )
 
-    pi_hat = winsorize(pieces.pi, config.eps1, config.eps2)
-    k_hat = np.clip(pieces.k, K_CLIP, 1.0 - K_CLIP)
+    pi_hat = winsorize(pi_link.p, config.eps1, config.eps2)
+    k_hat = np.clip(k_link.p, K_CLIP, 1.0 - K_CLIP)
     return FitResult(
         coef=CoefVector(theta=theta, beta=beta),
         fitted=FittedHypotheses(pi_hat=pi_hat, k_hat=k_hat),
@@ -291,16 +337,18 @@ def fit(design, pvals, config=None):
             param_change=np.asarray(trace_change),
             n_iter=n_iter,
             converged=converged,
+            **asdict(counts),
         ),
     )
 
 
 # ----------------------------------------------------------------------
-# internals, operating on a validated design and precomputed log(p)
+# internals, operating on a validated column-major design and
+# precomputed log(p)
 
 
 def _prepare(design, pvals):
-    X = np.asarray(design, dtype=float)
+    X = np.asfortranarray(design, dtype=float)
     if X.ndim != 2:
         raise ValueError("design must be 2-d")
     if not np.all(np.isfinite(X)):
@@ -313,19 +361,22 @@ def _prepare(design, pvals):
     return X, np.log(p)
 
 
-class _Pieces(NamedTuple):
-    """Link values and mixture terms at one (theta, beta)."""
+class _Link(NamedTuple):
+    """Values of one logistic link at u = X @ coef."""
 
-    u_pi: np.ndarray  # X @ theta
-    e_pi: np.ndarray  # exp(-|u_pi|)
-    pi: np.ndarray
-    one_m_pi: np.ndarray
-    u_k: np.ndarray  # X @ beta
-    e_k: np.ndarray  # exp(-|u_k|)
-    k: np.ndarray
-    one_m_k: np.ndarray
-    h: np.ndarray  # alternative density of p under k
-    denom: np.ndarray  # mixture density
+    u: np.ndarray
+    sp: np.ndarray  # softplus(u) = log(1 + exp(u))
+    p: np.ndarray  # expit(u): pi or k
+    one_m_p: np.ndarray  # expit(-u)
+
+
+@dataclass
+class _StepCounts:
+    """Inner-step counts of the M-step updates, see :class:`EmTrace`."""
+
+    newton_steps: int = 0
+    line_search_halvings: int = 0
+    gradient_fallbacks: int = 0
 
 
 def _exp_neg_abs(u):
@@ -359,42 +410,68 @@ def _softplus(u, e):
     return np.maximum(u, 0.0) + np.log1p(e)
 
 
-def _theta_value(u, e, y, one_m_y):
-    """The pi link's share of the complete-data objective at u = X @ theta,
-    -(y . softplus(-u) + (1 - y) . softplus(u)), with e = exp(-|u|).
-
-    softplus(+-u) = max(+-u, 0) + log1p(e), and max(-u, 0) is
-    max(u, 0) - u exactly, so one maximum and one log1p serve both.
-    """
-    pos = np.maximum(u, 0.0)
-    return -float(one_m_y @ pos + y @ (pos - u) + np.log1p(e).sum())
+def _link(u):
+    """The link values at u, computed afresh."""
+    e = _exp_neg_abs(u)
+    return _Link(u, _softplus(u, e), *_sigmoid_pair(u, e))
 
 
-def _beta_value(u, e, k, gamma, logp):
-    """The k link's share at u = X @ beta, -gamma . (softplus(u) + k log p),
-    with e = exp(-|u|) and k = expit(u)."""
-    return -float(gamma @ (_softplus(u, e) + k * logp))
+def _links(params, X):
+    """The pi and k links at params."""
+    return _link(X @ params.theta), _link(X @ params.beta)
 
 
-def _pieces(theta, beta, X, logp):
-    u_pi = X @ theta
-    e_pi = _exp_neg_abs(u_pi)
-    pi, one_m_pi = _sigmoid_pair(u_pi, e_pi)
-    u_k = X @ beta
-    e_k = _exp_neg_abs(u_k)
-    k, one_m_k = _sigmoid_pair(u_k, e_k)
-    h = one_m_k * np.exp(-k * logp)
-    denom = pi + one_m_pi * h
-    return _Pieces(u_pi, e_pi, pi, one_m_pi, u_k, e_k, k, one_m_k, h, denom)
+def _mixture(pi_link, k_link, logp):
+    """(h, alt, denom): the alternative density h = (1 - k) p^(-k), the
+    alternative's share alt = (1 - pi) h of the mixture density and
+    that density denom = pi + alt."""
+    h = k_link.p * logp
+    np.negative(h, out=h)
+    np.exp(h, out=h)
+    h *= k_link.one_m_p
+    alt = pi_link.one_m_p * h
+    return h, alt, pi_link.p + alt
 
 
-def _loglik_gamma(theta, beta, X, logp):
-    """Log-likelihood, posterior signal probabilities and the _pieces
-    they were computed from."""
-    pieces = _pieces(theta, beta, X, logp)
+def _checked_mixture(pi_link, k_link, logp):
+    """:func:`_mixture` for the public functions, which refuse rows
+    whose mixture density underflows to 0."""
+    h, alt, denom = _mixture(pi_link, k_link, logp)
+    zero = int(np.count_nonzero(denom == 0.0))
+    if zero:
+        raise ValueError(
+            f"the mixture density underflows to 0 on {zero} of {denom.size} rows: "
+            "pi and the alternative density are both 0 there at these coefficients"
+        )
+    return h, alt, denom
+
+
+def _loglik_gamma(pi_link, k_link, logp):
+    """Log-likelihood and posterior signal probabilities at the links."""
+    _, alt, denom = _mixture(pi_link, k_link, logp)
     with np.errstate(divide="ignore"):
-        ll = float(np.log(pieces.denom).sum())
-    return ll, pieces.one_m_pi * pieces.h / pieces.denom, pieces
+        ll = float(np.log(denom).sum())
+    return ll, alt / denom
+
+
+def _theta_value(u, sp, y):
+    """The pi link's share of the complete-data objective at u = X @ theta,
+    -(y . softplus(-u) + (1 - y) . softplus(u)), with sp = softplus(u).
+
+    softplus(-u) = softplus(u) - u, so the share is -(sum(sp) - y . u).
+    """
+    return -float(sp.sum() - y @ u)
+
+
+def _beta_value(sp, k, gamma, glogp):
+    """The k link's share at u = X @ beta, -gamma . (softplus(u) + k log p),
+    with sp = softplus(u), k = expit(u) and glogp = gamma * log p."""
+    return -float(gamma @ sp + k @ glogp)
+
+
+def _gram(Xt, w):
+    """X.T diag(w) X from the C-ordered view Xt = X.T, in one product."""
+    return (Xt * w) @ Xt.T
 
 
 def _solve_ascent_direction(neg_hess, grad):
@@ -416,87 +493,104 @@ def _solve_ascent_direction(neg_hess, grad):
     return evecs @ (inv * (evecs.T @ grad))
 
 
-def _ascend(coef, direction, X, objective, value, config):
-    """Backtracking line search; accepts only non-decreasing moves.
+def _ascend(coef, grad, neg_hess, X, objective, value, config, counts):
+    """One inner step: the Newton direction, or the normalized gradient
+    when -H is not PSD, then a backtracking line search that accepts
+    only non-decreasing moves.
 
     objective maps u = X @ coef to (value, state), state being whatever
-    the next Newton step can reuse. Returns (coef, value, state) of the
+    the next step can reuse. Returns (coef, value, state) of the
     accepted candidate, or state None when every halving failed.
     """
+    direction = _solve_ascent_direction(neg_hess, grad)
+    if direction is None:
+        counts.gradient_fallbacks += 1
+        direction = grad / np.max(np.abs(grad))
+    else:
+        counts.newton_steps += 1
     step = 1.0
     for _ in range(config.max_halvings + 1):
         cand = np.clip(coef + step * direction, -config.coef_bound, config.coef_bound)
         val, state = objective(X @ cand)
         if np.isfinite(val) and val >= value:
             return cand, val, state
+        counts.line_search_halvings += 1
         step *= 0.5
     return coef, value, None
 
 
-def _update_theta(theta, y, X, pieces, config):
+def _update_theta(theta, y, X, link, config, counts):
     """Damped Newton / IRLS for the pi link with soft null labels y.
 
-    pieces holds the link values at the starting theta.
+    link holds the link values at the starting theta. Returns the final
+    theta and its link values.
     """
-    one_m_y = 1.0 - y
 
     def obj(u):
         e = _exp_neg_abs(u)
-        return _theta_value(u, e, y, one_m_y), (u, e)
+        sp = _softplus(u, e)
+        return _theta_value(u, sp, y), (u, e, sp)
 
-    piv, one_m_piv = pieces.pi, pieces.one_m_pi
-    value = _theta_value(pieces.u_pi, pieces.e_pi, y, one_m_y)
+    Xt = X.T
+    value = _theta_value(link.u, link.sp, y)
     grad_tol = 1e-8 * X.shape[0]
     for _ in range(config.inner_max_iter):
-        grad = X.T @ (y - piv)
+        grad = Xt @ (y - link.p)
         if np.max(np.abs(grad)) <= grad_tol:
             break
-        w = piv * one_m_piv
-        neg_hess = X.T @ (X * w[:, None])
-        direction = _solve_ascent_direction(neg_hess, grad)
-        if direction is None:
-            gmax = np.max(np.abs(grad))
-            direction = grad / gmax
-        theta_new, value, state = _ascend(theta, direction, X, obj, value, config)
+        neg_hess = _gram(Xt, link.p * link.one_m_p)
+        theta_new, value, state = _ascend(theta, grad, neg_hess, X, obj, value, config, counts)
+        if state is None:
+            break
         moved = np.max(np.abs(theta_new - theta))
         theta = theta_new
-        if state is None or moved < 1e-10:
+        u, e, sp = state  # pi only for the accepted candidate
+        link = _Link(u, sp, *_sigmoid_pair(u, e))
+        if moved < 1e-10:
             break
-        piv, one_m_piv = _sigmoid_pair(*state)
-    return theta
+    return theta, link
 
 
-def _update_beta(beta, gamma, X, logp, pieces, config):
+def _update_beta(beta, gamma, X, logp, link, config, counts):
     """Damped Newton for the k link; the Hessian here is not always
     negative definite, in which case a normalized gradient step with
     backtracking is used instead.
 
-    pieces holds the link values at the starting beta.
+    link holds the link values at the starting beta. Returns the final
+    beta and its link values.
     """
+    glogp = gamma * logp
 
     def obj(u):
         e = _exp_neg_abs(u)
         k, one_m_k = _sigmoid_pair(u, e)
-        return _beta_value(u, e, k, gamma, logp), (k, one_m_k)
+        sp = _softplus(u, e)
+        return _beta_value(sp, k, gamma, glogp), _Link(u, sp, k, one_m_k)
 
-    k, one_m_k = pieces.k, pieces.one_m_k
-    value = _beta_value(pieces.u_k, pieces.e_k, k, gamma, logp)
+    Xt = X.T
+    value = _beta_value(link.sp, link.p, gamma, glogp)
     grad_tol = 1e-8 * X.shape[0]
     for _ in range(config.inner_max_iter):
-        grad_u = -gamma * k * (1.0 + one_m_k * logp)
-        grad = X.T @ grad_u
+        k, one_m_k = link.p, link.one_m_p
+        kk = k * one_m_k
+        # the share's derivative in u is -(gamma k + k (1 - k) gamma log p)
+        slope = kk * glogp
+        slope += gamma * k
+        grad = -(Xt @ slope)
         if np.max(np.abs(grad)) <= grad_tol:
             break
-        curv = gamma * k * one_m_k * (1.0 + (1.0 - 2.0 * k) * logp)
-        neg_hess = X.T @ (X * curv[:, None])
-        direction = _solve_ascent_direction(neg_hess, grad)
-        if direction is None:
-            gmax = np.max(np.abs(grad))
-            direction = grad / gmax
-        beta_new, value, state = _ascend(beta, direction, X, obj, value, config)
+        # and minus its second derivative k (1 - k) (gamma + (1 - 2k) gamma log p)
+        curv = one_m_k - k
+        curv *= glogp
+        curv += gamma
+        curv *= kk
+        neg_hess = _gram(Xt, curv)
+        beta_new, value, state = _ascend(beta, grad, neg_hess, X, obj, value, config, counts)
+        if state is None:
+            break
         moved = np.max(np.abs(beta_new - beta))
         beta = beta_new
-        if state is None or moved < 1e-10:
+        link = state
+        if moved < 1e-10:
             break
-        k, one_m_k = state
-    return beta
+    return beta, link

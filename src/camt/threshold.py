@@ -92,9 +92,12 @@ def select_threshold(stats, alpha, cap_at_tup=True, offset=1.0, mixed_fitted=Non
     screens those out in one vectorized pass, then evaluates the
     expected-count part only on the survivors, largest first, in blocks
     of 1, 2, 4, ... candidates (at most one evaluation chunk), and stops
-    at the first admissible one. The answer is the one an evaluation of
-    every candidate gives, but only the candidates actually evaluated
-    cost O(m) each.
+    at the first admissible one. Each block's smallest candidate is
+    evaluated first: when its expected count already exceeds alpha
+    times the rejection count at the block's largest candidate, no
+    candidate of the block can be admissible and the rest of the block
+    is skipped. The answer is the one an evaluation of every candidate
+    gives, but only the candidates actually evaluated cost O(m) each.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -138,7 +141,7 @@ def mixed_false_rejection_estimate(t, stats, fitted):
     """
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie in the open interval (0, 1)")
-    expected = float(next(_expected_false_rejections([t], fitted))[0])
+    expected = float(_ExpectedCount(fitted, 1)(np.array([t]))[0])
     return max(expected, float(np.count_nonzero(stats.r < t)))
 
 
@@ -161,43 +164,50 @@ def _select_mixed(candidates, num, den, alpha, fitted):
     # max(E, num) / den >= num / den, so the mirror screen only drops
     # candidates the full test would reject too
     survivors = np.flatnonzero(num / den <= alpha)[::-1]
-    lo = 0
-    for expected in _expected_false_rejections(candidates[survivors], fitted):
-        idx = survivors[lo : lo + expected.size]
+    chunk = max(1, int(4_000_000 // max(1, fitted.pi_hat.size)))
+    expected_count = _ExpectedCount(fitted, min(chunk, survivors.size))
+    lo, size = 0, 1
+    while lo < survivors.size:
+        idx = survivors[lo : lo + size]  # descending t
+        lo += idx.size
+        size = min(2 * size, chunk)
+        # E(t) increases with t and den never decreases, so every t in
+        # the block has E(t) / den(t) >= E(smallest t) / den(largest t);
+        # the slack absorbs rounding in E's monotonicity
+        smallest = expected_count(candidates[idx[-1:]])
+        if smallest[0] / den[idx[0]] > alpha * (1.0 + 1e-9):
+            continue
+        expected = np.append(expected_count(candidates[idx[:-1]]), smallest)
         admissible = np.maximum(expected, num[idx]) / den[idx] <= alpha
         if admissible.any():
             return float(candidates[idx[np.argmax(admissible)]])
-        lo += expected.size
     return 0.0
 
 
-def _expected_false_rejections(ts, fitted):
-    """Yield sum_i pi_i * cutoff(t, pi_i, k_i) for the thresholds ts.
+class _ExpectedCount:
+    """sum_i pi_i * cutoff(t, pi_i, k_i), evaluated for up to max_rows
+    thresholds per call.
 
-    The values come in order, in blocks of 1, 2, 4, ... thresholds up
-    to a chunk of about 4e6 matrix elements, so a caller can stop as
-    soon as it has what it needs. Written on the log scale: the cutoff
-    is exp(min(0, (logit t + log((1-k)(1-pi)/pi)) / k)), so the min
+    Written on the log scale: the cutoff is
+    exp(min(0, (logit t + log((1-k)(1-pi)/pi)) / k)), so the min
     against one costs nothing. Each sum is its own dot product, so its
-    value does not depend on which other thresholds share its block:
-    the selector's scan and :func:`mixed_false_rejection_estimate`
-    agree bit for bit.
+    value does not depend on which other thresholds share its call: the
+    selector's scan and :func:`mixed_false_rejection_estimate` agree bit
+    for bit.
     """
-    pi = fitted.pi_hat
-    k = fitted.k_hat
-    ts = np.asarray(ts, dtype=float)
-    log_pref = np.log1p(-k) + np.log1p(-pi) - np.log(pi)
-    inv_k = 1.0 / k
-    logit_t = np.log(ts) - np.log1p(-ts)
-    chunk = max(1, int(4_000_000 // max(1, pi.size)))
-    buf = np.empty((min(chunk, ts.size), pi.size))
-    lo, size = 0, 1
-    while lo < ts.size:
-        logc = buf[: min(size, ts.size - lo)]
-        np.add(logit_t[lo : lo + logc.shape[0], None], log_pref, out=logc)
-        np.multiply(logc, inv_k, out=logc)
+
+    def __init__(self, fitted, max_rows):
+        k = fitted.k_hat
+        self.pi = fitted.pi_hat
+        self.log_pref = np.log1p(-k) + np.log1p(-self.pi) - np.log(self.pi)
+        self.inv_k = 1.0 / k
+        self.buf = np.empty((max_rows, self.pi.size))
+
+    def __call__(self, ts):
+        logc = self.buf[: ts.size]
+        logit_t = np.log(ts) - np.log1p(-ts)
+        np.add(logit_t[:, None], self.log_pref, out=logc)
+        np.multiply(logc, self.inv_k, out=logc)
         np.minimum(logc, 0.0, out=logc)
         np.exp(logc, out=logc)
-        yield np.array([row @ pi for row in logc])
-        lo += logc.shape[0]
-        size = min(2 * size, chunk)
+        return np.array([row @ self.pi for row in logc])

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, logit
 
-import camt.em
 from camt.em import (
+    K_CLIP,
     CoefVector,
     CovariateError,
     EmConfig,
+    EmTrace,
+    FitResult,
     FittedHypotheses,
     build_design,
     e_step,
@@ -23,7 +25,7 @@ from camt.em import (
     m_step,
 )
 from camt.em import _exp_neg_abs, _sigmoid_pair, _softplus, _solve_ascent_direction
-from camt.kernel import clamp_pvalues, psi
+from camt.kernel import clamp_pvalues, psi, winsorize
 from camt.pipeline import run_camt
 from camt.simulation import SimulationConfig, generate
 from camt.threshold import mirror_statistics, reject, select_threshold
@@ -363,11 +365,21 @@ def test_fitted_hypotheses_validation():
 
 
 # ----------------------------------------------------------------------
-# shared-exp link evaluation against the expit / logaddexp formulas
+# the fit loop before the updates carried their link values and the
+# design went column-major, kept as the reference
 
 
 def _expit_pair(u, e):
     return expit(u), expit(-u)
+
+
+def _theta_value_shared_exp(u, e, y, one_m_y):
+    pos = np.maximum(u, 0.0)
+    return -float(one_m_y @ pos + y @ (pos - u) + np.log1p(e).sum())
+
+
+def _beta_value_shared_exp(u, e, k, gamma, logp):
+    return -float(gamma @ (_softplus(u, e) + k * logp))
 
 
 def _theta_value_logaddexp(u, e, y, one_m_y):
@@ -378,25 +390,125 @@ def _beta_value_logaddexp(u, e, k, gamma, logp):
     return -float(gamma @ (np.logaddexp(0.0, u) + k * logp))
 
 
-def _reference_fit(monkeypatch, design, pvals):
-    """fit with every link evaluated by scipy expit and np.logaddexp, as
-    before the shared exp(-|u|); the Newton loops are the module's own."""
-    calls = []
+# (sigmoid pair, theta objective, beta objective)
+_SHARED_EXP = (_sigmoid_pair, _theta_value_shared_exp, _beta_value_shared_exp)
+_EXPIT_LOGADDEXP = (_expit_pair, _theta_value_logaddexp, _beta_value_logaddexp)
 
-    def counted(fn):
-        def wrapper(*args):
-            calls.append(fn.__name__)
-            return fn(*args)
 
-        return wrapper
+def _reference_fit(design, pvals, formulas):
+    """camt.em.fit as it was before each update returned its link values:
+    a C-ordered design, every E-step recomputing X @ coef and both
+    sigmoid pairs, Hessians as X.T @ (X * w[:, None]), the objectives in
+    their unfused forms. formulas picks the link arithmetic, one of
+    _SHARED_EXP and _EXPIT_LOGADDEXP."""
+    sigmoid_pair, theta_value, beta_value = formulas
+    config = EmConfig()
+    X = np.ascontiguousarray(design, dtype=float)
+    logp = np.log(clamp_pvalues(pvals))
 
-    with monkeypatch.context() as patch:
-        patch.setattr(camt.em, "_sigmoid_pair", counted(_expit_pair))
-        patch.setattr(camt.em, "_theta_value", counted(_theta_value_logaddexp))
-        patch.setattr(camt.em, "_beta_value", counted(_beta_value_logaddexp))
-        result = fit(design, pvals)
-    assert {"_expit_pair", "_theta_value_logaddexp", "_beta_value_logaddexp"} <= set(calls)
-    return result
+    def pieces(theta, beta):
+        u_pi = X @ theta
+        e_pi = _exp_neg_abs(u_pi)
+        pi, one_m_pi = sigmoid_pair(u_pi, e_pi)
+        u_k = X @ beta
+        e_k = _exp_neg_abs(u_k)
+        k, one_m_k = sigmoid_pair(u_k, e_k)
+        h = one_m_k * np.exp(-k * logp)
+        denom = pi + one_m_pi * h
+        pc = (u_pi, e_pi, pi, one_m_pi, u_k, e_k, k, one_m_k)
+        return float(np.log(denom).sum()), one_m_pi * h / denom, pc
+
+    def ascend(coef, direction, objective, value):
+        step = 1.0
+        for _ in range(config.max_halvings + 1):
+            cand = np.clip(coef + step * direction, -config.coef_bound, config.coef_bound)
+            val, state = objective(X @ cand)
+            if np.isfinite(val) and val >= value:
+                return cand, val, state
+            step *= 0.5
+        return coef, value, None
+
+    def newton(coef, grad, neg_hess, objective, value):
+        direction = _solve_ascent_direction(neg_hess, grad)
+        if direction is None:
+            direction = grad / np.max(np.abs(grad))
+        return ascend(coef, direction, objective, value)
+
+    def update_theta(theta, y, pc):
+        one_m_y = 1.0 - y
+
+        def obj(u):
+            e = _exp_neg_abs(u)
+            return theta_value(u, e, y, one_m_y), (u, e)
+
+        u_pi, e_pi, piv, one_m_piv = pc[:4]
+        value = theta_value(u_pi, e_pi, y, one_m_y)
+        for _ in range(config.inner_max_iter):
+            grad = X.T @ (y - piv)
+            if np.max(np.abs(grad)) <= 1e-8 * X.shape[0]:
+                break
+            w = piv * one_m_piv
+            theta_new, value, state = newton(theta, grad, X.T @ (X * w[:, None]), obj, value)
+            moved = np.max(np.abs(theta_new - theta))
+            theta = theta_new
+            if state is None or moved < 1e-10:
+                break
+            piv, one_m_piv = sigmoid_pair(*state)
+        return theta
+
+    def update_beta(beta, gamma, pc):
+        def obj(u):
+            e = _exp_neg_abs(u)
+            k, one_m_k = sigmoid_pair(u, e)
+            return beta_value(u, e, k, gamma, logp), (k, one_m_k)
+
+        u_k, e_k, k, one_m_k = pc[4:]
+        value = beta_value(u_k, e_k, k, gamma, logp)
+        for _ in range(config.inner_max_iter):
+            grad = X.T @ (-gamma * k * (1.0 + one_m_k * logp))
+            if np.max(np.abs(grad)) <= 1e-8 * X.shape[0]:
+                break
+            curv = gamma * k * one_m_k * (1.0 + (1.0 - 2.0 * k) * logp)
+            beta_new, value, state = newton(beta, grad, X.T @ (X * curv[:, None]), obj, value)
+            moved = np.max(np.abs(beta_new - beta))
+            beta = beta_new
+            if state is None or moved < 1e-10:
+                break
+            k, one_m_k = state
+        return beta
+
+    d = X.shape[1]
+    theta = np.zeros(d)
+    theta[0] = logit(config.init_pi)
+    beta = np.zeros(d)
+    ll, gamma, pc = pieces(theta, beta)
+    trace_ll = [ll]
+    converged = False
+    n_iter = 0
+    for _ in range(config.max_iter):
+        n_iter += 1
+        theta_new = update_theta(theta.copy(), 1.0 - gamma, pc)
+        beta_new = update_beta(beta.copy(), gamma, pc)
+        ll_new, gamma, pc = pieces(theta_new, beta_new)
+        trace_ll.append(ll_new)
+        theta, beta = theta_new, beta_new
+        if abs(ll_new - ll) < config.rel_tol * max(1.0, abs(ll)):
+            converged = True
+            break
+        ll = ll_new
+    return FitResult(
+        coef=CoefVector(theta=theta, beta=beta),
+        fitted=FittedHypotheses(
+            pi_hat=winsorize(pc[2], config.eps1, config.eps2),
+            k_hat=np.clip(pc[6], K_CLIP, 1.0 - K_CLIP),
+        ),
+        trace=EmTrace(
+            loglik=np.asarray(trace_ll),
+            param_change=np.empty(0),
+            n_iter=n_iter,
+            converged=converged,
+        ),
+    )
 
 
 def _rejections(result, pvals, alpha, mixed):
@@ -406,13 +518,8 @@ def _rejections(result, pvals, alpha, mixed):
     return reject(stats, t_hat, mixed_fitted=mixed_fitted).rejected
 
 
-@pytest.mark.parametrize("knots", [0, 3])
-@pytest.mark.parametrize("setup", ["S0", "S2"])
-def test_fit_matches_the_expit_logaddexp_reference(monkeypatch, setup, knots):
-    data = generate(SimulationConfig(setup=setup, m=10_000, seed=44), 0)
-    design = build_design(data.covariates, spline_knots=knots)
-    new = fit(design, data.pvals)
-    ref = _reference_fit(monkeypatch, design, data.pvals)
+def _assert_same_fit(new, ref, pvals):
+    """Same iterations, the same fit to rounding, the same rejections."""
     assert new.trace.n_iter == ref.trace.n_iter
     assert new.trace.converged and ref.trace.converged
     assert new.trace.loglik[-1] == pytest.approx(ref.trace.loglik[-1], rel=1e-12, abs=0.0)
@@ -420,9 +527,49 @@ def test_fit_matches_the_expit_logaddexp_reference(monkeypatch, setup, knots):
     assert np.max(np.abs(new.fitted.k_hat - ref.fitted.k_hat)) <= 1e-9
     for alpha in (0.05, 0.1, 0.2):
         for mixed in (False, True):
-            got = _rejections(new, data.pvals, alpha, mixed)
-            assert np.array_equal(got, _rejections(ref, data.pvals, alpha, mixed))
+            got = _rejections(new, pvals, alpha, mixed)
+            assert np.array_equal(got, _rejections(ref, pvals, alpha, mixed))
             assert got.any()
+
+
+@pytest.mark.parametrize(
+    "setup, m, knots",
+    [(s, 10_000, k) for s in ("S0", "S1", "S2", "S3.3") for k in (0, 3)] + [("S2", 50_000, 6)],
+)
+def test_fit_matches_the_pre_change_loop(setup, m, knots):
+    data = generate(SimulationConfig(setup=setup, m=m, seed=44), 0)
+    design = build_design(data.covariates, spline_knots=knots)
+    new = fit(design, data.pvals)
+    _assert_same_fit(new, _reference_fit(design, data.pvals, _SHARED_EXP), data.pvals)
+
+
+@pytest.mark.parametrize("knots", [0, 3])
+@pytest.mark.parametrize("setup", ["S0", "S2"])
+def test_fit_matches_the_expit_logaddexp_reference(setup, knots):
+    # the pre-change loop with every link evaluated by scipy expit and
+    # np.logaddexp, as before the shared exp(-|u|)
+    data = generate(SimulationConfig(setup=setup, m=10_000, seed=44), 0)
+    design = build_design(data.covariates, spline_knots=knots)
+    new = fit(design, data.pvals)
+    _assert_same_fit(new, _reference_fit(design, data.pvals, _EXPIT_LOGADDEXP), data.pvals)
+
+
+def test_fit_does_not_depend_on_the_design_layout():
+    data = generate(SimulationConfig(setup="S2", m=5_000, seed=45), 0)
+    design = build_design(data.covariates, spline_knots=3)
+    assert design.flags.f_contiguous
+    d = design.shape[1]
+    wide = np.empty((design.shape[0], 2 * d))
+    wide[:, ::2] = design
+    layouts = (np.ascontiguousarray(design), design, wide[:, ::2])
+    assert not layouts[2].flags.c_contiguous and not layouts[2].flags.f_contiguous
+    base, *others = (fit(X, data.pvals) for X in layouts)
+    for other in others:
+        assert np.array_equal(other.coef.theta, base.coef.theta)
+        assert np.array_equal(other.coef.beta, base.coef.beta)
+        assert np.array_equal(other.trace.loglik, base.trace.loglik)
+        assert np.array_equal(other.fitted.pi_hat, base.fitted.pi_hat)
+        assert np.array_equal(other.fitted.k_hat, base.fitted.k_hat)
 
 
 def _ulps(got, want):
@@ -482,3 +629,31 @@ def test_links_at_the_coefficient_box_raise_no_floating_point_warnings():
             result = fit(design, rng.uniform(0.9, 1.0, n))
     assert result.trace.converged
     assert result.coef.beta[0] == -15.0
+    assert result.trace.line_search_halvings >= 1  # candidates past the box lose
+
+
+def test_likelihood_functions_refuse_rows_whose_density_underflows():
+    rng = np.random.default_rng(0)
+    m = 60
+    p = rng.uniform(0.01, 0.99, m)
+    # pi underflows to 0 and k rounds to 1 (so the alternative density
+    # is 0) wherever the column is in [50, 100]; ten rows stay at 0
+    wide = np.column_stack([np.ones(m), rng.uniform(50.0, 100.0, m)])
+    wide[:10, 1] = 0.0
+    params = CoefVector(theta=np.array([-15.0, -15.0]), beta=np.array([15.0, 15.0]))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for public in (loglik, e_step, loglik_grad):
+            with pytest.raises(ValueError, match="underflows to 0 on 50 of 60 rows"):
+                public(params, wide, p)
+
+
+def test_fit_counts_its_inner_steps():
+    data = generate(SimulationConfig(setup="S0", m=5_000, seed=46), 0)
+    design = build_design(data.covariates)
+    first, second = (fit(design, data.pvals).trace for _ in range(2))
+    counts = ("newton_steps", "line_search_halvings", "gradient_fallbacks")
+    assert [getattr(first, c) for c in counts] == [getattr(second, c) for c in counts]
+    assert first.newton_steps > 0
+    # the counts default to zero, so a trace can be built without them
+    bare = EmTrace(loglik=first.loglik, param_change=first.param_change, n_iter=1, converged=True)
+    assert (bare.newton_steps, bare.line_search_halvings, bare.gradient_fallbacks) == (0, 0, 0)

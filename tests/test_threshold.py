@@ -9,6 +9,7 @@ from camt.em import FittedHypotheses
 from camt.kernel import cutoff, psi
 from camt.threshold import (
     MirrorStatistics,
+    _ExpectedCount,
     fdp_up,
     mirror_statistics,
     mixed_false_rejection_estimate,
@@ -359,6 +360,46 @@ def test_mixed_select_matches_all_candidates_reference(instance, alpha, cap):
     assert t_hat == max(admitted, default=0.0)
     if t_hat > 0.0:
         assert reject(stats, t_hat, mixed_fitted=fitted).fdp_hat <= alpha
+
+
+def test_mixed_select_skips_blocks_that_cannot_be_admissible(monkeypatch):
+    # every candidate passes the mirror screen (no mirror statistic is
+    # small) but none is admissible at this level: the scan may not pay
+    # an expected-count evaluation per candidate
+    rng = np.random.default_rng(7)
+    m = 20_000
+    fitted = FittedHypotheses(pi_hat=rng.uniform(0.5, 0.99, m), k_hat=rng.uniform(0.3, 0.9, m))
+    stats = mirror_statistics(rng.uniform(0.0, 1e-3, m), fitted)
+    evaluated = []
+    call = _ExpectedCount.__call__
+
+    def counted(self, ts):
+        evaluated.append(ts.size)
+        return call(self, ts)
+
+    monkeypatch.setattr(_ExpectedCount, "__call__", counted)
+    t_hat = select_threshold(stats, 1e-12, mixed_fitted=fitted)
+    candidates = int(np.count_nonzero(stats.s <= stats.t_up))
+    assert candidates > 15_000
+    assert 0 < sum(evaluated) < candidates // 100
+    assert t_hat == _reference_select_mixed(stats, 1e-12, True, fitted) == 0.0
+
+
+def test_mixed_select_block_skip_keeps_the_reference_threshold():
+    # larger m and signal strengths spread over five decades put the
+    # first admissible candidate inside blocks of many candidates, where
+    # a skip bound that is not sound would lose it
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(50, 3000))
+        pi, k = rng.uniform(0.3, 0.99, m), rng.uniform(0.05, 0.95, m)
+        fitted = FittedHypotheses(pi_hat=pi, k_hat=k)
+        signal = rng.random(m) < rng.uniform(0.0, 0.5)
+        p = np.where(signal, rng.uniform(0.0, 10 ** rng.uniform(-6, -1), m), rng.random(m))
+        stats = mirror_statistics(p, fitted)
+        for alpha in (0.01, 0.05, 0.1, 0.2):
+            t_hat = select_threshold(stats, alpha, mixed_fitted=fitted)
+            assert t_hat == _reference_select_mixed(stats, alpha, True, fitted)
 
 
 @settings(max_examples=100, deadline=None)
