@@ -5,43 +5,14 @@ from covariates by EM on a beta surrogate mixture; a mirror estimate of
 the false discovery proportion then selects the rejection threshold.
 Includes BH, Storey and oracle LFDR baselines, a simulation harness and
 null-calibration diagnostics.
+
+The package re-exports only the pipeline entry points; everything else
+is imported from its own module (camt.em, camt.kernel, camt.threshold,
+camt.baselines, camt.simulation, camt.diagnostics, camt.splines).
 """
 
-from .baselines import OracleTruth, bh, lfdr_values, noncentral_gamma_params, oracle_lfdr, storey
-from .diagnostics import GifReport, gif, null_histogram_summary
-from .em import (
-    CoefVector,
-    EmConfig,
-    EmTrace,
-    FitResult,
-    FittedHypotheses,
-    build_design,
-    e_step,
-    fit,
-    loglik,
-    loglik_grad,
-    m_step,
-)
-from .kernel import clamp_pvalues, cutoff, psi, surrogate_density, weight, winsorize
-from .pipeline import CamtFit, CamtResult, fit_camt, run_camt
-from .simulation import (
-    MetricsReport,
-    SimulatedDataset,
-    SimulationConfig,
-    generate,
-    make_procedure,
-    metrics,
-    run_sweep,
-)
-from .splines import equiquantile_knots, spline_basis
-from .threshold import (
-    MirrorStatistics,
-    RejectionResult,
-    fdp_up,
-    mirror_statistics,
-    mixed_false_rejection_estimate,
-    reject,
-    select_threshold,
-)
+from .pipeline import CamtFit, fit_camt, run_camt
+from .threshold import RejectionResult
 
+__all__ = ["CamtFit", "RejectionResult", "fit_camt", "run_camt", "__version__"]
 __version__ = "0.1.0"

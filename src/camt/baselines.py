@@ -82,7 +82,7 @@ class OracleTruth:
             raise ValueError("pi0 and effect must have identical shapes")
 
 
-def noncentral_gamma_params(mean, var=1.0, shape=2.0):
+def noncentral_gamma_params(mean):
     """Scale and non-centrality of a shape-2 non-central gamma.
 
     The law is the Poisson(delta) mixture of Gamma(shape + N, scale)
@@ -93,8 +93,6 @@ def noncentral_gamma_params(mean, var=1.0, shape=2.0):
     mean > sqrt(2).
     """
     mean = np.asarray(mean, dtype=float)
-    if shape != 2.0 or var != 1.0:
-        raise ValueError("only shape 2 with unit variance is supported")
     if np.any(mean <= np.sqrt(2.0)):
         raise ValueError("mean must exceed sqrt(2) for a valid non-centrality")
     b = 2.0 * mean**2 - 4.0
@@ -156,15 +154,24 @@ def oracle_lfdr(pvals, truth, alpha):
     prefix is the last admissible one. Ties at the boundary are broken
     by input order (stable sort).
     """
+    return oracle_select(oracle_prepare(lfdr_values(pvals, truth)), alpha)
+
+
+def oracle_prepare(values):
+    """LFDR-ascending order and running mean: the part of
+    :func:`oracle_lfdr` that every target level shares."""
+    order = np.argsort(values, kind="stable")
+    running_mean = np.cumsum(values[order]) / np.arange(1, values.size + 1)
+    return order, running_mean
+
+
+def oracle_select(prepared, alpha):
+    """Rejection mask of :func:`oracle_lfdr` at level alpha, from
+    :func:`oracle_prepare`'s output."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    values = lfdr_values(pvals, truth)
-    m = values.size
-    mask = np.zeros(m, dtype=bool)
-    if m == 0:
-        return mask
-    order = np.argsort(values, kind="stable")
-    running_mean = np.cumsum(values[order]) / np.arange(1, m + 1)
+    order, running_mean = prepared
+    mask = np.zeros(order.size, dtype=bool)
     kstar = int(np.searchsorted(running_mean, alpha, side="right"))
     mask[order[:kstar]] = True
     return mask

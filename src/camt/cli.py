@@ -19,7 +19,7 @@ from .diagnostics import gif, null_histogram_summary
 from .em import CovariateError
 from .kernel import P_CLAMP, clamp_pvalues
 from .pipeline import run_camt
-from .simulation import DEFAULT_PROCEDURES, SimulationConfig, resolve_workers, run_sweep
+from .simulation import DEFAULT_PROCEDURES, SimulationConfig, run_sweep
 
 MIN_FIT_M = 200
 WARN_FIT_M = 1000
@@ -190,7 +190,7 @@ def cmd_fit(args):
 
     covs = table.covariates if table.covariates.shape[1] else None
     try:
-        result = run_camt(
+        fit, result = run_camt(
             table.pvals,
             covs,
             alpha=args.alpha,
@@ -215,8 +215,8 @@ def cmd_fit(args):
         out.write(f"# t_hat: {_fmt(result.t_hat)}\n")
         out.write(f"# n_rejections: {result.n_rejections}\n")
         out.write(f"# fdp_hat: {_fmt(result.fdp_hat)}\n")
-        out.write(f"# em_iterations: {result.trace.n_iter}\n")
-        out.write(f"# em_converged: {str(result.trace.converged).lower()}\n")
+        out.write(f"# em_iterations: {fit.trace.n_iter}\n")
+        out.write(f"# em_converged: {str(fit.trace.converged).lower()}\n")
         out.write(f"# gif: {gif_text}\n")
         out.write(f"# gif_warn: {warn_text}\n")
         # the covariate names may need quoting, so the header goes through
@@ -224,7 +224,9 @@ def cmd_fit(args):
         csv.writer(out, lineterminator="\n").writerow(
             ["index", "pvalue", *table.covariate_names, "pi0_hat", "k_hat", "psi_stat", "rejected"]
         )
-        columns = [table.pvals, *table.covariates.T, result.pi_hat, result.k_hat, result.psi_stat]
+        columns = [
+            table.pvals, *table.covariates.T, fit.fitted.pi_hat, fit.fitted.k_hat, fit.stats.s
+        ]
         _write_rows(out, columns, result.rejected)
     print(
         f"fit: m={m}, t_hat={result.t_hat:.6g}, rejections={result.n_rejections}, "
@@ -251,7 +253,7 @@ def cmd_simulate(args):
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    report = run_sweep(config, procedures=args.procedures, n_workers=resolve_workers())
+    report = run_sweep(config, procedures=args.procedures)
     with open(args.output, "w", newline="") as out:
         report.write_csv(out)
     for s in report.summarize():

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtri
 
+from .kernel import check_pvalues
+
 GIF_WARN_THRESHOLD = 1.05
 MIN_TAIL_PVALUES = 20
 
@@ -28,7 +30,7 @@ class GifReport:
     threshold: float
 
 
-def gif(pvals, threshold=GIF_WARN_THRESHOLD):
+def gif(pvals):
     """Genomic inflation factor of the p-values in [0.5, 1].
 
     gif = median(q_i) / F^{-1}(0.25) with q_i the upper chi-square(1)
@@ -39,9 +41,7 @@ def gif(pvals, threshold=GIF_WARN_THRESHOLD):
     Raises ValueError when fewer than 20 p-values lie in [0.5, 1];
     a median of less than that is noise, not a diagnostic.
     """
-    p = np.asarray(pvals, dtype=float)
-    if p.size and (not np.all(np.isfinite(p)) or p.min() < 0.0 or p.max() > 1.0):
-        raise ValueError("p-values must be finite and lie in [0, 1]")
+    p = check_pvalues(pvals)
     retained = p[p >= 0.5]
     if retained.size < MIN_TAIL_PVALUES:
         raise ValueError(
@@ -54,8 +54,8 @@ def gif(pvals, threshold=GIF_WARN_THRESHOLD):
     return GifReport(
         gif=value,
         n_pvalues_used=int(retained.size),
-        warn=value > threshold,
-        threshold=float(threshold),
+        warn=value > GIF_WARN_THRESHOLD,
+        threshold=GIF_WARN_THRESHOLD,
     )
 
 
@@ -65,10 +65,8 @@ def null_histogram_summary(pvals, n_bins=20):
     The last bin is closed on the right, so the counts always sum to
     the number of p-values.
     """
-    p = np.asarray(pvals, dtype=float)
     if int(n_bins) < 1:
         raise ValueError("n_bins must be positive")
-    if p.size and (not np.all(np.isfinite(p)) or p.min() < 0.0 or p.max() > 1.0):
-        raise ValueError("p-values must be finite and lie in [0, 1]")
+    p = check_pvalues(pvals)
     counts, _ = np.histogram(p, bins=int(n_bins), range=(0.0, 1.0))
     return counts

@@ -29,14 +29,14 @@ Newton Hessians X.T diag(w) X are formed as (X.T * w) @ X.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logit
 
-from .kernel import EPS1_DEFAULT, EPS2_DEFAULT, clamp_pvalues, winsorize
+from .kernel import EPS1_DEFAULT, EPS2_DEFAULT, check_unit, clamp_pvalues, winsorize
 from .splines import spline_basis
 
 # Fitted k values are pulled off the exact endpoints so that downstream
@@ -107,13 +107,10 @@ class FittedHypotheses:
     k_hat: np.ndarray
 
     def __post_init__(self):
-        self.pi_hat = np.asarray(self.pi_hat, dtype=float)
-        self.k_hat = np.asarray(self.k_hat, dtype=float)
+        self.pi_hat = check_unit("pi_hat", self.pi_hat)
+        self.k_hat = check_unit("k_hat", self.k_hat)
         if self.pi_hat.shape != self.k_hat.shape:
             raise ValueError("pi_hat and k_hat must have identical shapes")
-        for name, arr in (("pi_hat", self.pi_hat), ("k_hat", self.k_hat)):
-            if arr.size and (not np.all(np.isfinite(arr)) or arr.min() <= 0.0 or arr.max() >= 1.0):
-                raise ValueError(f"{name} must lie strictly inside (0, 1)")
 
 
 @dataclass
@@ -292,7 +289,7 @@ def fit(design, pvals, config=None):
         )
 
     theta = np.zeros(d)
-    theta[0] = logit(config.init_pi)
+    theta[0] = math.log(config.init_pi / (1.0 - config.init_pi))
     beta = np.zeros(d)
 
     # each update returns the link values of the coefficients it ends

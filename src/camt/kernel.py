@@ -5,7 +5,8 @@ thresholding and simulation layers: the one-parameter beta surrogate for
 the alternative p-value density, the weight function that prices a
 rejection at a given threshold, the equivalent p-value cutoff, and the
 psi transform that turns a p-value into the statistic the mirror
-estimator operates on.
+estimator operates on, plus the range checks every layer applies to
+p-values and to quantities in the unit interval.
 
 All functions broadcast over numpy arrays and accept plain floats.
 """
@@ -40,10 +41,31 @@ def clamp_pvalues(pvals):
     numpy.ndarray
         Clamped copy, dtype float64.
     """
+    return np.clip(check_pvalues(pvals), P_CLAMP, 1.0 - P_CLAMP)
+
+
+def check_pvalues(pvals):
+    """pvals as a float64 array; ValueError unless every entry lies in [0, 1].
+
+    The comparisons are false for NaN, so non-finite entries fail too.
+    """
     p = np.asarray(pvals, dtype=float)
-    if p.size and (not np.all(np.isfinite(p)) or p.min() < 0.0 or p.max() > 1.0):
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
         raise ValueError("p-values must be finite and lie in [0, 1]")
-    return np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
+    return p
+
+
+def check_unit(name, x, include_one=False):
+    """x as a float64 array; ValueError unless every entry lies in (0, 1),
+    or in (0, 1] with include_one.
+
+    The comparisons are false for NaN, so non-finite entries fail too.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size and not (x.min() > 0.0 and (x.max() <= 1.0 if include_one else x.max() < 1.0)):
+        interval = "(0, 1]" if include_one else "the open interval (0, 1)"
+        raise ValueError(f"{name} must lie in {interval}")
+    return x
 
 
 def surrogate_density(p, k):
@@ -67,12 +89,8 @@ def surrogate_density(p, k):
     numpy.ndarray or float
         Density values, broadcast over the inputs.
     """
-    p = np.asarray(p, dtype=float)
-    k = np.asarray(k, dtype=float)
-    if p.size and (p.min() <= 0.0 or p.max() > 1.0):
-        raise ValueError("p must lie in (0, 1]")
-    if k.size and (k.min() <= 0.0 or k.max() >= 1.0):
-        raise ValueError("k must lie in the open interval (0, 1)")
+    p = check_unit("p", p, include_one=True)
+    k = check_unit("k", k)
     return (1.0 - k) * p ** (-k)
 
 
@@ -90,12 +108,8 @@ def weight(t, pi):
     pi : array_like
         Prior null probability in (0, 1).
     """
-    t = np.asarray(t, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    if t.size and (t.min() <= 0.0 or t.max() >= 1.0):
-        raise ValueError("t must lie in the open interval (0, 1)")
-    if pi.size and (pi.min() <= 0.0 or pi.max() >= 1.0):
-        raise ValueError("pi must lie in the open interval (0, 1)")
+    t = check_unit("t", t)
+    pi = check_unit("pi", pi)
     return (1.0 - t) * pi / (t * (1.0 - pi))
 
 
@@ -110,15 +124,9 @@ def cutoff(t, pi, k):
     "p below c(t, pi, k)". The min handles thresholds loose enough that
     every p-value qualifies.
     """
-    t = np.asarray(t, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    k = np.asarray(k, dtype=float)
-    if t.size and (t.min() <= 0.0 or t.max() >= 1.0):
-        raise ValueError("t must lie in the open interval (0, 1)")
-    if pi.size and (pi.min() <= 0.0 or pi.max() >= 1.0):
-        raise ValueError("pi must lie in the open interval (0, 1)")
-    if k.size and (k.min() <= 0.0 or k.max() >= 1.0):
-        raise ValueError("k must lie in the open interval (0, 1)")
+    t = check_unit("t", t)
+    pi = check_unit("pi", pi)
+    k = check_unit("k", k)
     inner = t * (1.0 - k) * (1.0 - pi) / ((1.0 - t) * pi)
     with np.errstate(over="ignore"):
         c = inner ** (1.0 / k)
@@ -135,9 +143,7 @@ def psi(p, pi, k):
     p-value is the posterior probability of the alternative.
     """
     h = surrogate_density(p, k)
-    pi = np.asarray(pi, dtype=float)
-    if pi.size and (pi.min() <= 0.0 or pi.max() >= 1.0):
-        raise ValueError("pi must lie in the open interval (0, 1)")
+    pi = check_unit("pi", pi)
     return pi / (pi + (1.0 - pi) * h)
 
 

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import CoefVector, EmConfig, EmTrace, FittedHypotheses, build_design, fit
+from .em import CoefVector, EmTrace, FittedHypotheses, build_design, fit
 from .kernel import clamp_pvalues
-from .threshold import MirrorStatistics, RejectionResult, mirror_statistics, reject, select_threshold
+from .threshold import MirrorStatistics, mirror_statistics, reject, select_threshold
 
 
 @dataclass
@@ -26,33 +26,16 @@ class CamtFit:
     trace: EmTrace
     stats: MirrorStatistics
 
-    def select(self, alpha, mixed=False, cap_at_tup=True, offset=1.0):
+    def select(self, alpha, mixed=False, cap_at_tup=True):
         """Threshold search plus rejection at target level alpha."""
         mixed_fitted = self.fitted if mixed else None
         t_hat = select_threshold(
-            self.stats, alpha, cap_at_tup=cap_at_tup, offset=offset, mixed_fitted=mixed_fitted
+            self.stats, alpha, cap_at_tup=cap_at_tup, mixed_fitted=mixed_fitted
         )
-        return reject(self.stats, t_hat, offset=offset, mixed_fitted=mixed_fitted)
+        return reject(self.stats, t_hat, mixed_fitted=mixed_fitted)
 
 
-@dataclass
-class CamtResult:
-    """Everything the CLI reports for one analysis."""
-
-    alpha: float
-    t_hat: float
-    rejected: np.ndarray
-    n_rejections: int
-    fdp_hat: float
-    pi_hat: np.ndarray
-    k_hat: np.ndarray
-    psi_stat: np.ndarray
-    t_up: float
-    coef: CoefVector
-    trace: EmTrace
-
-
-def fit_camt(pvals, covariates=None, spline_knots=0, em_config=None):
+def fit_camt(pvals, covariates=None, spline_knots=0):
     """Estimate the mixture for the given p-values and covariates.
 
     Parameters
@@ -64,7 +47,6 @@ def fit_camt(pvals, covariates=None, spline_knots=0, em_config=None):
         which still adapts to the overall signal fraction and strength.
     spline_knots : int
         0 for linear covariate effects, else knots per covariate.
-    em_config : EmConfig, optional
     """
     p = clamp_pvalues(pvals)
     if p.size == 0:
@@ -72,7 +54,7 @@ def fit_camt(pvals, covariates=None, spline_knots=0, em_config=None):
     if covariates is None:
         covariates = np.empty((p.size, 0))
     design = build_design(covariates, spline_knots=spline_knots)
-    result = fit(design, p, config=em_config)
+    result = fit(design, p)
     stats = mirror_statistics(p, result.fitted)
     return CamtFit(
         pvals=p,
@@ -90,24 +72,11 @@ def run_camt(
     spline_knots=0,
     mixed=False,
     cap_at_tup=True,
-    offset=1.0,
-    em_config=None,
 ):
-    """One-call version of fit + select. Returns a :class:`CamtResult`."""
-    state = fit_camt(pvals, covariates, spline_knots=spline_knots, em_config=em_config)
-    sel: RejectionResult = state.select(
-        alpha, mixed=mixed, cap_at_tup=cap_at_tup, offset=offset
-    )
-    return CamtResult(
-        alpha=float(alpha),
-        t_hat=sel.t_hat,
-        rejected=sel.rejected,
-        n_rejections=sel.n_rejections,
-        fdp_hat=sel.fdp_hat,
-        pi_hat=state.fitted.pi_hat,
-        k_hat=state.fitted.k_hat,
-        psi_stat=state.stats.s,
-        t_up=state.stats.t_up,
-        coef=state.coef,
-        trace=state.trace,
-    )
+    """One-call version of fit + select.
+
+    Returns the :class:`CamtFit` and the
+    :class:`~camt.threshold.RejectionResult` of its selection at level alpha.
+    """
+    state = fit_camt(pvals, covariates, spline_knots=spline_knots)
+    return state, state.select(alpha, mixed=mixed, cap_at_tup=cap_at_tup)

@@ -31,7 +31,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, ndtr
 
-from .baselines import OracleTruth, bh, lfdr_values, noncentral_gamma_params, storey
+from .baselines import (
+    OracleTruth,
+    bh,
+    lfdr_values,
+    noncentral_gamma_params,
+    oracle_prepare,
+    oracle_select,
+    storey,
+)
 from .pipeline import fit_camt
 
 RNG_NAME = "pcg64-seedsequence"
@@ -221,49 +229,35 @@ class _BhProcedure:
 class _StoreyProcedure:
     name = prepare_key = "storey"
 
-    def __init__(self, lam=0.5):
-        self.lam = lam
-
     def prepare(self, data):
         return data.pvals
 
     def reject(self, state, alpha):
-        return storey(state, alpha, self.lam)
+        return storey(state, alpha)
 
 
 class _OracleProcedure:
     name = prepare_key = "oracle"
 
     def prepare(self, data):
-        values = lfdr_values(data.pvals, data.truth)
-        order = np.argsort(values, kind="stable")
-        running_mean = np.cumsum(values[order]) / np.arange(1, values.size + 1)
-        return order, running_mean
+        return oracle_prepare(lfdr_values(data.pvals, data.truth))
 
     def reject(self, state, alpha):
-        order, running_mean = state
-        mask = np.zeros(order.size, dtype=bool)
-        kstar = int(np.searchsorted(running_mean, alpha, side="right"))
-        mask[order[:kstar]] = True
-        return mask
+        return oracle_select(state, alpha)
 
 
 class _CamtProcedure:
-    def __init__(self, name="camt", spline_knots=0, mixed=False, cap_at_tup=True):
-        self.name = name
-        self.spline_knots = spline_knots
-        self.mixed = mixed
-        self.cap_at_tup = cap_at_tup
+    prepare_key = "camt"  # mixed acts only in reject
 
-    @property
-    def prepare_key(self):
-        return ("camt", self.spline_knots)  # mixed and cap_at_tup act only in reject
+    def __init__(self, name="camt", mixed=False):
+        self.name = name
+        self.mixed = mixed
 
     def prepare(self, data):
-        return fit_camt(data.pvals, data.covariates, spline_knots=self.spline_knots)
+        return fit_camt(data.pvals, data.covariates)
 
     def reject(self, state, alpha):
-        return state.select(alpha, mixed=self.mixed, cap_at_tup=self.cap_at_tup).rejected
+        return state.select(alpha, mixed=self.mixed).rejected
 
 
 def make_procedure(name):

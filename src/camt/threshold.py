@@ -6,7 +6,7 @@ Rejecting whenever s_i <= t makes the r_i that fall below t a stand-in
 for the unobservable count of false rejections (a null p-value and its
 reflection are exchangeable), which gives the estimate
 
-    fdp_up(t) = (offset + #{r_i < t}) / max(1, #{s_i <= t}).
+    fdp_up(t) = (1 + #{r_i < t}) / max(1, #{s_i <= t}).
 
 The selector returns the largest threshold whose estimate stays at or
 below the target. The s-side uses <= and the r-side strict <, so a
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import clamp_pvalues, psi
+from .kernel import check_unit, clamp_pvalues, psi
 
 
 @dataclass
@@ -39,13 +39,10 @@ class MirrorStatistics:
     t_up: float
 
     def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=float)
-        self.r = np.asarray(self.r, dtype=float)
+        self.s = check_unit("s", self.s)
+        self.r = check_unit("r", self.r)
         if self.s.shape != self.r.shape or self.s.ndim != 1:
             raise ValueError("s and r must be 1-d arrays of equal length")
-        for name, arr in (("s", self.s), ("r", self.r)):
-            if arr.size and (not np.all(np.isfinite(arr)) or arr.min() <= 0.0 or arr.max() >= 1.0):
-                raise ValueError(f"{name} must lie strictly inside (0, 1)")
         if not 0.0 < self.t_up <= 1.0:
             raise ValueError("t_up must lie in (0, 1]")
 
@@ -67,16 +64,16 @@ def mirror_statistics(pvals, fitted):
     return MirrorStatistics(s=s, r=r, t_up=t_up)
 
 
-def fdp_up(t, stats, offset=1.0):
+def fdp_up(t, stats):
     """Upward-biased FDP estimate at threshold t (in [0, 1])."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     num = int(np.count_nonzero(stats.r < t))
     den = int(np.count_nonzero(stats.s <= t))
-    return (offset + num) / max(1, den)
+    return (1 + num) / max(1, den)
 
 
-def select_threshold(stats, alpha, cap_at_tup=True, offset=1.0, mixed_fitted=None):
+def select_threshold(stats, alpha, cap_at_tup=True, mixed_fitted=None):
     """Largest candidate threshold with an admissible FDP estimate.
 
     Candidates are the observed s-values (capped at t_up unless
@@ -85,7 +82,7 @@ def select_threshold(stats, alpha, cap_at_tup=True, offset=1.0, mixed_fitted=Non
     candidate is admissible (then nothing is rejected).
 
     With mixed_fitted set (a FittedHypotheses), the numerator
-    offset + count is replaced by the mixed estimate of the number of
+    1 + count is replaced by the mixed estimate of the number of
     false rejections, see :func:`mixed_false_rejection_estimate`. That
     estimate is never below the mirror count, so a candidate with
     count / max(1, rejections) > alpha cannot be admissible. The search
@@ -107,19 +104,19 @@ def select_threshold(stats, alpha, cap_at_tup=True, offset=1.0, mixed_fitted=Non
     if mixed_fitted is not None:
         return _select_mixed(candidates, num, den, alpha, mixed_fitted)
     # same floating-point expression as fdp_up, so grid evaluation agrees
-    admissible = (offset + num) / np.maximum(1, den) <= alpha
+    admissible = (1 + num) / np.maximum(1, den) <= alpha
     if not admissible.any():
         return 0.0
     return float(candidates[admissible].max())
 
 
-def reject(stats, t_hat, offset=1.0, mixed_fitted=None):
+def reject(stats, t_hat, mixed_fitted=None):
     """Rejection set at threshold t_hat: every i with s_i <= t_hat."""
     if not 0.0 <= t_hat <= 1.0:
         raise ValueError("t_hat must lie in [0, 1]")
     rejected = stats.s <= t_hat
     if mixed_fitted is None or t_hat <= 0.0:
-        fdp_hat = fdp_up(t_hat, stats, offset)
+        fdp_hat = fdp_up(t_hat, stats)
     else:
         est = mixed_false_rejection_estimate(t_hat, stats, mixed_fitted)
         fdp_hat = est / max(1, int(np.count_nonzero(rejected)))

@@ -270,7 +270,7 @@ def test_fit_round_trip(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
 
     table = parse_table(in_path)
-    oracle = run_camt(table.pvals, table.covariates, alpha=0.1)
+    fit, oracle = run_camt(table.pvals, table.covariates, alpha=0.1)
 
     meta, header, rows = _read_fit_output(out_a)
     assert meta["m"] == "1200"
@@ -287,13 +287,13 @@ def test_fit_round_trip(tmp_path, capsys):
     idx = np.array([int(r[0]) for r in rows])
     assert np.array_equal(idx, np.arange(1200))
     assert np.array_equal(np.array([float(r[1]) for r in rows]), table.pvals)
-    assert np.array_equal(np.array([float(r[3]) for r in rows]), oracle.pi_hat)
-    assert np.array_equal(np.array([float(r[4]) for r in rows]), oracle.k_hat)
-    assert np.array_equal(np.array([float(r[5]) for r in rows]), oracle.psi_stat)
+    assert np.array_equal(np.array([float(r[3]) for r in rows]), fit.fitted.pi_hat)
+    assert np.array_equal(np.array([float(r[4]) for r in rows]), fit.fitted.k_hat)
+    assert np.array_equal(np.array([float(r[5]) for r in rows]), fit.stats.s)
     assert np.array_equal(np.array([int(r[6]) for r in rows]), oracle.rejected.astype(int))
 
 
-def _reference_body(table, result):
+def _reference_body(table, fit, result):
     """The column-name row and data rows as the per-row csv writer
     camt fit used before block writing produced them."""
     out = io.StringIO()
@@ -307,9 +307,9 @@ def _reference_body(table, result):
                 i,
                 repr(float(table.pvals[i])),
                 *(repr(float(v)) for v in table.covariates[i]),
-                repr(float(result.pi_hat[i])),
-                repr(float(result.k_hat[i])),
-                repr(float(result.psi_stat[i])),
+                repr(float(fit.fitted.pi_hat[i])),
+                repr(float(fit.fitted.k_hat[i])),
+                repr(float(fit.stats.s[i])),
                 int(result.rejected[i]),
             ]
         )
@@ -329,11 +329,11 @@ def test_fit_output_matches_per_row_writer(tmp_path, capsys, monkeypatch, mixed)
     capsys.readouterr()
 
     table = parse_table(in_path)
-    result = run_camt(table.pvals, table.covariates, alpha=0.2, mixed=mixed)
+    fit, result = run_camt(table.pvals, table.covariates, alpha=0.2, mixed=mixed)
     assert result.n_rejections > 0
     text = out.read_text()
     body = text[text.index("\nindex,") + 1 :]
-    assert body == _reference_body(table, result)
+    assert body == _reference_body(table, fit, result)
 
 
 @pytest.mark.parametrize(

@@ -74,10 +74,12 @@ def test_gif_input_validation():
         gif(np.array([0.6] * 30 + [np.nan]))
 
 
-def test_gif_custom_threshold():
-    report = gif(np.full(25, 0.75), threshold=0.9)
-    assert report.warn  # 1.0 > 0.9
-    assert report.threshold == 0.9
+def test_gif_warns_above_the_fixed_threshold():
+    piled = gif(np.full(25, 0.55))  # the whole tail just above one half
+    assert piled.gif > GIF_WARN_THRESHOLD and piled.warn
+    reference = gif(np.full(25, 0.75))  # the reference quantile: gif exactly 1
+    assert reference.gif == 1.0 and not reference.warn
+    assert piled.threshold == reference.threshold == GIF_WARN_THRESHOLD
 
 
 def test_histogram_hand_counts():

@@ -31,6 +31,23 @@ def test_clamp_pvalues_rejects_corrupt_input():
             clamp_pvalues(bad)
 
 
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (surrogate_density, (0.5, 0.5)),
+        (weight, (0.5, 0.5)),
+        (cutoff, (0.1, 0.5, 0.5)),
+        (psi, (0.5, 0.5, 0.5)),
+    ],
+)
+def test_nan_arguments_raise(fn, args):
+    for i in range(len(args)):
+        bad = list(args)
+        bad[i] = np.array([0.5, np.nan])
+        with pytest.raises(ValueError):
+            fn(*bad)
+
+
 def test_surrogate_density_at_one():
     assert surrogate_density(1.0, 0.3) == 0.7
 

@@ -1,11 +1,18 @@
 """Tests for the end-to-end fit / select entry points."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from camt.pipeline import fit_camt, run_camt
+import camt
+from camt.pipeline import CamtFit, fit_camt, run_camt
+from camt.simulation import SimulationConfig, generate
+from camt.threshold import RejectionResult
 
 
 def test_empty_input_is_a_clear_error():
@@ -15,3 +22,32 @@ def test_empty_input_is_a_clear_error():
             run_camt(np.array([]))
         with pytest.raises(ValueError, match="need at least one p-value"):
             fit_camt([], np.empty((0, 2)))
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_run_camt_is_fit_then_select(mixed):
+    data = generate(SimulationConfig(setup="S0", m=3000, seed=7), 0)
+    fit, sel = run_camt(data.pvals, data.covariates, alpha=0.1, mixed=mixed)
+    assert isinstance(fit, CamtFit) and isinstance(sel, RejectionResult)
+    alone = fit_camt(data.pvals, data.covariates).select(0.1, mixed=mixed)
+    assert sel.t_hat == alone.t_hat > 0.0
+    assert np.array_equal(sel.rejected, alone.rejected)
+    assert sel.fdp_hat == alone.fdp_hat
+
+
+def test_import_camt_loads_only_the_pipeline():
+    code = (
+        "import sys, camt; "
+        "print(' '.join(sorted(n for n in sys.modules if n.split('.')[0] in ('camt', 'scipy'))))"
+    )
+    src = str(Path(camt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.split()
+    assert not [n for n in out if n.split(".")[0] == "scipy"]
+    for module in ("camt.cli", "camt.simulation", "camt.baselines", "camt.diagnostics"):
+        assert module not in out
+    assert "camt.pipeline" in out

@@ -24,14 +24,14 @@ WORKED = MirrorStatistics(
 )
 
 
-def _grid_best(stats, alpha, n_points, offset=1.0):
+def _grid_best(stats, alpha, n_points):
     """Brute-force threshold search on a uniform grid over [0, t_up]."""
     grid = np.linspace(0.0, stats.t_up, n_points)
     s_sorted = np.sort(stats.s)
     r_sorted = np.sort(stats.r)
     num = np.searchsorted(r_sorted, grid, side="left")
     den = np.searchsorted(s_sorted, grid, side="right")
-    estimates = (offset + num) / np.maximum(1, den)
+    estimates = (1 + num) / np.maximum(1, den)
     admissible = estimates <= alpha
     if not admissible.any():
         return 0.0
@@ -59,10 +59,6 @@ def test_fdp_up_domain():
         fdp_up(-0.1, WORKED)
     with pytest.raises(ValueError):
         fdp_up(1.1, WORKED)
-
-
-def test_fdp_up_custom_offset():
-    assert fdp_up(0.05, WORKED, offset=0.0) == 0.5  # (0 + 1) / 2
 
 
 # ----------------------------------------------------------------------
