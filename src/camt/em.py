@@ -9,10 +9,13 @@ where both mixture ingredients are tied to the covariates through
 logistic links: logit(pi_i) = theta' x_i and logit(k_i) = beta' x_i,
 with x_i including an intercept. The log-likelihood is maximized by EM:
 the E-step computes the posterior probability gamma_i that hypothesis i
-is a signal, the M-step solves one weighted logistic regression for
-theta and one damped Newton ascent for beta. Every M-step move is
-accepted only if it does not decrease its objective, which makes the
-observed-data log-likelihood monotone along the iteration.
+is a signal, the M-step updates each link by a damped Newton ascent of
+its share of the complete-data objective: a weighted logistic
+regression for theta, a beta-surrogate fit for beta. Every M-step move
+is accepted only if it does not decrease its share, which makes the
+observed-data log-likelihood monotone along the iteration. The tuning
+is fixed for every result in this package by the module constants
+MAX_ITER, REL_TOL, INIT_PI, INNER_MAX_ITER, MAX_HALVINGS and COEF_BOUND.
 
 Each link vector u = X @ coef costs one exponential, e = exp(-|u|):
 expit(u), expit(-u) and softplus(u) = log(1 + exp(u)) are all cheap
@@ -36,12 +39,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import EPS1_DEFAULT, EPS2_DEFAULT, check_unit, clamp_pvalues, winsorize
+from .kernel import check_unit, clamp_pvalues, winsorize
 from .splines import spline_basis
 
 # Fitted k values are pulled off the exact endpoints so that downstream
 # formulas with 1/k and log(1-k) stay finite.
 K_CLIP = 1e-12
+
+MAX_ITER = 200  # EM iterations before fit reports non-convergence
+REL_TOL = 1e-6  # stop once an iteration gains less than REL_TOL * max(1, |loglik|)
+INIT_PI = 0.9  # the starting null probability, theta's intercept
+INNER_MAX_ITER = 25  # Newton steps per link update
+MAX_HALVINGS = 20  # line-search halvings per Newton step
+COEF_BOUND = 15.0  # every link coefficient stays in [-COEF_BOUND, COEF_BOUND]
 
 
 class CovariateError(ValueError):
@@ -51,24 +61,6 @@ class CovariateError(ValueError):
         super().__init__(f"covariate column {column}: {reason}")
         self.column = column
         self.reason = reason
-
-
-@dataclass
-class EmConfig:
-    """Tuning knobs for :func:`fit`.
-
-    The defaults are the ones every result in this package is produced
-    with; change them only for experiments.
-    """
-
-    max_iter: int = 200
-    rel_tol: float = 1e-6
-    init_pi: float = 0.9
-    coef_bound: float = 15.0
-    inner_max_iter: int = 25
-    max_halvings: int = 20
-    eps1: float = EPS1_DEFAULT
-    eps2: float = EPS2_DEFAULT
 
 
 @dataclass
@@ -239,26 +231,26 @@ def e_step(params, design, pvals):
     return alt / denom
 
 
-def m_step(gamma, params, design, pvals, config=None):
+def m_step(gamma, params, design, pvals):
     """One M-step: update theta, then beta, holding gamma fixed.
 
     Each update is a damped Newton ascent of its share of the
-    complete-data objective, run for at most ``config.inner_max_iter``
-    steps or until its gradient is below 1e-8 * m in every coordinate.
+    complete-data objective, run for at most INNER_MAX_ITER steps or
+    until its gradient is below 1e-8 * m in every coordinate.
     No step decreases that share, which is all the EM argument needs.
     """
-    config = config or EmConfig()
     X, logp = _prepare(design, pvals)
     gamma = np.asarray(gamma, dtype=float)
     pi_link, k_link = _links(params, X)
     counts = _StepCounts()
-    theta, _ = _update_theta(params.theta.copy(), 1.0 - gamma, X, pi_link, config, counts)
-    beta, _ = _update_beta(params.beta.copy(), gamma, X, logp, k_link, config, counts)
+    theta, _ = _maximize(params.theta.copy(), pi_link, X, _theta_share(1.0 - gamma), counts)
+    beta, _ = _maximize(params.beta.copy(), k_link, X, _beta_share(gamma, logp), counts)
     return CoefVector(theta=theta, beta=beta)
 
 
-def fit(design, pvals, config=None):
-    """Fit the mixture by EM and return coefficients, fits and a trace.
+def fit(design, pvals):
+    """Fit the mixture by EM from pi = INIT_PI, k = 1/2 until an
+    iteration gains less than REL_TOL * max(1, |loglik|).
 
     Parameters
     ----------
@@ -267,17 +259,15 @@ def fit(design, pvals, config=None):
         column is an all-ones intercept).
     pvals : array_like
         P-values in [0, 1]; exact endpoints are clamped.
-    config : EmConfig, optional
 
     Returns
     -------
     FitResult
-        coef (link-scale), fitted (pi_hat winsorized into
-        [eps1, 1 - eps2], k_hat inside (0, 1)) and the iteration trace.
-        Non-convergence within max_iter is reported in the trace and as
-        a RuntimeWarning, never silently.
+        coef (link-scale), fitted (pi_hat winsorized by
+        :func:`camt.kernel.winsorize`, k_hat inside (0, 1)) and the
+        iteration trace. Non-convergence within MAX_ITER iterations is
+        reported in the trace and as a RuntimeWarning, never silently.
     """
-    config = config or EmConfig()
     X, logp = _prepare(design, pvals)
     m, d = X.shape
     if m < 10 * d:
@@ -289,7 +279,7 @@ def fit(design, pvals, config=None):
         )
 
     theta = np.zeros(d)
-    theta[0] = math.log(config.init_pi / (1.0 - config.init_pi))
+    theta[0] = math.log(INIT_PI / (1.0 - INIT_PI))
     beta = np.zeros(d)
 
     # each update returns the link values of the coefficients it ends
@@ -301,10 +291,10 @@ def fit(design, pvals, config=None):
     trace_change = []
     converged = False
     n_iter = 0
-    for _ in range(config.max_iter):
+    for _ in range(MAX_ITER):
         n_iter += 1
-        theta_new, pi_link = _update_theta(theta, 1.0 - gamma, X, pi_link, config, counts)
-        beta_new, k_link = _update_beta(beta, gamma, X, logp, k_link, config, counts)
+        theta_new, pi_link = _maximize(theta, pi_link, X, _theta_share(1.0 - gamma), counts)
+        beta_new, k_link = _maximize(beta, k_link, X, _beta_share(gamma, logp), counts)
         ll_new, gamma = _loglik_gamma(pi_link, k_link, logp)
         change = max(
             np.max(np.abs(theta_new - theta)), np.max(np.abs(beta_new - beta))
@@ -312,19 +302,19 @@ def fit(design, pvals, config=None):
         trace_ll.append(ll_new)
         trace_change.append(change)
         theta, beta = theta_new, beta_new
-        if abs(ll_new - ll) < config.rel_tol * max(1.0, abs(ll)):
+        if abs(ll_new - ll) < REL_TOL * max(1.0, abs(ll)):
             converged = True
             break
         ll = ll_new
 
     if not converged:
         warnings.warn(
-            f"EM did not converge within {config.max_iter} iterations",
+            f"EM did not converge within {MAX_ITER} iterations",
             RuntimeWarning,
             stacklevel=2,
         )
 
-    pi_hat = winsorize(pi_link.p, config.eps1, config.eps2)
+    pi_hat = winsorize(pi_link.p)
     k_hat = np.clip(k_link.p, K_CLIP, 1.0 - K_CLIP)
     return FitResult(
         coef=CoefVector(theta=theta, beta=beta),
@@ -451,19 +441,41 @@ def _loglik_gamma(pi_link, k_link, logp):
     return ll, alt / denom
 
 
-def _theta_value(u, sp, y):
-    """The pi link's share of the complete-data objective at u = X @ theta,
-    -(y . softplus(-u) + (1 - y) . softplus(u)), with sp = softplus(u).
+def _theta_share(y):
+    """The pi link's share for :func:`_maximize` with soft null labels y:
+    -(y . softplus(-u) + (1 - y) . softplus(u)) = -(sum(softplus(u)) - y . u)
+    at u = X @ theta, with slope y - pi and curv pi (1 - pi)."""
 
-    softplus(-u) = softplus(u) - u, so the share is -(sum(sp) - y . u).
-    """
-    return -float(sp.sum() - y @ u)
+    def share(link):
+        return -float(link.sp.sum() - y @ link.u), y - link.p, lambda: link.p * link.one_m_p
+
+    return share
 
 
-def _beta_value(sp, k, gamma, glogp):
-    """The k link's share at u = X @ beta, -gamma . (softplus(u) + k log p),
-    with sp = softplus(u), k = expit(u) and glogp = gamma * log p."""
-    return -float(gamma @ sp + k @ glogp)
+def _beta_share(gamma, logp):
+    """The k link's share for :func:`_maximize`, -gamma . (softplus(u) + k log p)
+    at u = X @ beta. With g = -gamma log p >= 0 its slope is k (1 - k) g - gamma k
+    and its curv k (1 - k) (gamma - (1 - 2k) g), which can be negative: -H
+    is not always positive semi-definite."""
+    g = gamma * logp
+    np.negative(g, out=g)
+
+    def share(link):
+        k, one_m_k = link.p, link.one_m_p
+        kk = k * one_m_k
+        slope = kk * g
+        slope -= gamma * k
+
+        def curv():
+            c = one_m_k - k
+            c *= g
+            np.subtract(gamma, c, out=c)
+            c *= kk
+            return c
+
+        return -float(gamma @ link.sp - k @ g), slope, curv
+
+    return share
 
 
 def _gram(Xt, w):
@@ -490,104 +502,44 @@ def _solve_ascent_direction(neg_hess, grad):
     return evecs @ (inv * (evecs.T @ grad))
 
 
-def _ascend(coef, grad, neg_hess, X, objective, value, config, counts):
-    """One inner step: the Newton direction, or the normalized gradient
-    when -H is not PSD, then a backtracking line search that accepts
-    only non-decreasing moves.
+def _maximize(coef, link, X, share, counts):
+    """Damped Newton ascent of one link's share of the complete-data
+    objective from coef, whose link values are link; returns the final
+    coef and its link values.
 
-    objective maps u = X @ coef to (value, state), state being whatever
-    the next step can reuse. Returns (coef, value, state) of the
-    accepted candidate, or state None when every halving failed.
+    share maps the link at u = X @ coef to (value, slope, curv): the
+    gradient is X.T @ slope and -H = X.T diag(curv()) X, curv deferred
+    because the point an ascent stops at needs none. A step takes the
+    Newton direction, or the normalized gradient when -H is not PSD, and
+    is halved until the share does not decrease.
     """
-    direction = _solve_ascent_direction(neg_hess, grad)
-    if direction is None:
-        counts.gradient_fallbacks += 1
-        direction = grad / np.max(np.abs(grad))
-    else:
-        counts.newton_steps += 1
-    step = 1.0
-    for _ in range(config.max_halvings + 1):
-        cand = np.clip(coef + step * direction, -config.coef_bound, config.coef_bound)
-        val, state = objective(X @ cand)
-        if np.isfinite(val) and val >= value:
-            return cand, val, state
-        counts.line_search_halvings += 1
-        step *= 0.5
-    return coef, value, None
-
-
-def _update_theta(theta, y, X, link, config, counts):
-    """Damped Newton / IRLS for the pi link with soft null labels y.
-
-    link holds the link values at the starting theta. Returns the final
-    theta and its link values.
-    """
-
-    def obj(u):
-        e = _exp_neg_abs(u)
-        sp = _softplus(u, e)
-        return _theta_value(u, sp, y), (u, e, sp)
-
     Xt = X.T
-    value = _theta_value(link.u, link.sp, y)
     grad_tol = 1e-8 * X.shape[0]
-    for _ in range(config.inner_max_iter):
-        grad = Xt @ (y - link.p)
+    value, slope, curv = share(link)
+    for _ in range(INNER_MAX_ITER):
+        grad = Xt @ slope
         if np.max(np.abs(grad)) <= grad_tol:
             break
-        neg_hess = _gram(Xt, link.p * link.one_m_p)
-        theta_new, value, state = _ascend(theta, grad, neg_hess, X, obj, value, config, counts)
-        if state is None:
-            break
-        moved = np.max(np.abs(theta_new - theta))
-        theta = theta_new
-        u, e, sp = state  # pi only for the accepted candidate
-        link = _Link(u, sp, *_sigmoid_pair(u, e))
+        direction = _solve_ascent_direction(_gram(Xt, curv()), grad)
+        if direction is None:
+            counts.gradient_fallbacks += 1
+            direction = grad / np.max(np.abs(grad))
+        else:
+            counts.newton_steps += 1
+        step = 1.0
+        for _ in range(MAX_HALVINGS + 1):
+            cand = np.clip(coef + step * direction, -COEF_BOUND, COEF_BOUND)
+            cand_link = _link(X @ cand)
+            cand_value, cand_slope, cand_curv = share(cand_link)
+            if np.isfinite(cand_value) and cand_value >= value:
+                break
+            counts.line_search_halvings += 1
+            step *= 0.5
+        else:
+            break  # every halving decreased the share
+        moved = np.max(np.abs(cand - coef))
+        coef, link = cand, cand_link
+        value, slope, curv = cand_value, cand_slope, cand_curv
         if moved < 1e-10:
             break
-    return theta, link
-
-
-def _update_beta(beta, gamma, X, logp, link, config, counts):
-    """Damped Newton for the k link; the Hessian here is not always
-    negative definite, in which case a normalized gradient step with
-    backtracking is used instead.
-
-    link holds the link values at the starting beta. Returns the final
-    beta and its link values.
-    """
-    glogp = gamma * logp
-
-    def obj(u):
-        e = _exp_neg_abs(u)
-        k, one_m_k = _sigmoid_pair(u, e)
-        sp = _softplus(u, e)
-        return _beta_value(sp, k, gamma, glogp), _Link(u, sp, k, one_m_k)
-
-    Xt = X.T
-    value = _beta_value(link.sp, link.p, gamma, glogp)
-    grad_tol = 1e-8 * X.shape[0]
-    for _ in range(config.inner_max_iter):
-        k, one_m_k = link.p, link.one_m_p
-        kk = k * one_m_k
-        # the share's derivative in u is -(gamma k + k (1 - k) gamma log p)
-        slope = kk * glogp
-        slope += gamma * k
-        grad = -(Xt @ slope)
-        if np.max(np.abs(grad)) <= grad_tol:
-            break
-        # and minus its second derivative k (1 - k) (gamma + (1 - 2k) gamma log p)
-        curv = one_m_k - k
-        curv *= glogp
-        curv += gamma
-        curv *= kk
-        neg_hess = _gram(Xt, curv)
-        beta_new, value, state = _ascend(beta, grad, neg_hess, X, obj, value, config, counts)
-        if state is None:
-            break
-        moved = np.max(np.abs(beta_new - beta))
-        beta = beta_new
-        link = state
-        if moved < 1e-10:
-            break
-    return beta, link
+    return coef, link

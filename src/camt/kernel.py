@@ -19,8 +19,8 @@ import numpy as np
 P_CLAMP = 1e-15
 
 # Winsorization bounds for the fitted null probabilities.
-EPS1_DEFAULT = 0.1
-EPS2_DEFAULT = 1e-5
+EPS1 = 0.1
+EPS2 = 1e-5
 
 
 def clamp_pvalues(pvals):
@@ -147,14 +147,12 @@ def psi(p, pi, k):
     return pi / (pi + (1.0 - pi) * h)
 
 
-def winsorize(x, eps1=EPS1_DEFAULT, eps2=EPS2_DEFAULT):
-    """Clamp x into the closed interval [eps1, 1 - eps2].
+def winsorize(x):
+    """Clamp x into the closed interval [EPS1, 1 - EPS2].
 
     Applied to fitted null probabilities so that no hypothesis is ever
     declared a near-certain signal (lower bound) and weights stay finite
     (upper bound). The bounds are asymmetric on purpose: the lower one
     is the conservative guard, the upper one only a numerical guard.
     """
-    if not 0.0 < eps1 < 1.0 - eps2 < 1.0:
-        raise ValueError("winsorization bounds must satisfy 0 < eps1 < 1 - eps2 < 1")
-    return np.clip(x, eps1, 1.0 - eps2)
+    return np.clip(x, EPS1, 1.0 - EPS2)

@@ -20,7 +20,6 @@ from .threshold import MirrorStatistics, mirror_statistics, reject, select_thres
 class CamtFit:
     """Fitted state, sufficient for threshold selection at any level."""
 
-    pvals: np.ndarray
     fitted: FittedHypotheses
     coef: CoefVector
     trace: EmTrace
@@ -54,10 +53,11 @@ def fit_camt(pvals, covariates=None, spline_knots=0):
     if covariates is None:
         covariates = np.empty((p.size, 0))
     design = build_design(covariates, spline_knots=spline_knots)
+    if design.shape[0] != p.size:
+        raise ValueError(f"covariates have {design.shape[0]} rows for {p.size} p-values")
     result = fit(design, p)
     stats = mirror_statistics(p, result.fitted)
     return CamtFit(
-        pvals=p,
         fitted=result.fitted,
         coef=result.coef,
         trace=result.trace,

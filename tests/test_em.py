@@ -10,10 +10,15 @@ from hypothesis import strategies as st
 from scipy.special import expit, logit
 
 from camt.em import (
+    COEF_BOUND,
+    INIT_PI,
+    INNER_MAX_ITER,
     K_CLIP,
+    MAX_HALVINGS,
+    MAX_ITER,
+    REL_TOL,
     CoefVector,
     CovariateError,
-    EmConfig,
     EmTrace,
     FitResult,
     FittedHypotheses,
@@ -24,7 +29,16 @@ from camt.em import (
     loglik_grad,
     m_step,
 )
-from camt.em import _exp_neg_abs, _sigmoid_pair, _softplus, _solve_ascent_direction
+from camt.em import (
+    _beta_share,
+    _exp_neg_abs,
+    _link,
+    _maximize,
+    _sigmoid_pair,
+    _softplus,
+    _solve_ascent_direction,
+    _StepCounts,
+)
 from camt.kernel import clamp_pvalues, psi, winsorize
 from camt.pipeline import run_camt
 from camt.simulation import SimulationConfig, generate
@@ -153,6 +167,23 @@ def test_newton_step_equals_weighted_least_squares():
     wls = np.linalg.solve(neg_hess, X.T @ (w * z))
     direction = _solve_ascent_direction(neg_hess, grad)
     assert np.allclose(theta0 + direction, wls, rtol=1e-10, atol=1e-12)
+
+
+def test_beta_ascent_falls_back_to_the_gradient_where_the_hessian_is_indefinite():
+    # tiny p-values with k far below its fit: -H is not PSD at the start
+    rng = np.random.default_rng(0)
+    m = 200
+    X = np.column_stack([np.ones(m), rng.standard_normal(m)])
+    logp = np.log(10.0 ** rng.uniform(-12.0, -6.0, m))
+    share = _beta_share(np.ones(m), logp)
+    start = np.array([-3.0, 0.0])
+    counts = _StepCounts()
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        beta, link = _maximize(start, _link(X @ start), X, share, counts)
+    assert counts.gradient_fallbacks >= 1
+    assert counts.line_search_halvings >= 1
+    assert share(link)[0] >= share(_link(X @ start))[0]
+    assert np.array_equal(link.u, X @ beta)
 
 
 def test_m_step_does_not_decrease_the_complete_data_objective():
@@ -293,11 +324,13 @@ def test_fit_warns_when_m_is_small():
 
 
 def test_fit_reports_nonconvergence():
-    X, p = _mixture_draw(np.array([2.0, 0.8]), np.array([0.5, 0.5]), 2_000, 9)
-    with pytest.warns(RuntimeWarning, match="did not converge"):
-        result = fit(X, p, EmConfig(max_iter=1))
+    # tied p-values: the likelihood climbs towards pi = 0 by about 0.03 per
+    # iteration, far above REL_TOL, through all MAX_ITER iterations
+    with pytest.warns(RuntimeWarning, match=f"did not converge within {MAX_ITER} iterations"):
+        result = fit(np.ones((500, 1)), np.full(500, 0.3))
     assert not result.trace.converged
-    assert result.trace.n_iter == 1
+    assert result.trace.n_iter == MAX_ITER
+    assert result.trace.loglik.size == MAX_ITER + 1
 
 
 # ----------------------------------------------------------------------
@@ -402,7 +435,6 @@ def _reference_fit(design, pvals, formulas):
     their unfused forms. formulas picks the link arithmetic, one of
     _SHARED_EXP and _EXPIT_LOGADDEXP."""
     sigmoid_pair, theta_value, beta_value = formulas
-    config = EmConfig()
     X = np.ascontiguousarray(design, dtype=float)
     logp = np.log(clamp_pvalues(pvals))
 
@@ -420,8 +452,8 @@ def _reference_fit(design, pvals, formulas):
 
     def ascend(coef, direction, objective, value):
         step = 1.0
-        for _ in range(config.max_halvings + 1):
-            cand = np.clip(coef + step * direction, -config.coef_bound, config.coef_bound)
+        for _ in range(MAX_HALVINGS + 1):
+            cand = np.clip(coef + step * direction, -COEF_BOUND, COEF_BOUND)
             val, state = objective(X @ cand)
             if np.isfinite(val) and val >= value:
                 return cand, val, state
@@ -443,7 +475,7 @@ def _reference_fit(design, pvals, formulas):
 
         u_pi, e_pi, piv, one_m_piv = pc[:4]
         value = theta_value(u_pi, e_pi, y, one_m_y)
-        for _ in range(config.inner_max_iter):
+        for _ in range(INNER_MAX_ITER):
             grad = X.T @ (y - piv)
             if np.max(np.abs(grad)) <= 1e-8 * X.shape[0]:
                 break
@@ -464,7 +496,7 @@ def _reference_fit(design, pvals, formulas):
 
         u_k, e_k, k, one_m_k = pc[4:]
         value = beta_value(u_k, e_k, k, gamma, logp)
-        for _ in range(config.inner_max_iter):
+        for _ in range(INNER_MAX_ITER):
             grad = X.T @ (-gamma * k * (1.0 + one_m_k * logp))
             if np.max(np.abs(grad)) <= 1e-8 * X.shape[0]:
                 break
@@ -479,27 +511,27 @@ def _reference_fit(design, pvals, formulas):
 
     d = X.shape[1]
     theta = np.zeros(d)
-    theta[0] = logit(config.init_pi)
+    theta[0] = logit(INIT_PI)
     beta = np.zeros(d)
     ll, gamma, pc = pieces(theta, beta)
     trace_ll = [ll]
     converged = False
     n_iter = 0
-    for _ in range(config.max_iter):
+    for _ in range(MAX_ITER):
         n_iter += 1
         theta_new = update_theta(theta.copy(), 1.0 - gamma, pc)
         beta_new = update_beta(beta.copy(), gamma, pc)
         ll_new, gamma, pc = pieces(theta_new, beta_new)
         trace_ll.append(ll_new)
         theta, beta = theta_new, beta_new
-        if abs(ll_new - ll) < config.rel_tol * max(1.0, abs(ll)):
+        if abs(ll_new - ll) < REL_TOL * max(1.0, abs(ll)):
             converged = True
             break
         ll = ll_new
     return FitResult(
         coef=CoefVector(theta=theta, beta=beta),
         fitted=FittedHypotheses(
-            pi_hat=winsorize(pc[2], config.eps1, config.eps2),
+            pi_hat=winsorize(pc[2]),
             k_hat=np.clip(pc[6], K_CLIP, 1.0 - K_CLIP),
         ),
         trace=EmTrace(

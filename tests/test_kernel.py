@@ -166,10 +166,3 @@ def test_winsorize_idempotent():
     x = rng.uniform(-0.5, 1.5, 1000)
     once = winsorize(x)
     assert np.array_equal(winsorize(once), once)
-
-
-def test_winsorize_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        winsorize(0.5, eps1=0.9, eps2=0.2)
-    with pytest.raises(ValueError):
-        winsorize(0.5, eps1=0.0, eps2=0.1)

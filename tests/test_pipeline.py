@@ -24,6 +24,14 @@ def test_empty_input_is_a_clear_error():
             fit_camt([], np.empty((0, 2)))
 
 
+def test_covariate_rows_must_match_the_p_values():
+    p = np.random.default_rng(8).uniform(size=1000)
+    with pytest.raises(ValueError, match="covariates have 999 rows for 1000 p-values"):
+        fit_camt(p, np.ones((999, 1)))
+    with pytest.raises(ValueError, match="covariates have 1001 rows for 1000 p-values"):
+        run_camt(p, np.arange(1001.0), spline_knots=3)
+
+
 @pytest.mark.parametrize("mixed", [False, True])
 def test_run_camt_is_fit_then_select(mixed):
     data = generate(SimulationConfig(setup="S0", m=3000, seed=7), 0)
