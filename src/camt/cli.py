@@ -19,7 +19,6 @@ from .diagnostics import gif, null_histogram_summary
 from .em import CovariateError
 from .kernel import P_CLAMP, clamp_pvalues
 from .pipeline import run_camt
-from .simulation import DEFAULT_PROCEDURES, SimulationConfig, run_sweep
 
 MIN_FIT_M = 200
 WARN_FIT_M = 1000
@@ -166,6 +165,13 @@ def _write_rows(out, columns, rejected):
         out.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
+def _open_output(path):
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_fit(args):
     table = parse_table(args.input)
     m = table.pvals.size
@@ -203,7 +209,7 @@ def cmd_fit(args):
 
     from . import __version__
 
-    with open(args.output, "w", newline="") as out:
+    with _open_output(args.output) as out:
         out.write(f"# camt fit v{__version__}\n")
         out.write(f"# alpha: {_fmt(args.alpha)}\n")
         out.write(f"# spline_knots: {args.spline_knots}\n")
@@ -235,6 +241,16 @@ def cmd_fit(args):
 
 
 def cmd_simulate(args):
+    # the simulation harness and its baselines load scipy, which the
+    # fit and diagnose commands never need
+    from .simulation import DEFAULT_PROCEDURES, SimulationConfig, make_procedure, run_sweep
+
+    procedures = DEFAULT_PROCEDURES if args.procedures is None else tuple(args.procedures)
+    for name in procedures:
+        try:
+            make_procedure(name)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
     try:
         alpha_grid = tuple(float(a) for a in args.alpha_grid.split(",") if a.strip())
     except ValueError as exc:
@@ -253,8 +269,8 @@ def cmd_simulate(args):
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    report = run_sweep(config, procedures=args.procedures)
-    with open(args.output, "w", newline="") as out:
+    report = run_sweep(config, procedures=procedures)
+    with _open_output(args.output) as out:
         report.write_csv(out)
     for s in report.summarize():
         print(
@@ -319,8 +335,8 @@ def build_parser():
     p_sim.add_argument(
         "--procedures",
         nargs="+",
-        default=list(DEFAULT_PROCEDURES),
-        help="subset of: camt camt-mixed bh storey oracle",
+        default=None,
+        help="subset of: camt camt-mixed bh storey oracle (default: all but camt-mixed)",
     )
     p_sim.add_argument("--output", required=True)
     p_sim.set_defaults(func=cmd_simulate)

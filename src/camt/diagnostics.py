@@ -7,19 +7,31 @@ chi-square quantiles and their median is compared against the value a
 uniform sample would give. Values above one flag an excess of
 moderately small p-values among the supposed nulls, the signature of a
 miscalibrated (decreasing) null density that breaks FDR control.
+
+The chi-square(1) upper quantile at p is the square of the normal
+quantile at p/2, and it falls strictly as p rises. So the median over
+the tail is the quantile at the tail's middle one or two order
+statistics; only those are evaluated, with the standard library's
+normal quantile (Wichura's AS241), and the module needs numpy alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import chdtri
 
 from .kernel import check_pvalues
 
 GIF_WARN_THRESHOLD = 1.05
 MIN_TAIL_PVALUES = 20
+_NORMAL = NormalDist()
+
+
+def _chi2_1_isf(p):
+    """Upper chi-square(1) quantile at p, as chi2.isf(p, df=1)."""
+    return _NORMAL.inv_cdf(p / 2.0) ** 2
 
 
 @dataclass
@@ -38,6 +50,12 @@ def gif(pvals):
     1 when the upper half of the p-value distribution piles up near
     0.5. P-values below 0.5 never enter.
 
+    q_i falls strictly in p_i, so median(q_i) is q at the middle one or
+    two order statistics of the retained p-values. Those are found with
+    np.partition, and q is evaluated there alone, as the square of the
+    normal quantile (AS241) at p/2; the reference F^{-1}(0.25) is
+    computed the same way, so a tail of p = 0.75 gives exactly 1.
+
     Raises ValueError when fewer than 20 p-values lie in [0.5, 1];
     a median of less than that is noise, not a diagnostic.
     """
@@ -48,9 +66,10 @@ def gif(pvals):
             f"insufficient data: {retained.size} p-values in [0.5, 1], "
             f"need at least {MIN_TAIL_PVALUES}"
         )
-    q = chdtri(1, retained)  # upper chi-square(1) quantile, as chi2.isf(p, df=1)
-    reference = chdtri(1, 0.75)
-    value = float(np.median(q) / reference)
+    n = retained.size
+    mid = [(n - 1) // 2, n // 2]  # the same index twice when n is odd
+    q_mid = [_chi2_1_isf(x) for x in np.partition(retained, mid)[mid].tolist()]
+    value = float(np.median(q_mid) / _chi2_1_isf(0.75))
     return GifReport(
         gif=value,
         n_pvalues_used=int(retained.size),

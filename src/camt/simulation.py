@@ -60,6 +60,7 @@ SETUP_IDS = (
 
 BLOCK_SIZE = 20  # S3.1 / S3.2 block width at the reference m = 10^4
 
+PROCEDURE_NAMES = ("camt", "camt-mixed", "bh", "storey", "oracle")
 DEFAULT_PROCEDURES = ("camt", "bh", "storey", "oracle")
 
 
@@ -273,7 +274,7 @@ def make_procedure(name):
         return _CamtProcedure()
     if key == "camt-mixed":
         return _CamtProcedure(name="camt-mixed", mixed=True)
-    raise ValueError(f"unknown procedure {name!r}")
+    raise ValueError(f"unknown procedure {name!r}; choose one of {', '.join(PROCEDURE_NAMES)}")
 
 
 # ----------------------------------------------------------------------

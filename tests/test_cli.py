@@ -19,7 +19,7 @@ from camt.baselines import storey
 from camt.cli import CliError, main, parse_table
 from camt.kernel import P_CLAMP
 from camt.pipeline import run_camt
-from camt.simulation import SimulationConfig, generate
+from camt.simulation import DEFAULT_PROCEDURES, SimulationConfig, generate
 
 
 def _write_lines(path, lines):
@@ -457,6 +457,49 @@ def test_simulate_rejects_bad_alpha_grid(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+def test_simulate_rejects_unknown_procedure(tmp_path, capsys):
+    out_path = tmp_path / "o.csv"
+    code = main(
+        [
+            "simulate",
+            "--setup", "S0",
+            "--reps", "1",
+            "--procedures", "camt", "foo",
+            "--output", str(out_path),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "unknown procedure 'foo'" in err
+    assert "camt, camt-mixed, bh, storey, oracle" in err
+    assert not out_path.exists()
+
+
+def test_simulate_defaults_to_the_default_procedures(tmp_path, capsys):
+    out_path = tmp_path / "o.csv"
+    args = ["simulate", "--setup", "S0", "--m", "1000", "--reps", "1"]
+    assert main([*args, "--output", str(out_path)]) == 0
+    capsys.readouterr()
+    text = out_path.read_text()
+    assert f"# procedures: {','.join(DEFAULT_PROCEDURES)}\n" in text
+    rows = [l for l in text.splitlines() if not l.startswith(("#", "setup,"))]
+    assert [row.split(",")[1] for row in rows] == list(DEFAULT_PROCEDURES)
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate"])
+def test_unwritable_output_exits_one(tmp_path, capsys, command):
+    out_path = tmp_path / "missing-dir" / "o.csv"
+    if command == "fit":
+        in_path, _ = _dataset_table(tmp_path / "in.csv", 1200, seed=61)
+        args = ["fit", "--input", in_path]
+    else:
+        args = ["simulate", "--setup", "S0", "--m", "1000", "--reps", "1", "--procedures", "bh"]
+    assert main([*args, "--output", str(out_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out_path}: " in err
+    assert "No such file or directory" in err
+
+
 # ----------------------------------------------------------------------
 # diagnose command
 
@@ -519,11 +562,19 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
-def test_import_loads_neither_scipy_stats_nor_scipy_signal():
-    # each costs a fresh `camt fit` process a large share of its run time
+def test_fit_and_diagnose_load_no_scipy(tmp_path):
+    # scipy costs a fresh `camt fit` process most of its import time;
+    # only `camt simulate` and the baselines need it
+    rng = np.random.default_rng(59)
+    in_path = _write_table(tmp_path / "in.csv", rng.random(1000), rng.random((1000, 1)))
+    out = str(tmp_path / "o.csv")
     code = (
         "import sys, camt.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.signal'))))"
+        f"assert camt.cli.main(['fit', '--input', {in_path!r}, '--output', {out!r}]) == 0; "
+        f"assert camt.cli.main(['fit', '--input', {in_path!r}, '--output', {out!r}, "
+        "'--spline-knots', '3', '--mixed']) == 0; "
+        f"assert camt.cli.main(['diagnose', '--input', {in_path!r}]) == 0; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     src = str(Path(camt.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -531,7 +582,7 @@ def test_import_loads_neither_scipy_stats_nor_scipy_signal():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_help_exits_zero():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.special import chdtri
 
 from camt.diagnostics import (
     GIF_WARN_THRESHOLD,
@@ -56,6 +57,25 @@ def test_gif_flags_shifted_null():
     report = gif(p)
     assert report.gif > 1.05
     assert report.warn
+
+
+def _tails():
+    rng = np.random.default_rng(4)
+    for n in (MIN_TAIL_PVALUES, MIN_TAIL_PVALUES + 1, 101, 1000, 1001, 50_000):
+        yield 0.5 + 0.5 * rng.random(n)  # odd and even tail lengths
+    for n in (MIN_TAIL_PVALUES, 40, 41, 2000):
+        yield np.round(0.5 + 0.5 * rng.random(n), 1)  # tied middle values
+    yield np.concatenate([np.full(10, 0.6), np.full(10, 0.9)])  # middle pair 0.6, 0.9
+    yield np.concatenate([rng.random(300) * 0.5, 0.5 + 0.5 * rng.random(MIN_TAIL_PVALUES)])
+    yield np.array([0.5] * 11 + [1.0] * 10)  # the edges of the tail
+
+
+@pytest.mark.parametrize("p", list(_tails()))
+def test_gif_matches_the_chi_square_quantile_median(p):
+    # the median of chdtri over the whole tail, as gif computed it with scipy
+    tail = p[p >= 0.5]
+    expected = np.median(chdtri(1, tail)) / chdtri(1, 0.75)
+    assert gif(p).gif == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_gif_insufficient_tail():
