@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
+import itertools
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +26,7 @@ from .pipeline import run_camt
 MIN_FIT_M = 200
 WARN_FIT_M = 1000
 WRITE_BLOCK_ROWS = 8192
+READ_CHUNK_CHARS = 1 << 16
 
 
 class CliError(Exception):
@@ -37,27 +41,87 @@ class ParsedTable:
     n_clamped: int
 
 
-def _parse_cells_fast(data_lines, delimiter, n_cols):
-    """Parse well-formed data lines in one pass; None on any irregularity.
+def _is_content(line):
+    """True for a line that is neither blank nor a '#' comment."""
+    return line.lstrip()[:1] not in ("", "#")
 
-    Irregular means a quote character, a line whose delimiter count does
-    not match the header, or a cell that is not a finite number. The
-    caller then falls back to :func:`_parse_cells`, which reports the
-    first problem by line and column. Each cell goes through float(), as
-    in the fallback, so both paths give the same values.
+
+def _content_lines(f):
+    """The content lines of text file f, split as str.splitlines splits
+    its whole text, read READ_CHUNK_CHARS characters at a time.
+
+    Each chunk is cut after its last newline and the rest carried into
+    the next one, so no line is split across chunks. Raises ValueError
+    on a chunk holding \\x1f: numpy's number reader strips it around a
+    cell as whitespace, where float() refuses the cell.
     """
-    if any(line.count(delimiter) != n_cols - 1 for line in data_lines):
+    tail = ""
+    while chunk := f.read(READ_CHUNK_CHARS):
+        if "\x1f" in chunk:
+            raise ValueError("unit separator in the input")
+        text = tail + chunk
+        cut = text.rfind("\n") + 1
+        tail = text[cut:]
+        yield from filter(_is_content, text[:cut].splitlines())
+    yield from filter(_is_content, tail.splitlines())
+
+
+def _parse_header(line):
+    """(delimiter, column names) of the header line: tab-delimited if it
+    holds a tab, comma-delimited otherwise."""
+    delimiter = "\t" if "\t" in line else ","
+    header = [h.strip() for h in next(csv.reader([line], delimiter=delimiter))]
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise CliError(f"duplicate header column {name!r}")
+        seen.add(name)
+    if "pvalue" not in header:
+        raise CliError('missing required column "pvalue"')
+    return delimiter, header
+
+
+def _stream_table(path):
+    """(header, values) of a well-formed table in one streaming pass, or
+    None on any irregularity.
+
+    numpy's C reader converts the data lines straight into the array, so
+    no cell becomes a Python object and the text is never held whole.
+    Its number reader and float() call the same string-to-double
+    routine, so the values are those of :func:`_parse_cells`. Irregular
+    means no data rows, a cell loadtxt cannot convert (a quote, a blank,
+    an underscore or a non-ASCII digit among them), a row whose cell
+    count is not the header's, a non-finite value or a p-value outside
+    [0, 1]; :func:`_parse_table_checked` then reports the first problem.
+    """
+    with open(path, encoding="utf-8") as f:
+        lines = _content_lines(f)
+        try:
+            header_line = next(lines, None)
+            if header_line is None:
+                return None
+            delimiter, header = _parse_header(header_line)
+            first_row = next(lines, None)
+            if first_row is None:
+                return None
+            values = np.loadtxt(
+                itertools.chain([first_row], lines),
+                delimiter=delimiter,
+                comments=None,
+                quotechar=None,
+                ndmin=2,
+                dtype=float,
+            )
+        except UnicodeDecodeError:
+            raise
+        except ValueError:
+            return None
+    if values.shape[1] != len(header) or not np.isfinite(values).all():
         return None
-    body = delimiter.join(data_lines)
-    if '"' in body:
+    p = values[:, header.index("pvalue")]
+    if np.any((p < 0.0) | (p > 1.0)):
         return None
-    try:
-        values = np.array(list(map(float, body.split(delimiter))))
-    except ValueError:
-        return None
-    if not np.isfinite(values).all():
-        return None
-    return values.reshape(len(data_lines), n_cols)
+    return header, values
 
 
 def _parse_cells(data_lines, delimiter, header):
@@ -87,53 +151,54 @@ def _parse_cells(data_lines, delimiter, header):
     return values
 
 
-def parse_table(path):
-    """Read a delimited hypothesis table.
-
-    Expects a header row with exactly one column named "pvalue"; every
-    other column is a numeric covariate. The delimiter is detected from
-    the header line (tab if present, comma otherwise), so the same
-    table parses identically from CSV and TSV. Lines starting with '#'
-    are comments. P-values of exactly 0 or 1 are clamped into the open
-    interval and counted in n_clamped.
-    """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-
+def _parse_table_checked(path):
+    """(header, values) from the whole text, parsed cell by cell; raises
+    CliError naming the line (and column) of the first problem."""
+    text = Path(path).read_text(encoding="utf-8")
     lines = [
         (line_no, line)
         for line_no, line in enumerate(text.splitlines(), start=1)
-        if line.lstrip()[:1] not in ("", "#")  # skip blank and comment lines
+        if _is_content(line)
     ]
     if not lines:
         raise CliError(f"empty input file: {path}")
-
-    delimiter = "\t" if "\t" in lines[0][1] else ","
-    header = next(csv.reader(io.StringIO(lines[0][1]), delimiter=delimiter))
-    header = [h.strip() for h in header]
-    seen = set()
-    for name in header:
-        if name in seen:
-            raise CliError(f"duplicate header column {name!r}")
-        seen.add(name)
-    if "pvalue" not in header:
-        raise CliError('missing required column "pvalue"')
-    p_col = header.index("pvalue")
-
-    values = _parse_cells_fast([line for _, line in lines[1:]], delimiter, len(header))
-    if values is None:
-        values = _parse_cells(lines[1:], delimiter, header)
-
+    delimiter, header = _parse_header(lines[0][1])
+    values = _parse_cells(lines[1:], delimiter, header)
     if values.shape[0] == 0:
         raise CliError(f"no data rows in {path}")
-
-    p = values[:, p_col]
+    p = values[:, header.index("pvalue")]
     bad = np.flatnonzero((p < 0.0) | (p > 1.0))
     if bad.size:
         line_no = lines[1 + bad[0]][0]
         raise CliError(f"line {line_no}: p-value {float(p[bad[0]])!r} outside [0, 1]")
+    return header, values
+
+
+def parse_table(path):
+    """Read a delimited hypothesis table, UTF-8 encoded.
+
+    Expects a header row with exactly one column named "pvalue"; every
+    other column is a numeric covariate. The delimiter is detected from
+    the header line (tab if present, comma otherwise), so the same
+    table parses identically from CSV and TSV. Lines are split as
+    str.splitlines splits them; blank lines and lines starting with '#'
+    (after whitespace) are skipped. P-values of exactly 0 or 1 are
+    clamped into the open interval and counted in n_clamped.
+
+    A well-formed table is streamed through numpy's reader in one pass
+    (:func:`_stream_table`), which holds neither the text nor a Python
+    object per cell. Anything irregular, quoted cells included, is
+    re-read cell by cell (:func:`_parse_table_checked`), which accepts
+    what float() accepts and names the line and column of the first
+    malformed cell.
+    """
+    try:
+        header, values = _stream_table(path) or _parse_table_checked(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
+
+    p_col = header.index("pvalue")
+    p = values[:, p_col]
     n_clamped = int(np.count_nonzero((p < P_CLAMP) | (p > 1.0 - P_CLAMP)))
     cov_cols = [j for j in range(len(header)) if j != p_col]
     return ParsedTable(
@@ -165,14 +230,35 @@ def _write_rows(out, columns, rejected):
         out.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
+def _output_error(path, exc):
+    return CliError(f"cannot write {path}: {exc}")
+
+
+def _check_output(path):
+    """Fail as opening path for writing would, before any work is done
+    and without creating the file: its directory must exist and be
+    writable, and path must not be a directory."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        code = errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.access(directory, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise _output_error(path, OSError(code, os.strerror(code), path))
+
+
 def _open_output(path):
     try:
         return open(path, "w", newline="")
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from exc
+        raise _output_error(path, exc) from exc
 
 
 def cmd_fit(args):
+    _check_output(args.output)
     table = parse_table(args.input)
     m = table.pvals.size
     if m < MIN_FIT_M:
@@ -241,6 +327,7 @@ def cmd_fit(args):
 
 
 def cmd_simulate(args):
+    _check_output(args.output)
     # the simulation harness and its baselines load scipy, which the
     # fit and diagnose commands never need
     from .simulation import DEFAULT_PROCEDURES, SimulationConfig, make_procedure, run_sweep

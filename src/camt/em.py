@@ -283,9 +283,12 @@ def fit(design, pvals):
     beta = np.zeros(d)
 
     # each update returns the link values of the coefficients it ends
-    # at; the E-step and the next update start from them
-    pi_link, k_link = _link(X @ theta), _link(X @ beta)
-    ll, gamma = _loglik_gamma(pi_link, k_link, logp)
+    # at; the E-step and the next update start from them. pop hands an
+    # update its starting link as the only reference (CPython 3.11+
+    # moves call arguments into the callee), so the update frees it at
+    # its first accepted step.
+    links = {"pi": _link(X @ theta), "k": _link(X @ beta)}
+    ll, gamma = _loglik_gamma(links["pi"], links["k"], logp)
     counts = _StepCounts()
     trace_ll = [ll]
     trace_change = []
@@ -293,9 +296,13 @@ def fit(design, pvals):
     n_iter = 0
     for _ in range(MAX_ITER):
         n_iter += 1
-        theta_new, pi_link = _maximize(theta, pi_link, X, _theta_share(1.0 - gamma), counts)
-        beta_new, k_link = _maximize(beta, k_link, X, _beta_share(gamma, logp), counts)
-        ll_new, gamma = _loglik_gamma(pi_link, k_link, logp)
+        theta_new, links["pi"] = _maximize(
+            theta, links.pop("pi"), X, _theta_share(1.0 - gamma), counts
+        )
+        beta_new, links["k"] = _maximize(
+            beta, links.pop("k"), X, _beta_share(gamma, logp), counts
+        )
+        ll_new, gamma = _loglik_gamma(links["pi"], links["k"], logp)
         change = max(
             np.max(np.abs(theta_new - theta)), np.max(np.abs(beta_new - beta))
         )
@@ -314,8 +321,8 @@ def fit(design, pvals):
             stacklevel=2,
         )
 
-    pi_hat = winsorize(pi_link.p)
-    k_hat = np.clip(k_link.p, K_CLIP, 1.0 - K_CLIP)
+    pi_hat = winsorize(links["pi"].p)
+    k_hat = np.clip(links["k"].p, K_CLIP, 1.0 - K_CLIP)
     return FitResult(
         coef=CoefVector(theta=theta, beta=beta),
         fitted=FittedHypotheses(pi_hat=pi_hat, k_hat=k_hat),

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import camt
 import camt.cli
+import camt.simulation
 from camt.baselines import storey
 from camt.cli import CliError, main, parse_table
 from camt.kernel import P_CLAMP
@@ -153,7 +154,18 @@ def _parse_outcome(path):
 
 
 _CELL_FORMATS = (repr, "{:.17e}".format, "{:.6g}".format, "{:+.3E}".format, "{:f}".format)
-_IRREGULAR_CELLS = ("", "abc", "nan", "-inf", "1e400", '"0.5"', "0x1p-2")
+# malformed for one path or both: float() takes underscores and
+# non-ASCII digits, numpy's reader does not; numpy strips \x1f around a
+# number, float() does not; \x85 and \u2028 end a line
+_IRREGULAR_CELLS = (
+    "", "abc", "nan", "-inf", "1e400", '"0.5"', "0x1p-2", "1_0", "0.2_5", "\u0663",
+    "0.\u0665", "\uff11", "0.5#", "#0.5", "0.5\x1f", "\x1f0.5", "0.5\x85", "\u20280.5",
+)
+# every line break str.splitlines honours that a data line may end in;
+# \r\n is one break
+_LINE_ENDS = ("\n", "\r\n", "\r", "\x0c", "\x1c", "\x85", "\u2028")
+_PADS = ("", " ", "   ", "\u3000", "\xa0")
+_FILLERS = ("", "   ", "# note", "  # indented, comment", "\t# 0.5,1", "# a\u2028", "#\x85# two")
 
 
 @st.composite
@@ -164,7 +176,7 @@ def _tables(draw):
     header = [f"x{j}" for j in range(n_cov)]
     p_col = draw(st.integers(0, n_cov))
     header.insert(p_col, "pvalue")
-    pad = st.sampled_from(["", " ", "   "])
+    pad = st.sampled_from(_PADS)
     irregular = draw(st.booleans()) and draw(st.integers(0, 4)) == 0
     lines = [sep.join(header)]
     for _ in range(draw(st.integers(1, 20))):
@@ -185,32 +197,64 @@ def _tables(draw):
                 del cells[j]
         lines.append(sep.join(cells))
     for _ in range(draw(st.integers(0, 4))):
-        filler = draw(st.sampled_from(["", "   ", "# note", "  # indented, comment"]))
-        lines.insert(draw(st.integers(0, len(lines))), filler)
-    return "\n".join(lines) + "\n", not irregular
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_FILLERS)))
+    ends = st.sampled_from(_LINE_ENDS) if draw(st.booleans()) else st.just("\n")
+    return "".join(line + draw(ends) for line in lines), not irregular
 
 
-@settings(max_examples=300, deadline=None)
-@given(_tables())
-def test_parse_fast_path_matches_per_cell_parse(tmp_path_factory, drawn):
+@settings(max_examples=400, deadline=None)
+@given(_tables(), st.sampled_from([1, 2, 7, 64, 1 << 20]))
+def test_parse_fast_path_matches_per_cell_parse(tmp_path_factory, drawn, chunk_chars):
     text, regular = drawn
     path = tmp_path_factory.mktemp("parse") / "t.csv"
-    path.write_text(text)
-    fast_parse = camt.cli._parse_cells_fast
+    path.write_bytes(text.encode("utf-8"))
+    stream = camt.cli._stream_table
     took_fast_path = []
 
     def spy(*args):
-        values = fast_parse(*args)
-        took_fast_path.append(values is not None)
-        return values
+        parsed = stream(*args)
+        took_fast_path.append(parsed is not None)
+        return parsed
 
-    with patch.object(camt.cli, "_parse_cells_fast", spy):
-        fast = _parse_outcome(path)
-    with patch.object(camt.cli, "_parse_cells_fast", lambda *args: None):
+    # small chunks carry lines, and a \r\n, across chunk boundaries
+    with patch.object(camt.cli, "READ_CHUNK_CHARS", chunk_chars):
+        with patch.object(camt.cli, "_stream_table", spy):
+            fast = _parse_outcome(path)
+    with patch.object(camt.cli, "_stream_table", lambda *args: None):
         per_cell = _parse_outcome(path)
     assert fast == per_cell
     if regular:
         assert took_fast_path == [True]
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+def test_parse_memory_stays_near_the_parsed_arrays(tmp_path):
+    # growth of the peak resident size while parsing a 2e5-row table,
+    # over the peak after import: the streaming parse holds the parsed
+    # values, the returned arrays and a few chunks of text (2.3x the
+    # returned arrays' bytes, measured); a whole-text parse with a
+    # Python float per cell grew 34x. VmHWM, not ru_maxrss: a child's
+    # ru_maxrss starts at the peak of the process that forked it.
+    rng = np.random.default_rng(63)
+    rows = [f"{p!r},{x!r}" for p, x in rng.random((200_000, 2)).tolist()]
+    in_path = _write_lines(tmp_path / "in.csv", ["# a comment", "pvalue,x1", *rows])
+    code = (
+        "import re, camt.cli; "
+        "status = lambda: open('/proc/self/status').read(); "
+        "peak = lambda: int(re.search(r'VmHWM:\\s*(\\d+)', status())[1]) * 1024; "
+        "base = peak(); "
+        f"table = camt.cli.parse_table({in_path!r}); "
+        "print(peak() - base, table.pvals.nbytes + table.covariates.nbytes)"
+    )
+    src = str(Path(camt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    growth, parsed_bytes = map(int, proc.stdout.split())
+    assert parsed_bytes == 200_000 * 2 * 8
+    assert growth < 4 * parsed_bytes
 
 
 def _long_table_lines(m=5000):
@@ -487,17 +531,53 @@ def test_simulate_defaults_to_the_default_procedures(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["fit", "simulate"])
-def test_unwritable_output_exits_one(tmp_path, capsys, command):
+def test_unwritable_output_exits_one(tmp_path, capsys, monkeypatch, command):
     out_path = tmp_path / "missing-dir" / "o.csv"
+    calls = []
+
+    def work(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("unreachable")
+
+    # the output is checked before the input is parsed or anything fitted
     if command == "fit":
         in_path, _ = _dataset_table(tmp_path / "in.csv", 1200, seed=61)
         args = ["fit", "--input", in_path]
+        monkeypatch.setattr(camt.cli, "parse_table", work)
+        monkeypatch.setattr(camt.cli, "run_camt", work)
     else:
         args = ["simulate", "--setup", "S0", "--m", "1000", "--reps", "1", "--procedures", "bh"]
+        monkeypatch.setattr(camt.simulation, "run_sweep", work)
     assert main([*args, "--output", str(out_path)]) == 1
     err = capsys.readouterr().err
     assert f"error: cannot write {out_path}: " in err
     assert "No such file or directory" in err
+    assert calls == []
+    assert not out_path.parent.exists()
+
+
+def test_output_that_is_a_directory_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(camt.cli, "parse_table", lambda path: pytest.fail("parsed"))
+    assert main(["fit", "--input", "unread.csv", "--output", str(tmp_path)]) == 1
+    assert f"error: cannot write {tmp_path}: [Errno 21] Is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "diagnose"])
+@pytest.mark.parametrize("bad_row", [3, 1150])
+def test_undecodable_input_exits_one(tmp_path, capsys, monkeypatch, command, bad_row):
+    # row 1150 lies chunks past the header, so the decoding error comes
+    # up while numpy's reader pulls lines
+    monkeypatch.setattr(camt.cli, "READ_CHUNK_CHARS", 256)
+    in_path, _ = _dataset_table(tmp_path / "in.csv", 1200, seed=62)
+    lines = Path(in_path).read_bytes().split(b"\n")
+    lines[1 + bad_row] = lines[1 + bad_row].replace(b",", b",\xff\xfe", 1)
+    Path(in_path).write_bytes(b"\n".join(lines))
+    out = ["--output", str(tmp_path / "o.csv")] if command == "fit" else []
+    assert main([command, "--input", in_path, *out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {in_path}: ")
+    assert "can't decode byte 0xff" in err
+    assert not (tmp_path / "o.csv").exists()
 
 
 # ----------------------------------------------------------------------
