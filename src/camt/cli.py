@@ -13,6 +13,7 @@ import io
 import itertools
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,7 @@ import numpy as np
 from .diagnostics import gif, null_histogram_summary
 from .em import CovariateError
 from .kernel import P_CLAMP, clamp_pvalues
+from .numtext import FLOAT_CELL, INT_CELL, float_cells, int_cells
 from .pipeline import run_camt
 
 MIN_FIT_M = 200
@@ -94,7 +96,7 @@ def _stream_table(path):
     count is not the header's, a non-finite value or a p-value outside
     [0, 1]; :func:`_parse_table_checked` then reports the first problem.
     """
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         lines = _content_lines(f)
         try:
             header_line = next(lines, None)
@@ -154,7 +156,7 @@ def _parse_cells(data_lines, delimiter, header):
 def _parse_table_checked(path):
     """(header, values) from the whole text, parsed cell by cell; raises
     CliError naming the line (and column) of the first problem."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     lines = [
         (line_no, line)
         for line_no, line in enumerate(text.splitlines(), start=1)
@@ -175,7 +177,8 @@ def _parse_table_checked(path):
 
 
 def parse_table(path):
-    """Read a delimited hypothesis table, UTF-8 encoded.
+    """Read a delimited hypothesis table, UTF-8 encoded; a leading
+    byte-order mark, as spreadsheets write one, is skipped.
 
     Expects a header row with exactly one column named "pvalue"; every
     other column is a numeric covariate. The delimiter is detected from
@@ -217,17 +220,23 @@ def _write_rows(out, columns, rejected):
     """Write "index,<columns...>,rejected" lines, floats as repr(float(x)).
 
     Rows are formatted and written in blocks of WRITE_BLOCK_ROWS, so the
-    formatted text held in memory stays bounded at any m.
+    formatted text held in memory stays bounded at any m. A block is one
+    uint8 matrix with a row per line: the cells of :mod:`camt.numtext`,
+    each ending in its delimiter, then the flag and the newline.
+    Dropping the cells' NUL padding joins it into the block's text.
     """
+    ends = INT_CELL + FLOAT_CELL * np.arange(len(columns) + 1)  # one past each cell
     m = rejected.size
     for start in range(0, m, WRITE_BLOCK_ROWS):
         stop = min(start + WRITE_BLOCK_ROWS, m)
-        fields = [
-            map(str, range(start, stop)),
-            *(map(repr, col[start:stop].tolist()) for col in columns),
-            ("1" if r else "0" for r in rejected[start:stop].tolist()),
-        ]
-        out.write("\n".join(map(",".join, zip(*fields))) + "\n")
+        block = np.empty((stop - start, ends[-1] + 2), np.uint8)
+        block[:, : ends[0]] = int_cells(np.arange(start, stop))
+        for col, a, b in zip(columns, ends[:-1], ends[1:]):
+            block[:, a:b] = float_cells(col[start:stop])
+        block[:, ends - 1] = ord(",")
+        block[:, -2] = rejected[start:stop] + ord("0")
+        block[:, -1] = ord("\n")
+        out.write(str(block[block != 0], "ascii"))
 
 
 def _output_error(path, exc):
@@ -281,17 +290,25 @@ def cmd_fit(args):
         gif_text, warn_text = "na", "na"
 
     covs = table.covariates if table.covariates.shape[1] else None
-    try:
-        fit, result = run_camt(
-            table.pvals,
-            covs,
-            alpha=args.alpha,
-            spline_knots=args.spline_knots,
-            mixed=args.mixed,
-            cap_at_tup=not args.no_tup_cap,
-        )
-    except CovariateError as exc:
-        raise CliError(f"covariate {table.covariate_names[exc.column]!r}: {exc.reason}") from exc
+    # the fit's warnings (EM not converging, say) are reported in the
+    # CLI's own format, not as Python warnings with a source line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            fit, result = run_camt(
+                table.pvals,
+                covs,
+                alpha=args.alpha,
+                spline_knots=args.spline_knots,
+                mixed=args.mixed,
+                cap_at_tup=not args.no_tup_cap,
+            )
+        except CovariateError as exc:
+            raise CliError(
+                f"covariate {table.covariate_names[exc.column]!r}: {exc.reason}"
+            ) from exc
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
 
     from . import __version__
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ import camt.cli
 import camt.simulation
 from camt.baselines import storey
 from camt.cli import CliError, main, parse_table
+from camt.em import MAX_ITER
 from camt.kernel import P_CLAMP
 from camt.pipeline import run_camt
 from camt.simulation import DEFAULT_PROCEDURES, SimulationConfig, generate
@@ -106,6 +108,30 @@ def test_parse_skips_comments_and_blank_lines(tmp_path):
     )
     table = parse_table(path)
     assert table.pvals.tolist() == [0.2, 0.8]
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_parse_skips_a_byte_order_mark(tmp_path, monkeypatch, quoted):
+    # spreadsheets save "CSV UTF-8" with a leading U+FEFF; a quoted cell
+    # sends the table to the cell-by-cell parse
+    rows = ["pvalue,x1", "0.01,1.5", '0.5,"2.0"' if quoted else "0.5,2.0", "0.99,-1.0"]
+    plain = _write_lines(tmp_path / "plain.csv", rows)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+    stream = camt.cli._stream_table
+    streamed = []
+
+    def spy(path):
+        parsed = stream(path)
+        streamed.append(parsed is not None)
+        return parsed
+
+    monkeypatch.setattr(camt.cli, "_stream_table", spy)
+    a, b = parse_table(plain), parse_table(str(marked))
+    assert streamed == [not quoted, not quoted]
+    assert b.covariate_names == a.covariate_names == ["x1"]
+    assert np.array_equal(b.pvals, a.pvals)
+    assert np.array_equal(b.covariates, a.covariates)
 
 
 @pytest.mark.parametrize(
@@ -363,9 +389,16 @@ def _reference_body(table, fit, result):
 @pytest.mark.parametrize("mixed", [False, True])
 def test_fit_output_matches_per_row_writer(tmp_path, capsys, monkeypatch, mixed):
     data = generate(SimulationConfig(setup="S0", m=1300, seed=36), 0)
-    x = np.column_stack([data.covariates[:, 0], -1e-7 * data.covariates[:, 0], np.zeros(1300)])
+    c = data.covariates[:, 0]
+    rng = np.random.default_rng(36)
+    # covariates in each of repr's forms (d.ddd, 0.000ddd, ddd.0 and
+    # d.ddde+XX / d.ddde-XX) and values the vectorized writer hands to
+    # repr itself (exact zeros, powers of two)
+    pow2 = 2.0 ** rng.integers(-3, 4, 1300)
+    x = np.column_stack([c, -1e-7 * c, np.round(1000 * c), 1.5e20 * c, pow2, np.zeros(1300)])
     # a name with the delimiter in it must be quoted in the column-name row
-    in_path = _write_table(tmp_path / "in.csv", data.pvals, x, names=["x", '"a,b"', "zero"])
+    names = ["x", '"a,b"', "thousands", "huge", "pow2", "zero"]
+    in_path = _write_table(tmp_path / "in.csv", data.pvals, x, names=names)
     monkeypatch.setattr(camt.cli, "WRITE_BLOCK_ROWS", 500)  # three blocks, the last partial
     out = tmp_path / "o.csv"
     args = ["fit", "--input", in_path, "--alpha", "0.2", "--output", str(out)]
@@ -378,6 +411,17 @@ def test_fit_output_matches_per_row_writer(tmp_path, capsys, monkeypatch, mixed)
     text = out.read_text()
     body = text[text.index("\nindex,") + 1 :]
     assert body == _reference_body(table, fit, result)
+    forms = (
+        r",-?[1-9]\d*\.\d*[1-9],",  # dd.ddd
+        r",0\.000[1-9]\d*,",  # 0.000ddd
+        r",-?[1-9]\d*\.0,",  # ddd.0
+        r",-?\d\.\d+e\+\d\d,",  # d.ddde+XX
+        r",-?\d\.\d+e-\d\d,",  # d.ddde-XX
+        r",0\.0,",  # an exact zero
+        r",0\.125,",  # a power of two
+    )
+    for form in forms:
+        assert re.search(form, body), form
 
 
 @pytest.mark.parametrize(
@@ -395,6 +439,18 @@ def test_fit_names_an_unusable_covariate(tmp_path, capsys, column, knots, messag
     out = str(tmp_path / "o.csv")
     assert main(["fit", "--input", in_path, "--spline-knots", knots, "--output", out]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_fit_reports_fit_warnings_in_its_own_format(tmp_path, capsys):
+    # on this complete null (uniform p-values, a noise covariate) EM
+    # runs to MAX_ITER without converging
+    rng = np.random.default_rng(0)
+    in_path = _write_table(tmp_path / "in.csv", rng.random(2000), rng.random((2000, 1)))
+    assert main(["fit", "--input", in_path, "--output", str(tmp_path / "o.csv")]) == 0
+    err = capsys.readouterr().err
+    assert f"warning: EM did not converge within {MAX_ITER} iterations" in err.splitlines()
+    assert "RuntimeWarning" not in err
+    assert ".py:" not in err
 
 
 def test_fit_refuses_tiny_tables(tmp_path, capsys):
