@@ -347,7 +347,8 @@ def cmd_simulate(args):
     _check_output(args.output)
     # the simulation harness and its baselines load scipy, which the
     # fit and diagnose commands never need
-    from .simulation import DEFAULT_PROCEDURES, SimulationConfig, make_procedure, run_sweep
+    from .simulation import DEFAULT_PROCEDURES, SimulationConfig, make_procedure
+    from .simulation import resolve_workers, run_sweep
 
     procedures = DEFAULT_PROCEDURES if args.procedures is None else tuple(args.procedures)
     for name in procedures:
@@ -371,9 +372,10 @@ def cmd_simulate(args):
             seed=args.seed,
             alpha_grid=alpha_grid,
         )
+        workers = resolve_workers()
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    report = run_sweep(config, procedures=procedures)
+    report = run_sweep(config, procedures=procedures, n_workers=workers)
     with _open_output(args.output) as out:
         report.write_csv(out)
     for s in report.summarize():

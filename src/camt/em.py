@@ -189,8 +189,7 @@ def loglik(params, design, pvals):
         log-likelihood would be -inf.
     """
     X, logp = _prepare(design, pvals)
-    _, _, denom = _checked_mixture(*_links(params, X), logp)
-    return float(np.log(denom).sum())
+    return _loglik_gamma(_links(params.theta, params.beta, X), logp)[0]
 
 
 def loglik_grad(params, design, pvals):
@@ -207,10 +206,10 @@ def loglik_grad(params, design, pvals):
         As :func:`loglik`, when the mixture density underflows to 0.
     """
     X, logp = _prepare(design, pvals)
-    pi_link, k_link = _links(params, X)
-    h, _, denom = _checked_mixture(pi_link, k_link, logp)
-    pi, one_m_pi = pi_link.p, pi_link.one_m_p
-    k, one_m_k = k_link.p, k_link.one_m_p
+    links = _links(params.theta, params.beta, X)
+    h, _, denom = _mixture(links, logp)
+    pi, one_m_pi = links["pi"].p, links["pi"].one_m_p
+    k, one_m_k = links["k"].p, links["k"].one_m_p
     grad_theta = X.T @ ((1.0 - h) * pi * one_m_pi / denom)
     dh_dk = -np.exp(-k * logp) * (1.0 + one_m_k * logp)
     grad_beta = X.T @ (one_m_pi * dh_dk * k * one_m_k / denom)
@@ -227,8 +226,7 @@ def e_step(params, design, pvals):
         where gamma would be 0 / 0.
     """
     X, logp = _prepare(design, pvals)
-    _, alt, denom = _checked_mixture(*_links(params, X), logp)
-    return alt / denom
+    return _loglik_gamma(_links(params.theta, params.beta, X), logp)[1]
 
 
 def m_step(gamma, params, design, pvals):
@@ -241,10 +239,10 @@ def m_step(gamma, params, design, pvals):
     """
     X, logp = _prepare(design, pvals)
     gamma = np.asarray(gamma, dtype=float)
-    pi_link, k_link = _links(params, X)
-    counts = _StepCounts()
-    theta, _ = _maximize(params.theta.copy(), pi_link, X, _theta_share(1.0 - gamma), counts)
-    beta, _ = _maximize(params.beta.copy(), k_link, X, _beta_share(gamma, logp), counts)
+    links = _links(params.theta, params.beta, X)
+    theta, beta = _m_step(
+        params.theta.copy(), params.beta.copy(), links, X, gamma, logp, _StepCounts()
+    )
     return CoefVector(theta=theta, beta=beta)
 
 
@@ -267,6 +265,12 @@ def fit(design, pvals):
         :func:`camt.kernel.winsorize`, k_hat inside (0, 1)) and the
         iteration trace. Non-convergence within MAX_ITER iterations is
         reported in the trace and as a RuntimeWarning, never silently.
+
+    Raises
+    ------
+    ValueError
+        As :func:`loglik`, when an iterate's mixture density underflows
+        to 0 on some row.
     """
     X, logp = _prepare(design, pvals)
     m, d = X.shape
@@ -282,13 +286,10 @@ def fit(design, pvals):
     theta[0] = math.log(INIT_PI / (1.0 - INIT_PI))
     beta = np.zeros(d)
 
-    # each update returns the link values of the coefficients it ends
-    # at; the E-step and the next update start from them. pop hands an
-    # update its starting link as the only reference (CPython 3.11+
-    # moves call arguments into the callee), so the update frees it at
-    # its first accepted step.
-    links = {"pi": _link(X @ theta), "k": _link(X @ beta)}
-    ll, gamma = _loglik_gamma(links["pi"], links["k"], logp)
+    # each M-step leaves the link values of the coefficients it ends at
+    # in links; the E-step and the next M-step start from them
+    links = _links(theta, beta, X)
+    ll, gamma = _loglik_gamma(links, logp)
     counts = _StepCounts()
     trace_ll = [ll]
     trace_change = []
@@ -296,13 +297,8 @@ def fit(design, pvals):
     n_iter = 0
     for _ in range(MAX_ITER):
         n_iter += 1
-        theta_new, links["pi"] = _maximize(
-            theta, links.pop("pi"), X, _theta_share(1.0 - gamma), counts
-        )
-        beta_new, links["k"] = _maximize(
-            beta, links.pop("k"), X, _beta_share(gamma, logp), counts
-        )
-        ll_new, gamma = _loglik_gamma(links["pi"], links["k"], logp)
+        theta_new, beta_new = _m_step(theta, beta, links, X, gamma, logp, counts)
+        ll_new, gamma = _loglik_gamma(links, logp)
         change = max(
             np.max(np.abs(theta_new - theta)), np.max(np.abs(beta_new - beta))
         )
@@ -410,27 +406,22 @@ def _link(u):
     return _Link(u, _softplus(u, e), *_sigmoid_pair(u, e))
 
 
-def _links(params, X):
-    """The pi and k links at params."""
-    return _link(X @ params.theta), _link(X @ params.beta)
+def _links(theta, beta, X):
+    """The pi and k links at (theta, beta), keyed "pi" and "k"."""
+    return {"pi": _link(X @ theta), "k": _link(X @ beta)}
 
 
-def _mixture(pi_link, k_link, logp):
+def _mixture(links, logp):
     """(h, alt, denom): the alternative density h = (1 - k) p^(-k), the
     alternative's share alt = (1 - pi) h of the mixture density and
-    that density denom = pi + alt."""
-    h = k_link.p * logp
+    that density denom = pi + alt. Refuses rows where denom underflows
+    to 0, whose log-likelihood would be -inf and gamma 0 / 0."""
+    h = links["k"].p * logp
     np.negative(h, out=h)
     np.exp(h, out=h)
-    h *= k_link.one_m_p
-    alt = pi_link.one_m_p * h
-    return h, alt, pi_link.p + alt
-
-
-def _checked_mixture(pi_link, k_link, logp):
-    """:func:`_mixture` for the public functions, which refuse rows
-    whose mixture density underflows to 0."""
-    h, alt, denom = _mixture(pi_link, k_link, logp)
+    h *= links["k"].one_m_p
+    alt = links["pi"].one_m_p * h
+    denom = links["pi"].p + alt
     zero = int(np.count_nonzero(denom == 0.0))
     if zero:
         raise ValueError(
@@ -440,12 +431,21 @@ def _checked_mixture(pi_link, k_link, logp):
     return h, alt, denom
 
 
-def _loglik_gamma(pi_link, k_link, logp):
+def _loglik_gamma(links, logp):
     """Log-likelihood and posterior signal probabilities at the links."""
-    _, alt, denom = _mixture(pi_link, k_link, logp)
-    with np.errstate(divide="ignore"):
-        ll = float(np.log(denom).sum())
-    return ll, alt / denom
+    _, alt, denom = _mixture(links, logp)
+    return float(np.log(denom).sum()), alt / denom
+
+
+def _m_step(theta, beta, links, X, gamma, logp, counts):
+    """Update theta, then beta, by :func:`_maximize` from the link values
+    in links; returns the new coefficients and leaves their links in links.
+    pop hands an update its starting link as the only reference (CPython
+    3.11+ moves call arguments into the callee), so the update frees it
+    at its first accepted step."""
+    theta, links["pi"] = _maximize(theta, links.pop("pi"), X, _theta_share(1.0 - gamma), counts)
+    beta, links["k"] = _maximize(beta, links.pop("k"), X, _beta_share(gamma, logp), counts)
+    return theta, beta
 
 
 def _theta_share(y):

@@ -363,12 +363,16 @@ def _se(values):
 
 
 def resolve_workers(n_workers=None):
-    """Worker count: explicit argument, else CAMT_THREADS, else os.cpu_count()."""
+    """Worker count: explicit argument, else CAMT_THREADS (an integer;
+    ValueError naming it otherwise), else os.cpu_count()."""
     if n_workers is not None:
         return max(1, int(n_workers))
     env = os.environ.get("CAMT_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"CAMT_THREADS must be an integer, got {env!r}") from None
     return max(1, os.cpu_count() or 1)
 
 

@@ -453,6 +453,18 @@ def test_fit_reports_fit_warnings_in_its_own_format(tmp_path, capsys):
     assert ".py:" not in err
 
 
+def test_fit_accepts_a_psi_statistic_of_one(tmp_path, capsys):
+    # the fit of this complete-null replicate rounds psi to 1.0 at p = 0.72
+    data = generate(SimulationConfig(setup="complete-null", m=500, seed=0), 94)
+    in_path = _write_table(tmp_path / "in.csv", data.pvals, data.covariates)
+    out = tmp_path / "o.csv"
+    for extra in ([], ["--mixed"], ["--no-tup-cap", "--mixed"]):
+        assert main(["fit", "--input", in_path, "--output", str(out), *extra]) == 0
+        assert "runtime failure" not in capsys.readouterr().err
+        psi_stat = [l.split(",")[-2] for l in out.read_text().splitlines()[-500:]]
+        assert "1.0" in psi_stat
+
+
 def test_fit_refuses_tiny_tables(tmp_path, capsys):
     in_path, _ = _dataset_table(tmp_path / "in.csv", 150, seed=32)
     assert main(["fit", "--input", in_path, "--output", str(tmp_path / "o.csv")]) == 1
@@ -584,6 +596,15 @@ def test_simulate_defaults_to_the_default_procedures(tmp_path, capsys):
     assert f"# procedures: {','.join(DEFAULT_PROCEDURES)}\n" in text
     rows = [l for l in text.splitlines() if not l.startswith(("#", "setup,"))]
     assert [row.split(",")[1] for row in rows] == list(DEFAULT_PROCEDURES)
+
+
+def test_simulate_names_a_malformed_thread_count(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CAMT_THREADS", "abc")
+    out_path = tmp_path / "o.csv"
+    args = ["simulate", "--setup", "S0", "--m", "1000", "--reps", "1"]
+    assert main([*args, "--output", str(out_path)]) == 1
+    assert "error: CAMT_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("command", ["fit", "simulate"])

@@ -1,6 +1,7 @@
 """Tests for the simulation setups, metrics and the sweep runner."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,9 @@ def test_resolve_workers(monkeypatch):
     assert resolve_workers(5) == 5  # explicit argument wins
     monkeypatch.setenv("CAMT_THREADS", "0")
     assert resolve_workers() == 1
+    monkeypatch.setenv("CAMT_THREADS", "abc")
+    with pytest.raises(ValueError, match="CAMT_THREADS must be an integer"):
+        resolve_workers()
     monkeypatch.delenv("CAMT_THREADS")
     assert resolve_workers() >= 1
 
@@ -401,3 +405,17 @@ def test_write_csv_layout():
     assert float(fields[4]) == row.fdp  # repr round-trips exactly
     assert float(fields[5]) == row.tpr
     assert int(fields[6]) == row.n_rejections
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+def test_mixed_mode_controls_fdr_under_the_complete_null():
+    # any rejection is false here; the mixed estimate max(E(t), #{r_i < t})
+    # lets a single rejection with a small E(t) through
+    config = SimulationConfig(
+        setup="complete-null", m=1000, n_replicates=60, seed=1, alpha_grid=(0.05,)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = run_sweep(config, procedures=("camt-mixed",), n_workers=1)
+    (cell,) = report.summarize()
+    assert cell["mean_fdp"] <= 0.05 + 2.0 * cell["se_fdp"], cell

@@ -1,5 +1,7 @@
 """Tests for the mirror FDP estimate, threshold search and rejection."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,12 @@ from hypothesis import strategies as st
 
 from camt.em import FittedHypotheses
 from camt.kernel import cutoff, psi
+from camt.pipeline import fit_camt
+from camt.simulation import SimulationConfig, generate
 from camt.threshold import (
     MirrorStatistics,
     _ExpectedCount,
-    fdp_up,
     mirror_statistics,
-    mixed_false_rejection_estimate,
     reject,
     select_threshold,
 )
@@ -39,26 +41,27 @@ def _grid_best(stats, alpha, n_points):
 
 
 # ----------------------------------------------------------------------
-# fdp_up
+# the plain FDP estimate (1 + #{r_i < t}) / max(1, #{s_i <= t}), reject's
+# fdp_hat at any t in [0, 1]
 
 
 def test_fdp_up_counting_example():
-    assert fdp_up(0.05, WORKED) == 1.0  # (1 + 1) / 2
+    assert reject(WORKED, 0.05).fdp_hat == 1.0  # (1 + 1) / 2
 
 
 def test_fdp_up_below_all_statistics():
-    assert fdp_up(0.005, WORKED) == 1.0  # (1 + 0) / max(1, 0)
+    assert reject(WORKED, 0.005).fdp_hat == 1.0  # (1 + 0) / max(1, 0)
 
 
 def test_fdp_up_at_one_counts_everything():
-    assert fdp_up(1.0, WORKED) == (1 + 4) / 4
+    assert reject(WORKED, 1.0).fdp_hat == (1 + 4) / 4
 
 
 def test_fdp_up_domain():
     with pytest.raises(ValueError):
-        fdp_up(-0.1, WORKED)
+        reject(WORKED, -0.1)
     with pytest.raises(ValueError):
-        fdp_up(1.1, WORKED)
+        reject(WORKED, 1.1)
 
 
 # ----------------------------------------------------------------------
@@ -73,7 +76,7 @@ def test_select_worked_example_matches_grid_search():
     t_hat = select_threshold(WORKED, 0.5)
     t_grid = _grid_best(WORKED, 0.5, 100_000)
     assert np.array_equal(WORKED.s <= t_hat, WORKED.s <= t_grid)
-    assert fdp_up(t_hat, WORKED) == fdp_up(t_grid, WORKED)
+    assert reject(WORKED, t_hat).fdp_hat == reject(WORKED, t_grid).fdp_hat
 
 
 def test_select_vacuous_constraint_takes_largest_candidate():
@@ -118,7 +121,7 @@ def test_select_agrees_with_dense_grid_on_random_instances():
         # counts can stay admissible), but the rejection set must match
         assert np.array_equal(stats.s <= t_hat, stats.s <= t_grid)
         if t_hat > 0.0:
-            assert fdp_up(t_hat, stats) <= alpha
+            assert reject(stats, t_hat).fdp_hat <= alpha
 
 
 def test_selected_threshold_estimate_is_admissible():
@@ -133,7 +136,7 @@ def test_selected_threshold_estimate_is_admissible():
         stats = mirror_statistics(p, fitted)
         t_hat = select_threshold(stats, 0.2)
         if t_hat > 0.0:
-            assert fdp_up(t_hat, stats) <= 0.2
+            assert reject(stats, t_hat).fdp_hat <= 0.2
 
 
 # ----------------------------------------------------------------------
@@ -212,11 +215,35 @@ def test_half_pvalue_counts_for_rejection_not_against():
     stats = mirror_statistics(np.array([0.5]), fitted)
     assert stats.s[0] == stats.r[0]
     t = stats.s[0]
-    assert fdp_up(t, stats) == 1.0  # (1 + 0) / 1
+    assert reject(stats, t).fdp_hat == 1.0  # (1 + 0) / 1
+
+
+def test_a_statistic_that_rounds_to_one_is_a_candidate():
+    # pi_hat sits at the winsorize cap 1 - 1e-5 and k_hat at 1 - 2.4e-12,
+    # so at p = 0.72 (1 - pi) h is below half an ulp of pi and psi is 1.0
+    data = generate(SimulationConfig(setup="complete-null", m=500, seed=0), 94)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "EM did not converge", RuntimeWarning)
+        state = fit_camt(data.pvals, data.covariates)
+    assert state.stats.s.max() == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mixed in (False, True):
+            for cap in (True, False):
+                for alpha in (0.05, 0.2, 1.0):
+                    result = state.select(alpha, mixed=mixed, cap_at_tup=cap)
+                    assert result.t_hat == 0.0 or result.fdp_hat <= alpha
+        # uncapped at alpha = 1 the mixed mode takes the candidate 1.0,
+        # where E(1) = sum(pi)
+        result = state.select(1.0, mixed=True, cap_at_tup=False)
+        assert result.t_hat == 1.0 and result.n_rejections == 500
+        assert _ExpectedCount(state.fitted)(1.0) == pytest.approx(
+            state.fitted.pi_hat.sum(), rel=1e-12
+        )
 
 
 # ----------------------------------------------------------------------
-# mixed estimate
+# mixed estimate: reject's fdp_hat with mixed_fitted, E(t) = _ExpectedCount
 
 
 def test_mixed_estimate_vanishes_with_the_threshold():
@@ -224,9 +251,12 @@ def test_mixed_estimate_vanishes_with_the_threshold():
     m = 100
     fitted = FittedHypotheses(pi_hat=rng.uniform(0.3, 0.95, m), k_hat=rng.uniform(0.2, 0.8, m))
     stats = mirror_statistics(rng.uniform(0.05, 0.95, m), fitted)
-    tiny = mixed_false_rejection_estimate(1e-12, stats, fitted)
-    small = mixed_false_rejection_estimate(1e-6, stats, fitted)
-    assert 0.0 <= tiny <= small < 1e-3
+    tiny = reject(stats, 1e-12, mixed_fitted=fitted)
+    small = reject(stats, 1e-6, mixed_fitted=fitted)
+    # nothing is rejected and no mirror statistic is below t, so fdp_hat is E(t)
+    assert tiny.n_rejections == small.n_rejections == 0
+    assert 0.0 <= tiny.fdp_hat <= small.fdp_hat < 1e-3
+    assert small.fdp_hat == _ExpectedCount(fitted)(1e-6)
 
 
 def test_mixed_estimate_is_the_max_of_its_two_parts():
@@ -239,8 +269,11 @@ def test_mixed_estimate_is_the_max_of_its_two_parts():
             np.sum(fitted.pi_hat * cutoff(t, fitted.pi_hat, fitted.k_hat))
         )
         mirror_count = float(np.count_nonzero(stats.r < t))
-        got = mixed_false_rejection_estimate(t, stats, fitted)
-        assert got == pytest.approx(max(expected_count, mirror_count), rel=1e-9)
+        assert _ExpectedCount(fitted)(t) == pytest.approx(expected_count, rel=1e-9)
+        got = reject(stats, t, mixed_fitted=fitted)
+        assert got.fdp_hat == pytest.approx(
+            max(expected_count, mirror_count) / max(1, got.n_rejections), rel=1e-9
+        )
 
 
 def test_mixed_estimate_all_null_reduction():
@@ -251,15 +284,22 @@ def test_mixed_estimate_all_null_reduction():
     rng = np.random.default_rng(31)
     stats = mirror_statistics(rng.uniform(0.4, 0.99, m), fitted)
     t = 0.02
-    got = mixed_false_rejection_estimate(t, stats, fitted)
-    assert got == pytest.approx(float(np.sum(cutoff(t, pi, k))), rel=1e-4)
+    got = reject(stats, t, mixed_fitted=fitted)
+    assert got.n_rejections == 0 and not np.any(stats.r < t)
+    assert got.fdp_hat == pytest.approx(float(np.sum(cutoff(t, pi, k))), rel=1e-4)
 
 
 def test_mixed_estimate_domain():
-    with pytest.raises(ValueError):
-        mixed_false_rejection_estimate(
-            0.0, WORKED, FittedHypotheses(pi_hat=np.full(4, 0.9), k_hat=np.full(4, 0.5))
-        )
+    fitted = FittedHypotheses(pi_hat=np.full(4, 0.9), k_hat=np.full(4, 0.5))
+    for t in (-0.1, 1.1):
+        with pytest.raises(ValueError):
+            reject(WORKED, t, mixed_fitted=fitted)
+    # at t = 0 nothing is rejected and the plain estimate is reported
+    assert reject(WORKED, 0.0, mixed_fitted=fitted).fdp_hat == 1.0
+    # at t = 1 every cutoff is 1: E(1) = sum(pi), without a floating-point warning
+    with np.errstate(all="raise"):
+        assert _ExpectedCount(fitted)(1.0) == pytest.approx(3.6, rel=1e-15)
+        assert reject(WORKED, 1.0, mixed_fitted=fitted).fdp_hat == 4 / 4
 
 
 def test_mixed_select_keeps_a_candidate_on_the_mirror_bound():
@@ -278,7 +318,7 @@ def test_reject_with_mixed_estimate_reports_its_fdp():
     t_hat = select_threshold(stats, 0.3, mixed_fitted=fitted)
     if t_hat > 0.0:
         result = reject(stats, t_hat, mixed_fitted=fitted)
-        est = mixed_false_rejection_estimate(t_hat, stats, fitted)
+        est = max(_ExpectedCount(fitted)(t_hat), float(np.count_nonzero(stats.r < t_hat)))
         assert result.fdp_hat == est / max(1, result.n_rejections)
         assert result.fdp_hat <= 0.3
 
@@ -344,14 +384,12 @@ def test_mixed_select_matches_all_candidates_reference(instance, alpha, cap):
     stats, fitted = instance
     t_hat = select_threshold(stats, alpha, cap_at_tup=cap, mixed_fitted=fitted)
     assert t_hat == _reference_select_mixed(stats, alpha, cap, fitted)
-    # and, bit for bit, the largest candidate the public estimate admits
+    # and, bit for bit, the largest candidate whose reported estimate is admissible
     cap_value = stats.t_up if cap else 1.0
     admitted = [
         t
         for t in stats.s[stats.s <= cap_value]
-        if mixed_false_rejection_estimate(t, stats, fitted)
-        / max(1, int(np.count_nonzero(stats.s <= t)))
-        <= alpha
+        if reject(stats, t, mixed_fitted=fitted).fdp_hat <= alpha
     ]
     assert t_hat == max(admitted, default=0.0)
     if t_hat > 0.0:
@@ -369,15 +407,15 @@ def test_mixed_select_skips_blocks_that_cannot_be_admissible(monkeypatch):
     evaluated = []
     call = _ExpectedCount.__call__
 
-    def counted(self, ts):
-        evaluated.append(ts.size)
-        return call(self, ts)
+    def counted(self, t):
+        evaluated.append(t)
+        return call(self, t)
 
     monkeypatch.setattr(_ExpectedCount, "__call__", counted)
     t_hat = select_threshold(stats, 1e-12, mixed_fitted=fitted)
     candidates = int(np.count_nonzero(stats.s <= stats.t_up))
     assert candidates > 15_000
-    assert 0 < sum(evaluated) < candidates // 100
+    assert 0 < len(evaluated) < candidates // 100
     assert t_hat == _reference_select_mixed(stats, 1e-12, True, fitted) == 0.0
 
 
