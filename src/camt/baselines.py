@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, ndtri
 
+from .kernel import check_alpha
+
 
 def bh(pvals, alpha):
     """Step-up procedure at level alpha; returns a boolean mask.
@@ -21,8 +23,7 @@ def bh(pvals, alpha):
     p_(k) <= k * alpha / m.
     """
     p = np.asarray(pvals, dtype=float)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
+    check_alpha(alpha)
     m = p.size
     mask = np.zeros(m, dtype=bool)
     if m == 0:
@@ -168,8 +169,7 @@ def oracle_prepare(values):
 def oracle_select(prepared, alpha):
     """Rejection mask of :func:`oracle_lfdr` at level alpha, from
     :func:`oracle_prepare`'s output."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
+    check_alpha(alpha)
     order, running_mean = prepared
     mask = np.zeros(order.size, dtype=bool)
     kstar = int(np.searchsorted(running_mean, alpha, side="right"))

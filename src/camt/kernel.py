@@ -6,7 +6,7 @@ the alternative p-value density, the weight function that prices a
 rejection at a given threshold, the equivalent p-value cutoff, and the
 psi transform that turns a p-value into the statistic the mirror
 estimator operates on, plus the range checks every layer applies to
-p-values and to quantities in the unit interval.
+p-values, to quantities in the unit interval and to target levels.
 
 All functions broadcast over numpy arrays and accept plain floats.
 """
@@ -66,6 +66,15 @@ def check_unit(name, x, include_one=False):
         interval = "(0, 1]" if include_one else "the open interval (0, 1)"
         raise ValueError(f"{name} must lie in {interval}")
     return x
+
+
+def check_alpha(alpha):
+    """ValueError unless the target level alpha lies in (0, 1].
+
+    The comparisons are false for NaN, so NaN fails too.
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
 
 
 def surrogate_density(p, k):

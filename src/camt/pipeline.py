@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em import CoefVector, EmTrace, FittedHypotheses, build_design, fit
-from .kernel import clamp_pvalues
+from .kernel import check_alpha, clamp_pvalues
 from .threshold import MirrorStatistics, mirror_statistics, reject, select_threshold
 
 
@@ -77,6 +77,8 @@ def run_camt(
 
     Returns the :class:`CamtFit` and the
     :class:`~camt.threshold.RejectionResult` of its selection at level alpha.
+    A bad alpha is refused before the fit.
     """
+    check_alpha(alpha)
     state = fit_camt(pvals, covariates, spline_knots=spline_knots)
     return state, state.select(alpha, mixed=mixed, cap_at_tup=cap_at_tup)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import check_unit, clamp_pvalues, psi
+from .kernel import check_alpha, check_unit, clamp_pvalues, psi
 
 
 @dataclass
@@ -93,8 +93,7 @@ def select_threshold(stats, alpha, cap_at_tup=True, mixed_fitted=None):
     the one an evaluation of every candidate gives, but only the
     candidates actually evaluated cost O(m) each.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
+    check_alpha(alpha)
     candidates, num, den = _candidate_counts(stats, cap_at_tup)
     if candidates.size == 0:
         return 0.0

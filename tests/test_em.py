@@ -5,8 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import expit, logit
 
 from camt.em import (
@@ -32,6 +33,7 @@ from camt.em import (
 from camt.em import (
     _beta_share,
     _exp_neg_abs,
+    _gram,
     _link,
     _maximize,
     _sigmoid_pair,
@@ -169,6 +171,35 @@ def test_newton_step_equals_weighted_least_squares():
     assert np.allclose(theta0 + direction, wls, rtol=1e-10, atol=1e-12)
 
 
+@st.composite
+def _design_and_weights(draw):
+    """An intercept-first design of 1-200 rows and 1-8 columns, and
+    weights of both signs with zeros among them."""
+    m = draw(st.integers(1, 200))
+    d = draw(st.integers(1, 8))
+    X = np.ones((m, d))
+    X[:, 1:] = draw(arrays(float, (m, d - 1), elements=st.floats(-1e3, 1e3)))
+    w = draw(arrays(float, m, elements=st.one_of(st.just(0.0), st.floats(-1e3, 1e3))))
+    return X, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(_design_and_weights())
+@example((np.ones((1, 1)), np.array([-2.0])))
+@example((np.array([[1.0, 1.0], [1.0, 1.0 + 1e-8]]), np.array([0.3, -0.3])))
+def test_gram_matches_the_weighted_product(case):
+    X, w = case
+    got = _gram(np.asfortranarray(X))(w)
+    assert np.array_equal(got, got.T)
+    want = (X.T * w) @ X
+    # the two forms round w_r x_ri x_rj in different orders, so they
+    # agree relative to the sum of magnitudes, the largest entry of
+    # X.T diag(|w|) X; the signed entries can cancel to near 0 (the
+    # second example differs by 7e-9 relative to its own largest entry)
+    scale = np.abs((X.T * np.abs(w)) @ X).max()
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
 def test_beta_ascent_falls_back_to_the_gradient_where_the_hessian_is_indefinite():
     # tiny p-values with k far below its fit: -H is not PSD at the start
     rng = np.random.default_rng(0)
@@ -179,7 +210,7 @@ def test_beta_ascent_falls_back_to_the_gradient_where_the_hessian_is_indefinite(
     start = np.array([-3.0, 0.0])
     counts = _StepCounts()
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        beta, link = _maximize(start, _link(X @ start), X, share, counts)
+        beta, link = _maximize(start, _link(X @ start), X, _gram(X), share, counts)
     assert counts.gradient_fallbacks >= 1
     assert counts.line_search_halvings >= 1
     assert share(link)[0] >= share(_link(X @ start))[0]
@@ -566,7 +597,10 @@ def _assert_same_fit(new, ref, pvals):
 
 @pytest.mark.parametrize(
     "setup, m, knots",
-    [(s, 10_000, k) for s in ("S0", "S1", "S2", "S3.3") for k in (0, 3)] + [("S2", 50_000, 6)],
+    [(s, 10_000, k) for s in ("S0", "S1", "S2", "S3.3") for k in (0, 3)]
+    + [("S2", 50_000, 6)]
+    # the shapes of the select-grid and cli benchmark workloads
+    + [("S0", 30_000, 3), ("S0", 50_000, 0)],
 )
 def test_fit_matches_the_pre_change_loop(setup, m, knots):
     data = generate(SimulationConfig(setup=setup, m=m, seed=44), 0)

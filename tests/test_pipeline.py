@@ -32,6 +32,17 @@ def test_covariate_rows_must_match_the_p_values():
         run_camt(p, np.arange(1001.0), spline_knots=3)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5, float("nan")])
+def test_run_camt_refuses_a_bad_alpha_before_the_fit(alpha, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("EM ran before alpha was checked")
+
+    monkeypatch.setattr("camt.pipeline.fit", no_fit)
+    p = np.random.default_rng(8).uniform(size=1000)
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+        run_camt(p, alpha=alpha)
+
+
 @pytest.mark.parametrize("mixed", [False, True])
 def test_run_camt_is_fit_then_select(mixed):
     data = generate(SimulationConfig(setup="S0", m=3000, seed=7), 0)
