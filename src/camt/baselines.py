@@ -9,10 +9,11 @@ simulations are judged against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lgamma
 
 import numpy as np
-from scipy.special import gammaln, ndtri
 
+from ._special import ndtri
 from .kernel import check_alpha
 
 
@@ -40,18 +41,20 @@ def storey(pvals, alpha, lam=0.5):
     """Adaptive step-up: BH run at level alpha / pi0_hat.
 
     pi0_hat = min(1, #{p > lam} / ((1 - lam) m)) estimates the null
-    fraction from the flat upper tail. When every p-value sits at or
-    below lam the estimate degenerates to zero and the limit of the
-    rule (reject everything) is returned.
+    fraction from the flat upper tail. A level alpha / pi0_hat of 1 or
+    more rejects everything, as BH does at level 1; so does the limit
+    of the rule when every p-value sits at or below lam and the estimate
+    degenerates to zero.
     """
     p = np.asarray(pvals, dtype=float)
+    check_alpha(alpha)
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
     m = p.size
     if m == 0:
         return np.zeros(0, dtype=bool)
     pi0 = min(1.0, np.count_nonzero(p > lam) / ((1.0 - lam) * m))
-    if pi0 == 0.0:
+    if alpha >= pi0:
         return np.ones(m, dtype=bool)
     return bh(p, alpha / pi0)
 
@@ -117,8 +120,8 @@ def _noncentral_gamma_pdf(x, scale, delta):
     acc = np.zeros(xs.shape)
     for n in range(n_max + 1):
         a = 2.0 + n
-        log_w = n * np.log(dl) - dl - gammaln(n + 1.0)
-        log_pdf = (a - 1.0) * log_x_over_s - xs / sc - gammaln(a) - np.log(sc)
+        log_w = n * np.log(dl) - dl - lgamma(n + 1.0)
+        log_pdf = (a - 1.0) * log_x_over_s - xs / sc - lgamma(a) - np.log(sc)
         acc += np.exp(log_w + log_pdf)
     out[pos] = acc
     return out

@@ -21,7 +21,7 @@ import numpy as np
 
 from .diagnostics import gif, null_histogram_summary
 from .em import CovariateError
-from .kernel import P_CLAMP, clamp_pvalues
+from .kernel import P_CLAMP, check_alpha, clamp_pvalues
 from .numtext import FLOAT_CELL, INT_CELL, float_cells, int_cells
 from .pipeline import run_camt
 
@@ -278,8 +278,10 @@ def cmd_fit(args):
             f"(recommended m >= {WARN_FIT_M})",
             file=sys.stderr,
         )
-    if not 0.0 < args.alpha < 1.0:
-        raise CliError("--alpha must lie in (0, 1)")
+    try:
+        check_alpha(args.alpha)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     if args.spline_knots != 0 and not 2 <= args.spline_knots <= 20:
         raise CliError("--spline-knots must be 0 or between 2 and 20")
 
@@ -345,12 +347,15 @@ def cmd_fit(args):
 
 def cmd_simulate(args):
     _check_output(args.output)
-    # the simulation harness and its baselines load scipy, which the
-    # fit and diagnose commands never need
+    # imported here: the fit and diagnose commands never need the
+    # simulation harness or its baselines
     from .simulation import DEFAULT_PROCEDURES, SimulationConfig, make_procedure
     from .simulation import resolve_workers, run_sweep
 
-    procedures = DEFAULT_PROCEDURES if args.procedures is None else tuple(args.procedures)
+    if args.procedures is None:
+        procedures = DEFAULT_PROCEDURES
+    else:  # names separated by spaces, commas or both
+        procedures = tuple(n for arg in args.procedures for n in arg.split(",") if n.strip())
     for name in procedures:
         try:
             make_procedure(name)
@@ -442,7 +447,8 @@ def build_parser():
         "--procedures",
         nargs="+",
         default=None,
-        help="subset of: camt camt-mixed bh storey oracle (default: all but camt-mixed)",
+        help="subset of camt, camt-mixed, bh, storey and oracle, separated by spaces or "
+        "commas (default: all but camt-mixed)",
     )
     p_sim.add_argument("--output", required=True)
     p_sim.set_defaults(func=cmd_simulate)

@@ -29,8 +29,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, ndtr
 
+from ._special import ar1, expit, ndtr
 from .baselines import (
     OracleTruth,
     bh,
@@ -40,6 +40,7 @@ from .baselines import (
     oracle_select,
     storey,
 )
+from .kernel import check_alpha
 from .pipeline import fit_camt
 
 RNG_NAME = "pcg64-seedsequence"
@@ -95,8 +96,7 @@ class SimulationConfig:
         if not self.alpha_grid:
             raise ValueError("alpha_grid must not be empty")
         for a in self.alpha_grid:
-            if not 0.0 < a < 1.0:
-                raise ValueError("alpha grid entries must lie in (0, 1)")
+            check_alpha(a)
 
 
 @dataclass
@@ -177,12 +177,10 @@ def _noise(setup, m, rng):
             parts.append(rng.standard_normal(rem) @ chol[:rem, :rem].T)
         return np.concatenate(parts)
     if setup in ("S3.3", "S3.4"):
-        from scipy.signal import lfilter  # ~0.1 s to import, only these setups need it
-
         rho = 0.75 if setup == "S3.3" else -0.75
         eps = rng.standard_normal(m)
         eps[1:] *= np.sqrt(1.0 - rho**2)
-        return lfilter([1.0], [1.0, -rho], eps)
+        return ar1(eps, rho)
     return rng.standard_normal(m)
 
 

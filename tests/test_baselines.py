@@ -115,6 +115,20 @@ def test_storey_contains_bh():
         assert np.all(st_mask[bh_mask])
 
 
+def test_storey_level_above_one_rejects_everything():
+    # pi0_hat = 0.5, so alpha = 0.6 asks BH for level 1.2: BH at level 1
+    # already rejects every hypothesis
+    p = np.array([1e-9, 1e-9, 0.2, 0.3, 0.6, 0.7, 0.45, 0.4])
+    assert storey(p, 0.6).all() and storey(p, 1.0).all() and storey(p, 0.5).all()
+    assert not storey(p, 0.05).all()
+
+
+def test_storey_alpha_domain():
+    for alpha in (0.0, 1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+            storey(np.array([0.2, 0.9]), alpha)
+
+
 def test_storey_lam_domain():
     for lam in (0.0, 1.0, -0.5):
         with pytest.raises(ValueError):

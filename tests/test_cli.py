@@ -485,6 +485,21 @@ def test_fit_option_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fit_alpha_follows_the_library_rule(tmp_path, capsys):
+    # one rule for the CLI, the sweep and the selectors: alpha in (0, 1]
+    in_path, _ = _dataset_table(tmp_path / "in.csv", 1200, seed=36)
+    out = tmp_path / "o.csv"
+    for bad in ("0", "1.5", "nan"):
+        assert main(["fit", "--input", in_path, "--alpha", bad, "--output", str(out)]) == 1
+        assert "error: alpha must lie in (0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["fit", "--input", in_path, "--alpha", "1", "--output", str(out)]) == 0
+    capsys.readouterr()
+    meta, _, rows = _read_fit_output(out)
+    assert meta["alpha"] == "1.0" and float(meta["fdp_hat"]) <= 1.0
+    assert len(rows) == 1200
+
+
 def test_fit_with_noise_covariate_tracks_adaptive_baseline(tmp_path, capsys):
     # an uninformative covariate must not pull the fit far from what the
     # p-values alone support; tolerance gauged over 8 draws, worst
@@ -720,8 +735,8 @@ def test_usage_errors_exit_one(capsys):
 
 
 def test_fit_and_diagnose_load_no_scipy(tmp_path):
-    # scipy costs a fresh `camt fit` process most of its import time;
-    # only `camt simulate` and the baselines need it
+    # no camt module imports scipy (see test_simulate_runs_with_scipy_blocked);
+    # this pins the fit and diagnose paths, spline knots and mixed mode included
     rng = np.random.default_rng(59)
     in_path = _write_table(tmp_path / "in.csv", rng.random(1000), rng.random((1000, 1)))
     out = str(tmp_path / "o.csv")
@@ -740,6 +755,37 @@ def test_fit_and_diagnose_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_simulate_runs_with_scipy_blocked(tmp_path):
+    # sys.modules["scipy"] = None makes every scipy import fail: the
+    # harness runs S1 (the non-central gamma density), S2 and S3.3 (the
+    # AR(1) noise) through all five procedures on camt's own special
+    # functions, in the sweep's pool workers too
+    out = tmp_path / "sweep.csv"
+    code = (
+        "import sys; sys.modules['scipy'] = None; import camt.cli; "
+        "setups = ('S1', 'S2', 'S3.3'); "
+        "codes = [camt.cli.main(['simulate', '--setup', s, '--m', '2000', '--reps', '2', "
+        "'--alpha-grid', '0.05,1', '--procedures', 'camt,camt-mixed,bh', 'storey', 'oracle', "
+        f"'--output', {str(out)!r}]) for s in setups]; "
+        "assert codes == [0, 0, 0], codes; "
+        "print(sorted(m for m, mod in sys.modules.items() if m.startswith('scipy') and mod))"
+    )
+    src = str(Path(camt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env["CAMT_THREADS"] = "2"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert proc.stdout.count("fdp=") == 3 * 5 * 2  # setups x procedures x alphas
+    rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert {r[0] for r in rows[1:]} == {"S3.3"}
+    assert {r[1] for r in rows[1:]} == {"camt", "camt-mixed", "bh", "storey", "oracle"}
+    # at alpha = 1 BH rejects every hypothesis
+    assert {r[6] for r in rows[1:] if r[1] == "bh" and r[2] == "1.0"} == {"2000"}
 
 
 def test_help_exits_zero():

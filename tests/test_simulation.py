@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.stats
-from scipy.special import expit
 
 import camt.simulation
+from camt._special import expit
 from camt.simulation import (
     DEFAULT_PROCEDURES,
     RNG_NAME,
@@ -221,8 +221,11 @@ def test_config_validation():
         SimulationConfig(n_replicates=0)
     with pytest.raises(ValueError):
         SimulationConfig(alpha_grid=())
-    with pytest.raises(ValueError):
-        SimulationConfig(alpha_grid=(0.05, 1.0))
+    # the alpha rule of every layer: camt.kernel.check_alpha, (0, 1]
+    for grid in ((0.05, 1.5), (0.0,), (float("nan"),)):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+            SimulationConfig(alpha_grid=grid)
+    assert SimulationConfig(alpha_grid=(0.05, 1.0)).alpha_grid == (0.05, 1.0)
 
 
 def test_make_procedure_registry():
