@@ -260,8 +260,9 @@ def _check_output(path):
 
 
 def _open_output(path):
+    """Outputs are UTF-8, as inputs are read, whatever the locale."""
     try:
-        return open(path, "w", newline="")
+        return open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
         raise _output_error(path, exc) from exc
 

@@ -53,8 +53,9 @@ def gif(pvals):
     q_i falls strictly in p_i, so median(q_i) is q at the middle one or
     two order statistics of the retained p-values. Those are found with
     np.partition, and q is evaluated there alone, as the square of the
-    normal quantile (AS241) at p/2; the reference F^{-1}(0.25) is
-    computed the same way, so a tail of p = 0.75 gives exactly 1.
+    normal quantile (AS241) at p/2; their median is their exact mean,
+    (a + b) / 2, as np.median computes it. The reference F^{-1}(0.25)
+    is computed the same way, so a tail of p = 0.75 gives exactly 1.
 
     Raises ValueError when fewer than 20 p-values lie in [0.5, 1];
     a median of less than that is noise, not a diagnostic.
@@ -68,8 +69,8 @@ def gif(pvals):
         )
     n = retained.size
     mid = [(n - 1) // 2, n // 2]  # the same index twice when n is odd
-    q_mid = [_chi2_1_isf(x) for x in np.partition(retained, mid)[mid].tolist()]
-    value = float(np.median(q_mid) / _chi2_1_isf(0.75))
+    lo, hi = (_chi2_1_isf(x) for x in np.partition(retained, mid)[mid].tolist())
+    value = (lo + hi) / 2 / _chi2_1_isf(0.75)
     return GifReport(
         gif=value,
         n_pvalues_used=int(retained.size),

@@ -20,18 +20,26 @@ MAX_ITER, REL_TOL, INIT_PI, INNER_MAX_ITER, MAX_HALVINGS and COEF_BOUND.
 Each link vector u = X @ coef costs one exponential, e = exp(-|u|):
 expit(u), expit(-u) and softplus(u) = log(1 + exp(u)) are all cheap
 arithmetic on e, and none of them can overflow. Each M-step update
-returns u, softplus(u) and expit(+-u) for the coefficients it accepted,
-so the E-step that follows and the next update's starting objective
-recompute none of them.
+leaves the link values of the coefficients it accepted, so the E-step
+that follows and the next update's starting objective recompute none of
+them. A link keeps only what they read, three m-vectors: expit(+-u) for
+both links, softplus(u) for the k link, and u for the pi link, which
+reads softplus(u) only as a sum.
 
 The design is kept column-major (:func:`build_design` returns an
 F-ordered array, :func:`fit` converts any other layout once), so X.T is
 a C-ordered view and gradients X.T @ v read it without a copy. Every
-Newton Hessian X.T diag(w) X has the entries sum_r w_r x_ri x_rj, so a
-fit forms the d(d+1)/2 column products x_i * x_j (i <= j) once, as the
-rows of one array P, and each Hessian is the one product P @ w,
-mirrored (:func:`_gram`). P costs d(d+1)/2 m-vectors for the length of
-the fit: 24 MB at m = 1e6 with d = 2, 120 MB with d = 5.
+Newton Hessian X.T diag(w) X has the entries sum_r w_r x_ri x_rj. The
+intercept's row is X.T @ w; for the rest a fit forms the (d - 1)d/2
+products x_i * x_j (1 <= i <= j) of the non-intercept columns once, as
+the rows of one array P, and each Hessian is X.T @ w and P @ w,
+mirrored (:func:`_gram`). P costs (d - 1)d/2 m-vectors for the length
+of the fit: 8 MB at m = 1e6 with d = 2, 80 MB with d = 5. Slopes,
+curvatures and candidate links are formed in place where they can be
+and dropped as soon as they are read, so a fit holds log p, gamma, the
+two links and P, and on top of them at most an update's weights and a
+candidate link while it is built: at most 14 m-vectors beyond the design
+and the p-values at d = 2, 23 at d = 5.
 """
 
 from __future__ import annotations
@@ -211,10 +219,10 @@ def loglik_grad(params, design, pvals):
     """
     X, logp = _prepare(design, pvals)
     links = _links(params.theta, params.beta, X)
-    h, _, denom = _mixture(links, logp)
+    alt, denom = _mixture(links, logp)
     pi, one_m_pi = links["pi"].p, links["pi"].one_m_p
     k, one_m_k = links["k"].p, links["k"].one_m_p
-    grad_theta = X.T @ ((1.0 - h) * pi * one_m_pi / denom)
+    grad_theta = X.T @ ((one_m_pi - alt) * pi / denom)
     dh_dk = -np.exp(-k * logp) * (1.0 + one_m_k * logp)
     grad_beta = X.T @ (one_m_pi * dh_dk * k * one_m_k / denom)
     return grad_theta, grad_beta
@@ -303,6 +311,7 @@ def fit(design, pvals):
     for _ in range(MAX_ITER):
         n_iter += 1
         theta_new, beta_new = _m_step(theta, beta, links, X, gram, gamma, logp, counts)
+        del gamma  # the E-step forms the next one
         ll_new, gamma = _loglik_gamma(links, logp)
         change = max(abs(theta_new - theta).max(), abs(beta_new - beta).max())
         trace_ll.append(ll_new)
@@ -355,12 +364,14 @@ def _prepare(design, pvals):
 
 
 class _Link(NamedTuple):
-    """Values of one logistic link at u = X @ coef."""
+    """Values of one logistic link at u = X @ coef, as much as its share
+    and the E-step read: the k link carries softplus(u) as an m-vector,
+    the pi link its sum and u itself."""
 
-    u: np.ndarray
-    sp: np.ndarray  # softplus(u) = log(1 + exp(u))
     p: np.ndarray  # expit(u): pi or k
     one_m_p: np.ndarray  # expit(-u)
+    sp: np.ndarray | float  # softplus(u) = log(1 + exp(u)), or its sum
+    u: np.ndarray | None  # u, kept by the pi link only
 
 
 @dataclass
@@ -379,51 +390,52 @@ def _exp_neg_abs(u):
     return np.exp(e, out=e)
 
 
-def _sigmoid_pair(u, e):
-    """(expit(u), expit(-u)) from e = exp(-|u|).
+def _link(u, keep_u=False):
+    """The link values at u, computed afresh; keep_u gives the pi link,
+    which keeps u and sums softplus(u).
 
-    With r = 1 / (1 + e), expit(|u|) = r and expit(-|u|) = e * r. The
-    factor in front of r is 1 or e, picked without a branch:
-    max(e, sign(u)) is 1 for u > 0 and e for u < 0, and at u = 0 both
-    are 1 = e.
+    From e = exp(-|u|) and r = 1 / (1 + e), expit(|u|) = r and
+    expit(-|u|) = e * r. The factor in front of r is 1 or e, picked
+    without a branch: max(e, sign(u)) is 1 for u > 0 and e for u < 0,
+    and at u = 0 both are 1 = e. Everything is formed in place: a link
+    is three m-vectors, and building it takes e besides them. The k
+    link's 1 - k is formed in u's buffer, so u is overwritten unless
+    keep_u.
     """
-    r = 1.0 + e
-    np.divide(1.0, r, out=r)
-    sign = np.sign(u)
-    at_u = np.maximum(e, sign)
-    at_u *= r
-    np.negative(sign, out=sign)
-    at_minus_u = np.maximum(e, sign, out=sign)
-    at_minus_u *= r
-    return at_u, at_minus_u
-
-
-def _softplus(u, e):
-    """log(1 + exp(u)) from e = exp(-|u|); also softplus(-u) as _softplus(-u, e)."""
-    return np.maximum(u, 0.0) + np.log1p(e)
-
-
-def _link(u):
-    """The link values at u, computed afresh."""
     e = _exp_neg_abs(u)
-    return _Link(u, _softplus(u, e), *_sigmoid_pair(u, e))
+    sp = np.log1p(e)
+    p = np.maximum(u, 0.0)
+    sp += p
+    if keep_u:  # the pi link reads softplus(u) as a sum; sign(u) takes its buffer
+        sign, sp = sp, float(sp.sum())
+    else:
+        sign = u
+    np.sign(u, out=sign)
+    np.maximum(e, sign, out=p)
+    np.negative(sign, out=sign)
+    one_m_p = np.maximum(e, sign, out=sign)
+    e += 1.0
+    np.divide(1.0, e, out=e)
+    p *= e
+    one_m_p *= e
+    return _Link(p, one_m_p, sp, u if keep_u else None)
 
 
 def _links(theta, beta, X):
     """The pi and k links at (theta, beta), keyed "pi" and "k"."""
-    return {"pi": _link(X @ theta), "k": _link(X @ beta)}
+    return {"pi": _link(X @ theta, keep_u=True), "k": _link(X @ beta)}
 
 
 def _mixture(links, logp):
-    """(h, alt, denom): the alternative density h = (1 - k) p^(-k), the
-    alternative's share alt = (1 - pi) h of the mixture density and
-    that density denom = pi + alt. Refuses rows where denom underflows
-    to 0, whose log-likelihood would be -inf and gamma 0 / 0."""
-    h = links["k"].p * logp
-    np.negative(h, out=h)
-    np.exp(h, out=h)
-    h *= links["k"].one_m_p
-    alt = links["pi"].one_m_p * h
+    """(alt, denom): the alternative's share alt = (1 - pi) h of the
+    mixture density, with h = (1 - k) p^(-k) the alternative density,
+    and that density denom = pi + alt. Refuses rows where denom
+    underflows to 0, whose log-likelihood would be -inf and gamma 0 / 0."""
+    alt = links["k"].p * logp
+    np.negative(alt, out=alt)
+    np.exp(alt, out=alt)
+    alt *= links["k"].one_m_p
+    alt *= links["pi"].one_m_p
     denom = links["pi"].p + alt
     zero = int(np.count_nonzero(denom == 0.0))
     if zero:
@@ -431,26 +443,23 @@ def _mixture(links, logp):
             f"the mixture density underflows to 0 on {zero} of {denom.size} rows: "
             "pi and the alternative density are both 0 there at these coefficients"
         )
-    return h, alt, denom
+    return alt, denom
 
 
 def _loglik_gamma(links, logp):
-    """Log-likelihood and posterior signal probabilities at the links."""
-    _, alt, denom = _mixture(links, logp)
-    return float(np.log(denom).sum()), alt / denom
+    """Log-likelihood and posterior signal probabilities at the links;
+    gamma is formed in alt's buffer and log(denom) in denom's."""
+    alt, denom = _mixture(links, logp)
+    gamma = np.divide(alt, denom, out=alt)
+    return float(np.log(denom, out=denom).sum()), gamma
 
 
 def _m_step(theta, beta, links, X, gram, gamma, logp, counts):
     """Update theta, then beta, by :func:`_maximize` from the link values
     in links, with gram = _gram(X); returns the new coefficients and
-    leaves their links in links.
-    pop hands an update its starting link as the only reference (CPython
-    3.11+ moves call arguments into the callee), so the update frees it
-    at its first accepted step."""
-    theta, links["pi"] = _maximize(
-        theta, links.pop("pi"), X, gram, _theta_share(1.0 - gamma), counts
-    )
-    beta, links["k"] = _maximize(beta, links.pop("k"), X, gram, _beta_share(gamma, logp), counts)
+    leaves their links in links."""
+    theta = _maximize(theta, links, "pi", X, gram, _theta_share(1.0 - gamma), counts)
+    beta = _maximize(beta, links, "k", X, gram, _beta_share(gamma, logp), counts)
     return theta, beta
 
 
@@ -460,7 +469,11 @@ def _theta_share(y):
     at u = X @ theta, with slope y - pi and curv pi (1 - pi)."""
 
     def share(link):
-        return -float(link.sp.sum() - y @ link.u), y - link.p, lambda: link.p * link.one_m_p
+        return (
+            -float(link.sp - y @ link.u),
+            lambda: y - link.p,
+            lambda: link.p * link.one_m_p,
+        )
 
     return share
 
@@ -475,15 +488,18 @@ def _beta_share(gamma, logp):
 
     def share(link):
         k, one_m_k = link.p, link.one_m_p
-        kk = k * one_m_k
-        slope = kk * g
-        slope -= gamma * k
+
+        def slope():
+            s = k * one_m_k
+            s *= g
+            s -= gamma * k
+            return s
 
         def curv():
             c = one_m_k - k
             c *= g
             np.subtract(gamma, c, out=c)
-            c *= kk
+            c *= k * one_m_k
             return c
 
         return -float(gamma @ link.sp - k @ g), slope, curv
@@ -494,24 +510,27 @@ def _beta_share(gamma, logp):
 def _gram(X):
     """The map w -> X.T diag(w) X for the design X, built once per fit.
 
-    Entry (i, j) of every such Hessian is sum_r w_r x_ri x_rj, so the
-    d(d+1)/2 column products x_i * x_j (i <= j) are formed once, as the
-    rows of one C-ordered array P, and each Hessian is then one
-    matrix-vector product P @ w mirrored into the d x d matrix, exactly
-    symmetric. P is built a row at a time, so nothing beyond it is
-    allocated; its first d rows repeat X's columns (x_0 is the
-    intercept), which keeps the product a single gemv. P holds
-    d(d+1)/2 m-vectors for as long as the fit runs: 24 MB at m = 1e6 for
-    d = 2, 120 MB for d = 5.
+    Entry (i, j) of every such Hessian is sum_r w_r x_ri x_rj. Row 0 and
+    column 0 pair a column with the intercept x_0 = 1, so they are X.T @ w.
+    The rest come from the (d - 1)d/2 products x_i * x_j (1 <= i <= j)
+    of the non-intercept columns, formed once, a row at a time, as the
+    rows of one C-ordered array P: each Hessian is then the two products
+    X.T @ w and P @ w, mirrored into the d x d matrix, exactly symmetric.
+    P holds (d - 1)d/2 m-vectors for as long as the fit runs: 8 MB at
+    m = 1e6 for d = 2, 80 MB for d = 5.
     """
     d = X.shape[1]
-    rows, cols = np.triu_indices(d)
+    rows, cols = np.triu_indices(d - 1)
+    rows += 1
+    cols += 1
     P = np.empty((rows.size, X.shape[0]))
     for k, (i, j) in enumerate(zip(rows, cols)):
         np.multiply(X[:, i], X[:, j], out=P[k])
-    sym = np.empty((d, d), dtype=np.intp)  # the row of P behind each entry
-    sym[rows, cols] = sym[cols, rows] = np.arange(rows.size)
-    return lambda w: (P @ w)[sym]
+    sym = np.empty((d, d), dtype=np.intp)  # the entry of (X.T @ w, P @ w) behind each
+    sym[0] = sym[:, 0] = np.arange(d)
+    sym[rows, cols] = sym[cols, rows] = d + np.arange(rows.size)
+    Xt = X.T
+    return lambda w: np.concatenate((Xt @ w, P @ w))[sym]
 
 
 def _solve_ascent_direction(neg_hess, grad):
@@ -533,22 +552,28 @@ def _solve_ascent_direction(neg_hess, grad):
     return evecs @ (inv * (evecs.T @ grad))
 
 
-def _maximize(coef, link, X, gram, share, counts):
+def _maximize(coef, links, key, X, gram, share, counts):
     """Damped Newton ascent of one link's share of the complete-data
-    objective from coef, whose link values are link; returns the final
-    coef and its link values.
+    objective from coef, whose link values are links[key]; returns the
+    final coef and leaves its link values in links[key]. The starting
+    link is taken out of links, so it is freed at the first accepted step.
 
     share maps the link at u = X @ coef to (value, slope, curv): the
-    gradient is X.T @ slope and -H = gram(curv()) with gram = _gram(X),
-    curv deferred because the point an ascent stops at needs none. A
-    step takes the Newton direction, or the normalized gradient when -H
-    is not PSD, and is halved until the share does not decrease.
+    gradient is X.T @ slope() and -H = gram(curv()) with gram = _gram(X).
+    Both are deferred: a step forms each once and drops it before it
+    evaluates a candidate, and neither is formed at a rejected candidate
+    or, for curv, where the ascent stops. A step takes the Newton
+    direction, or the normalized gradient when -H is not PSD, and is
+    halved until the share does not decrease. Each candidate's link
+    carries what link does (u for the pi link).
     """
     Xt = X.T
     grad_tol = 1e-8 * X.shape[0]
+    link = links.pop(key)
+    keep_u = link.u is not None
     value, slope, curv = share(link)
     for _ in range(INNER_MAX_ITER):
-        grad = Xt @ slope
+        grad = Xt @ slope()
         if abs(grad).max() <= grad_tol:
             break
         direction = _solve_ascent_direction(gram(curv()), grad)
@@ -560,17 +585,19 @@ def _maximize(coef, link, X, gram, share, counts):
         step = 1.0
         for _ in range(MAX_HALVINGS + 1):
             cand = np.minimum(np.maximum(coef + step * direction, -COEF_BOUND), COEF_BOUND)
-            cand_link = _link(X @ cand)
-            cand_value, cand_slope, cand_curv = share(cand_link)
-            if math.isfinite(cand_value) and cand_value >= value:
+            cand_link = _link(X @ cand, keep_u)
+            cand_share = share(cand_link)
+            if math.isfinite(cand_share[0]) and cand_share[0] >= value:
                 break
+            del cand_link, cand_share  # before the next candidate is built
             counts.line_search_halvings += 1
             step *= 0.5
         else:
             break  # every halving decreased the share
         moved = abs(cand - coef).max()
         coef, link = cand, cand_link
-        value, slope, curv = cand_value, cand_slope, cand_curv
+        value, slope, curv = cand_share
         if moved < 1e-10:
             break
-    return coef, link
+    links[key] = link
+    return coef

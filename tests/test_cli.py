@@ -45,6 +45,15 @@ def _dataset_table(path, m, seed, setup="S0"):
     return _write_table(path, data.pvals, data.covariates), data
 
 
+def _run_in_fresh_python(code, timeout=120, **env):
+    src = str(Path(camt.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path, **env)
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
 # ----------------------------------------------------------------------
 # parse_table
 
@@ -272,11 +281,7 @@ def test_parse_memory_stays_near_the_parsed_arrays(tmp_path):
         f"table = camt.cli.parse_table({in_path!r}); "
         "print(peak() - base, table.pvals.nbytes + table.covariates.nbytes)"
     )
-    src = str(Path(camt.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
+    proc = _run_in_fresh_python(code)
     assert proc.returncode == 0, proc.stderr
     growth, parsed_bytes = map(int, proc.stdout.split())
     assert parsed_bytes == 200_000 * 2 * 8
@@ -748,13 +753,55 @@ def test_fit_and_diagnose_load_no_scipy(tmp_path):
         f"assert camt.cli.main(['diagnose', '--input', {in_path!r}]) == 0; "
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
-    src = str(Path(camt.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
+    proc = _run_in_fresh_python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_plain_fit_and_diagnose_load_no_numpy_ma(tmp_path):
+    # importing numpy.ma costs 8-13 ms and 1.25 MB of peak resident
+    # memory; np.quantile (the spline knots) still loads it, a plain fit
+    # and diagnose must not
+    rng = np.random.default_rng(59)
+    in_path = _write_table(tmp_path / "in.csv", rng.random(1000), rng.random((1000, 1)))
+    code = (
+        "import sys, camt.cli; "
+        "assert 'numpy.ma' not in sys.modules; "
+        f"assert camt.cli.main(['fit', '--input', {in_path!r}, '--mixed', "
+        f"'--output', {str(tmp_path / 'o.csv')!r}]) == 0; "
+        f"assert camt.cli.main(['fit', '--input', {in_path!r}, "
+        f"'--output', {str(tmp_path / 'o.csv')!r}]) == 0; "
+        f"assert camt.cli.main(['diagnose', '--input', {in_path!r}]) == 0; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
+    )
+    proc = _run_in_fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_fit_writes_utf8_under_an_ascii_locale(tmp_path):
+    # the input is read as UTF-8 whatever the locale, so the output is
+    # written as UTF-8 too: under the C locale a non-ASCII covariate name
+    # used to fail the header write after the whole fit (exit 2)
+    rng = np.random.default_rng(60)
+    m = 1200
+    x = rng.random(m)
+    p = np.where(rng.random(m) < 0.1 + 0.3 * x, rng.beta(0.2, 2.0, m), rng.random(m))
+    in_path = tmp_path / "in.csv"
+    in_path.write_text(
+        "pvalue,größe\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(p.tolist(), x.tolist())),
+        encoding="utf-8",
+    )
+    out = tmp_path / "o.csv"
+    code = (
+        "import sys, camt.cli; "
+        f"sys.exit(camt.cli.main(['fit', '--input', {str(in_path)!r}, '--output', {str(out)!r}]))"
+    )
+    proc = _run_in_fresh_python(code, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    assert proc.returncode == 0, proc.stderr
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert "index,pvalue,größe,pi0_hat,k_hat,psi_stat,rejected" in lines
+    assert len(lines) - lines.index("index,pvalue,größe,pi0_hat,k_hat,psi_stat,rejected") == m + 1
 
 
 def test_simulate_runs_with_scipy_blocked(tmp_path):
@@ -772,12 +819,7 @@ def test_simulate_runs_with_scipy_blocked(tmp_path):
         "assert codes == [0, 0, 0], codes; "
         "print(sorted(m for m, mod in sys.modules.items() if m.startswith('scipy') and mod))"
     )
-    src = str(Path(camt.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    env["CAMT_THREADS"] = "2"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
-    )
+    proc = _run_in_fresh_python(code, timeout=300, CAMT_THREADS="2")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
     assert proc.stdout.count("fdp=") == 3 * 5 * 2  # setups x procedures x alphas

@@ -1,6 +1,7 @@
 """Tests for the EM estimator: likelihood values, E/M steps, the full
 fit, and its invariances."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -36,8 +37,6 @@ from camt.em import (
     _gram,
     _link,
     _maximize,
-    _sigmoid_pair,
-    _softplus,
     _solve_ascent_direction,
     _StepCounts,
 )
@@ -209,12 +208,16 @@ def test_beta_ascent_falls_back_to_the_gradient_where_the_hessian_is_indefinite(
     share = _beta_share(np.ones(m), logp)
     start = np.array([-3.0, 0.0])
     counts = _StepCounts()
+    links = {"k": _link(X @ start)}
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        beta, link = _maximize(start, _link(X @ start), X, _gram(X), share, counts)
+        beta = _maximize(start, links, "k", X, _gram(X), share, counts)
+    link = links["k"]
     assert counts.gradient_fallbacks >= 1
     assert counts.line_search_halvings >= 1
     assert share(link)[0] >= share(_link(X @ start))[0]
-    assert np.array_equal(link.u, X @ beta)
+    assert link.u is None  # the k link carries softplus(u), k and 1 - k only
+    for got, want in zip(link, _link(X @ beta)):
+        assert np.array_equal(got, want)
 
 
 def test_m_step_does_not_decrease_the_complete_data_objective():
@@ -431,6 +434,23 @@ def test_fitted_hypotheses_validation():
 # ----------------------------------------------------------------------
 # the fit loop before the updates carried their link values and the
 # design went column-major, kept as the reference
+
+
+def _sigmoid_pair(u, e):
+    # the shared-exp sigmoid pair as camt.em computed it, out of place
+    r = 1.0 + e
+    np.divide(1.0, r, out=r)
+    sign = np.sign(u)
+    at_u = np.maximum(e, sign)
+    at_u *= r
+    np.negative(sign, out=sign)
+    at_minus_u = np.maximum(e, sign, out=sign)
+    at_minus_u *= r
+    return at_u, at_minus_u
+
+
+def _softplus(u, e):
+    return np.maximum(u, 0.0) + np.log1p(e)
 
 
 def _expit_pair(u, e):
@@ -656,16 +676,19 @@ _LINK_EDGES = (0.0, -0.0, 36.0, -36.0, 709.0, -709.0, 745.2, -745.2)
 def test_shared_exp_helpers_match_expit_and_logaddexp(values):
     u = np.array(values)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        e = _exp_neg_abs(u)
-        pair = _sigmoid_pair(u, e)
-        softplus = (_softplus(u, e), _softplus(-u, e))
+        k_link = _link(u.copy())
+        pi_link = _link(u.copy(), keep_u=True)
     normal_floor = np.finfo(float).tiny
-    for got, want in zip(pair, (expit(u), expit(-u))):
+    for got, want in zip(k_link[:2], (expit(u), expit(-u))):
         normal = want >= normal_floor
         assert _ulps(got[normal], want[normal]) <= 4
         assert np.all(np.abs(got[~normal] - want[~normal]) <= 1e-300)
-    for got, want in zip(softplus, (np.logaddexp(0.0, u), np.logaddexp(0.0, -u))):
-        assert _ulps(got, want) <= 4
+    assert _ulps(k_link.sp, np.logaddexp(0.0, u)) <= 4
+    # the pi link: the same pair, u itself, and the sum of softplus(u)
+    assert np.array_equal(pi_link.p, k_link.p)
+    assert np.array_equal(pi_link.one_m_p, k_link.one_m_p)
+    assert np.array_equal(pi_link.u, u)
+    assert pi_link.sp == k_link.sp.sum()
 
 
 def test_links_at_the_coefficient_box_raise_no_floating_point_warnings():
@@ -723,3 +746,24 @@ def test_fit_counts_its_inner_steps():
     # the counts default to zero, so a trace can be built without them
     bare = EmTrace(loglik=first.loglik, param_change=first.param_change, n_iter=1, converged=True)
     assert (bare.newton_steps, bare.line_search_halvings, bare.gradient_fallbacks) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("setup, knots, bound", [("S0", 0, 14.5), ("S2", 3, 23.5)])
+def test_fit_holds_few_m_vectors(setup, knots, bound):
+    # EM keeps log p, gamma, three m-vectors per link and P, (d - 1)d/2
+    # rows; on top of those, an update's y or g and a candidate's link
+    # while it is built. Measured 14.1 m-vectors at d = 2 (S0) and 23.1 at
+    # d = 5 (S2, 3 knots), against 23.0 and 40.0 with a link of four
+    # m-vectors, P of d(d + 1)/2 rows and the slope alive at candidates.
+    m = 20_000
+    data = generate(SimulationConfig(setup=setup, m=m, seed=44), 0)
+    design = build_design(data.covariates, spline_knots=knots)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fit(design, data.pvals)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert result.trace.converged
+    assert peak / (8 * m) <= bound
