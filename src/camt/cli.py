@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import gif, null_histogram_summary
-from .em import CovariateError
+from .em import CovariateError, _check_spline_knots
 from .kernel import P_CLAMP, check_alpha, clamp_pvalues
 from .numtext import FLOAT_CELL, INT_CELL, float_cells, int_cells
 from .pipeline import run_camt
@@ -269,6 +269,11 @@ def _open_output(path):
 
 def cmd_fit(args):
     _check_output(args.output)
+    try:
+        check_alpha(args.alpha)
+        _check_spline_knots(args.spline_knots)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     table = parse_table(args.input)
     m = table.pvals.size
     if m < MIN_FIT_M:
@@ -279,12 +284,6 @@ def cmd_fit(args):
             f"(recommended m >= {WARN_FIT_M})",
             file=sys.stderr,
         )
-    try:
-        check_alpha(args.alpha)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    if args.spline_knots != 0 and not 2 <= args.spline_knots <= 20:
-        raise CliError("--spline-knots must be 0 or between 2 and 20")
 
     try:
         gif_report = gif(table.pvals)
@@ -304,7 +303,6 @@ def cmd_fit(args):
                 alpha=args.alpha,
                 spline_knots=args.spline_knots,
                 mixed=args.mixed,
-                cap_at_tup=not args.no_tup_cap,
             )
         except CovariateError as exc:
             raise CliError(
@@ -320,7 +318,6 @@ def cmd_fit(args):
         out.write(f"# alpha: {_fmt(args.alpha)}\n")
         out.write(f"# spline_knots: {args.spline_knots}\n")
         out.write(f"# mixed: {str(args.mixed).lower()}\n")
-        out.write(f"# tup_cap: {str(not args.no_tup_cap).lower()}\n")
         out.write("# seed: none\n")
         out.write(f"# m: {m}\n")
         out.write(f"# n_clamped: {table.n_clamped}\n")
@@ -430,7 +427,6 @@ def build_parser():
     p_fit.add_argument("--alpha", type=float, default=0.05)
     p_fit.add_argument("--spline-knots", type=int, default=0, dest="spline_knots")
     p_fit.add_argument("--mixed", action="store_true")
-    p_fit.add_argument("--no-tup-cap", action="store_true", dest="no_tup_cap")
     p_fit.add_argument("--output", required=True)
     p_fit.set_defaults(func=cmd_fit)
 

@@ -124,6 +124,14 @@ class FitResult:
     trace: EmTrace
 
 
+def _check_spline_knots(spline_knots):
+    """ValueError unless spline_knots is 0 (raw covariate columns) or a
+    knot count per covariate between 2 and 20; the one home of the rule,
+    which ``camt fit`` checks before it reads its table."""
+    if spline_knots != 0 and not 2 <= spline_knots <= 20:
+        raise ValueError("spline_knots must be 0 or between 2 and 20")
+
+
 def build_design(covariates, spline_knots=0):
     """Intercept-plus-covariates design matrix for the logistic links.
 
@@ -137,12 +145,13 @@ def build_design(covariates, spline_knots=0):
 
     Parameters
     ----------
-    covariates : array_like or None
-        Shape (m, q) or (m,). None or q == 0 gives an intercept-only
-        design; m must then be passed via a (m, 0) array.
+    covariates : array_like
+        Shape (m, q) or (m,). A (m, 0) array gives an intercept-only
+        design of m rows (:func:`~camt.pipeline.fit_camt` builds one
+        when its covariates are None).
     spline_knots : int
         0 for raw covariate columns, otherwise the number of knots per
-        covariate, between 2 and 20.
+        covariate, between 2 and 20 (:func:`_check_spline_knots`).
 
     Raises
     ------
@@ -158,8 +167,7 @@ def build_design(covariates, spline_knots=0):
         raise ValueError("covariates must be a 1-d or 2-d array")
     if x.size and not np.all(np.isfinite(x)):
         raise ValueError("covariates must be finite")
-    if spline_knots != 0 and not 2 <= spline_knots <= 20:
-        raise ValueError("spline_knots must be 0 or between 2 and 20")
+    _check_spline_knots(spline_knots)
     m, q = x.shape
     columns = [np.ones(m)]
     for j in range(q):

@@ -25,12 +25,11 @@ class CamtFit:
     trace: EmTrace
     stats: MirrorStatistics
 
-    def select(self, alpha, mixed=False, cap_at_tup=True):
+    def select(self, alpha, mixed=False):
         """Threshold search plus rejection at target level alpha."""
         mixed_fitted = self.fitted if mixed else None
-        t_hat = select_threshold(
-            self.stats, alpha, cap_at_tup=cap_at_tup, mixed_fitted=mixed_fitted
-        )
+        # by keyword: bench/tracing.py names the select span from it
+        t_hat = select_threshold(self.stats, alpha, mixed_fitted=mixed_fitted)
         return reject(self.stats, t_hat, mixed_fitted=mixed_fitted)
 
 
@@ -65,14 +64,7 @@ def fit_camt(pvals, covariates=None, spline_knots=0):
     )
 
 
-def run_camt(
-    pvals,
-    covariates=None,
-    alpha=0.05,
-    spline_knots=0,
-    mixed=False,
-    cap_at_tup=True,
-):
+def run_camt(pvals, covariates=None, alpha=0.05, spline_knots=0, mixed=False):
     """One-call version of fit + select.
 
     Returns the :class:`CamtFit` and the
@@ -81,4 +73,4 @@ def run_camt(
     """
     check_alpha(alpha)
     state = fit_camt(pvals, covariates, spline_knots=spline_knots)
-    return state, state.select(alpha, mixed=mixed, cap_at_tup=cap_at_tup)
+    return state, state.select(alpha, mixed=mixed)

@@ -97,6 +97,8 @@ class SimulationConfig:
             raise ValueError("alpha_grid must not be empty")
         for a in self.alpha_grid:
             check_alpha(a)
+        if self.setup == "S1":
+            noncentral_gamma_params(self.k_s)  # the alternative law needs k_s > sqrt(2)
 
 
 @dataclass
@@ -211,67 +213,46 @@ def metrics(rejected, is_alternative):
 # procedures
 
 
-# Procedures whose prepare_key is equal prepare the same state from a
-# replicate's data, so a sweep prepares it once and shares it.
+@dataclass
+class _Procedure:
+    """A rejection rule in two steps: prepare(data) builds a state from a
+    replicate's data, reject(state, alpha) gives the rejection mask.
+    Procedures whose prepare_key is equal prepare the same state, so a
+    sweep prepares it once and shares it."""
 
-
-class _BhProcedure:
-    name = prepare_key = "bh"
-
-    def prepare(self, data):
-        return data.pvals
-
-    def reject(self, state, alpha):
-        return bh(state, alpha)
-
-
-class _StoreyProcedure:
-    name = prepare_key = "storey"
-
-    def prepare(self, data):
-        return data.pvals
-
-    def reject(self, state, alpha):
-        return storey(state, alpha)
-
-
-class _OracleProcedure:
-    name = prepare_key = "oracle"
-
-    def prepare(self, data):
-        return oracle_prepare(lfdr_values(data.pvals, data.truth))
-
-    def reject(self, state, alpha):
-        return oracle_select(state, alpha)
-
-
-class _CamtProcedure:
-    prepare_key = "camt"  # mixed acts only in reject
-
-    def __init__(self, name="camt", mixed=False):
-        self.name = name
-        self.mixed = mixed
-
-    def prepare(self, data):
-        return fit_camt(data.pvals, data.covariates)
-
-    def reject(self, state, alpha):
-        return state.select(alpha, mixed=self.mixed).rejected
+    name: str
+    prepare_key: str
+    prepare: object
+    reject: object
 
 
 def make_procedure(name):
-    """Procedure registry used by sweeps and the CLI."""
+    """Procedure registry used by sweeps and the CLI.
+
+    The baselines and fit_camt are looked up when a procedure runs, not
+    when it is made, so a patched module attribute is what runs."""
     key = str(name).strip().lower()
     if key == "bh":
-        return _BhProcedure()
+        return _Procedure(key, key, lambda data: data.pvals, lambda p, alpha: bh(p, alpha))
     if key in ("storey", "st"):
-        return _StoreyProcedure()
+        return _Procedure(
+            "storey", "storey", lambda data: data.pvals, lambda p, alpha: storey(p, alpha)
+        )
     if key == "oracle":
-        return _OracleProcedure()
-    if key == "camt":
-        return _CamtProcedure()
-    if key == "camt-mixed":
-        return _CamtProcedure(name="camt-mixed", mixed=True)
+        return _Procedure(
+            key,
+            key,
+            lambda data: oracle_prepare(lfdr_values(data.pvals, data.truth)),
+            lambda state, alpha: oracle_select(state, alpha),
+        )
+    if key in ("camt", "camt-mixed"):
+        mixed = key == "camt-mixed"  # acts only in reject, so both share the fit
+        return _Procedure(
+            key,
+            "camt",
+            lambda data: fit_camt(data.pvals, data.covariates),
+            lambda fit, alpha: fit.select(alpha, mixed=mixed).rejected,
+        )
     raise ValueError(f"unknown procedure {name!r}; choose one of {', '.join(PROCEDURE_NAMES)}")
 
 

@@ -13,10 +13,11 @@ max(E(t), #{r_i < t}), E(t) being the fitted model's expected number of
 null p-values below their cutoffs. Both are written once, in
 ``_fdp_hat``, which the selectors and :func:`reject` share.
 
-The selector returns the largest threshold whose estimate stays at or
-below the target. The s-side uses <= and the r-side strict <, so a
-p-value of exactly one half (where s_i == r_i) counts as a rejection
-but not against it at the boundary; no special casing is needed.
+The selector returns the largest threshold up to t_up whose estimate
+stays at or below the target. The s-side uses <= and the r-side strict
+<, so a p-value of exactly one half (where s_i == r_i) counts as a
+rejection but not against it at the boundary; no special casing is
+needed.
 """
 
 from __future__ import annotations
@@ -70,13 +71,14 @@ def mirror_statistics(pvals, fitted):
     return MirrorStatistics(s=s, r=r, t_up=t_up)
 
 
-def select_threshold(stats, alpha, cap_at_tup=True, mixed_fitted=None):
+def select_threshold(stats, alpha, mixed_fitted=None):
     """Largest candidate threshold with an admissible FDP estimate.
 
-    Candidates are the observed s-values (capped at t_up unless
-    cap_at_tup is False) plus zero; the estimate only changes at those
-    points, so nothing larger is ever needed. Returns 0.0 when no
-    candidate is admissible (then nothing is rejected).
+    Candidates are the observed s-values at or below t_up, plus zero;
+    the estimate only changes at those points. The search always stops
+    at t_up: above it the mirror count no longer stands in for the
+    false rejections. Returns 0.0 when no candidate is admissible (then
+    nothing is rejected).
 
     With mixed_fitted set (a FittedHypotheses), the numerator is
     max(E(t), #{r_i < t}) with E(t) = sum_i pi_i c(t, pi_i, k_i): the
@@ -94,7 +96,7 @@ def select_threshold(stats, alpha, cap_at_tup=True, mixed_fitted=None):
     candidates actually evaluated cost O(m) each.
     """
     check_alpha(alpha)
-    candidates, num, den = _candidate_counts(stats, cap_at_tup)
+    candidates, num, den = _candidate_counts(stats)
     if candidates.size == 0:
         return 0.0
     if mixed_fitted is not None:
@@ -136,14 +138,12 @@ def _fdp_hat(num, den, expected=None):
     return numerator / np.maximum(1, den)
 
 
-def _candidate_counts(stats, cap_at_tup):
-    """Sorted candidate thresholds with mirror and rejection counts."""
+def _candidate_counts(stats):
+    """Sorted candidate thresholds (s-values up to t_up) with mirror and
+    rejection counts."""
     s_sorted = np.sort(stats.s)
     r_sorted = np.sort(stats.r)
-    if cap_at_tup:
-        candidates = s_sorted[s_sorted <= stats.t_up]
-    else:
-        candidates = s_sorted
+    candidates = s_sorted[s_sorted <= stats.t_up]
     den = np.searchsorted(s_sorted, candidates, side="right")
     num = np.searchsorted(r_sorted, candidates, side="left")
     return candidates, num, den

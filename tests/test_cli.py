@@ -352,7 +352,6 @@ def test_fit_round_trip(tmp_path, capsys):
     assert meta["alpha"] == "0.1"
     assert meta["seed"] == "none"
     assert meta["mixed"] == "false"
-    assert meta["tup_cap"] == "true"
     assert float(meta["t_hat"]) == oracle.t_hat
     assert int(meta["n_rejections"]) == oracle.n_rejections
     assert float(meta["fdp_hat"]) == oracle.fdp_hat
@@ -463,7 +462,7 @@ def test_fit_accepts_a_psi_statistic_of_one(tmp_path, capsys):
     data = generate(SimulationConfig(setup="complete-null", m=500, seed=0), 94)
     in_path = _write_table(tmp_path / "in.csv", data.pvals, data.covariates)
     out = tmp_path / "o.csv"
-    for extra in ([], ["--mixed"], ["--no-tup-cap", "--mixed"]):
+    for extra in ([], ["--mixed"]):
         assert main(["fit", "--input", in_path, "--output", str(out), *extra]) == 0
         assert "runtime failure" not in capsys.readouterr().err
         psi_stat = [l.split(",")[-2] for l in out.read_text().splitlines()[-500:]]
@@ -503,6 +502,20 @@ def test_fit_alpha_follows_the_library_rule(tmp_path, capsys):
     meta, _, rows = _read_fit_output(out)
     assert meta["alpha"] == "1.0" and float(meta["fdp_hat"]) <= 1.0
     assert len(rows) == 1200
+
+
+def test_fit_checks_its_options_before_reading_the_table(tmp_path, capsys):
+    # the rules are the library's, and a bad option fails before the parse:
+    # the input does not exist, yet the option is what is reported
+    missing, out = str(tmp_path / "missing.csv"), tmp_path / "o.csv"
+    for option, message in (
+        (["--alpha", "0"], "alpha must lie in (0, 1]"),
+        (["--spline-knots", "1"], "spline_knots must be 0 or between 2 and 20"),
+        (["--spline-knots", "21"], "spline_knots must be 0 or between 2 and 20"),
+    ):
+        assert main(["fit", "--input", missing, *option, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_fit_with_noise_covariate_tracks_adaptive_baseline(tmp_path, capsys):
@@ -573,6 +586,25 @@ def test_simulate_rejects_unknown_setup(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_refuses_an_s1_effect_without_a_gamma_law(tmp_path, capsys):
+    # k_s <= sqrt(2) has no unit-variance non-central gamma; it is refused
+    # before the sweep starts
+    out_path = tmp_path / "o.csv"
+    code = main(
+        [
+            "simulate",
+            "--setup", "S1",
+            "--ks", "1.2",
+            "--reps", "1",
+            "--output", str(out_path),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: mean must exceed sqrt(2) for a valid non-centrality\n"
+    assert not out_path.exists()
 
 
 def test_simulate_rejects_bad_alpha_grid(tmp_path, capsys):

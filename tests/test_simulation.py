@@ -226,6 +226,13 @@ def test_config_validation():
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
             SimulationConfig(alpha_grid=grid)
     assert SimulationConfig(alpha_grid=(0.05, 1.0)).alpha_grid == (0.05, 1.0)
+    # S1's rule is noncentral_gamma_params': k_s > sqrt(2); the other
+    # setups draw normal alternatives and take any k_s
+    for k_s in (1.2, np.sqrt(2.0)):
+        with pytest.raises(ValueError, match=r"mean must exceed sqrt\(2\)"):
+            SimulationConfig(setup="S1", k_s=k_s)
+    assert SimulationConfig(setup="S1", k_s=1.5).k_s == 1.5
+    assert SimulationConfig(setup="S0", k_s=1.2).k_s == 1.2
 
 
 def test_make_procedure_registry():
@@ -234,12 +241,18 @@ def test_make_procedure_registry():
     assert make_procedure("storey").name == "storey"
     assert make_procedure("oracle").name == "oracle"
     assert make_procedure("camt").name == "camt"
-    mixed = make_procedure("camt-mixed")
-    assert mixed.name == "camt-mixed"
-    assert mixed.mixed is True
     with pytest.raises(ValueError, match="unknown procedure"):
         make_procedure("qvalue")
     assert DEFAULT_PROCEDURES == ("camt", "bh", "storey", "oracle")
+    # camt-mixed shares camt's fit and selects from it in mixed mode
+    plain, mixed = make_procedure("camt"), make_procedure("camt-mixed")
+    assert mixed.name == "camt-mixed"
+    assert mixed.prepare_key == plain.prepare_key
+    data = generate(SimulationConfig(setup="S0", m=3000, seed=4), 0)
+    fit = plain.prepare(data)
+    for alpha in (0.05, 0.2):
+        assert np.array_equal(plain.reject(fit, alpha), fit.select(alpha).rejected)
+        assert np.array_equal(mixed.reject(fit, alpha), fit.select(alpha, mixed=True).rejected)
 
 
 def test_resolve_workers(monkeypatch):

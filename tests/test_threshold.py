@@ -98,10 +98,9 @@ def test_select_all_pvalues_near_one_rejects_nothing():
     p = np.full(m, 0.99)
     fitted = FittedHypotheses(pi_hat=np.full(m, 0.9), k_hat=np.full(m, 0.5))
     stats = mirror_statistics(p, fitted)
-    for cap in (True, False):
-        t_hat = select_threshold(stats, 0.1, cap_at_tup=cap)
-        assert t_hat == 0.0
-        assert reject(stats, t_hat).n_rejections == 0
+    t_hat = select_threshold(stats, 0.1)
+    assert t_hat == 0.0
+    assert reject(stats, t_hat).n_rejections == 0
 
 
 def test_select_agrees_with_dense_grid_on_random_instances():
@@ -229,17 +228,18 @@ def test_a_statistic_that_rounds_to_one_is_a_candidate():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for mixed in (False, True):
-            for cap in (True, False):
-                for alpha in (0.05, 0.2, 1.0):
-                    result = state.select(alpha, mixed=mixed, cap_at_tup=cap)
-                    assert result.t_hat == 0.0 or result.fdp_hat <= alpha
-        # uncapped at alpha = 1 the mixed mode takes the candidate 1.0,
-        # where E(1) = sum(pi)
-        result = state.select(1.0, mixed=True, cap_at_tup=False)
-        assert result.t_hat == 1.0 and result.n_rejections == 500
-        assert _ExpectedCount(state.fitted)(1.0) == pytest.approx(
-            state.fitted.pi_hat.sum(), rel=1e-12
-        )
+            for alpha in (0.05, 0.2, 1.0):
+                result = state.select(alpha, mixed=mixed)
+                assert result.t_hat == 0.0 or result.fdp_hat <= alpha
+                assert result.t_hat <= state.stats.t_up
+        # the selection stops at t_up < 1, but rejecting at t = 1 reaches
+        # E(1) = sum(pi), where the statistic of one is rejected too
+        result = reject(state.stats, 1.0, mixed_fitted=state.fitted)
+        assert result.n_rejections == 500
+        expected = _ExpectedCount(state.fitted)(1.0)
+        assert expected == pytest.approx(state.fitted.pi_hat.sum(), rel=1e-12)
+        mirror_count = np.count_nonzero(state.stats.r < 1.0)
+        assert result.fdp_hat == max(expected, mirror_count) / 500
 
 
 # ----------------------------------------------------------------------
@@ -327,11 +327,11 @@ def test_reject_with_mixed_estimate_reports_its_fdp():
 # properties of the selector
 
 
-def _reference_select_mixed(stats, alpha, cap_at_tup, fitted):
+def _reference_select_mixed(stats, alpha, fitted):
     """The all-candidates mixed selector: E(t) at every candidate at once."""
     s_sorted = np.sort(stats.s)
     r_sorted = np.sort(stats.r)
-    candidates = s_sorted[s_sorted <= stats.t_up] if cap_at_tup else s_sorted
+    candidates = s_sorted[s_sorted <= stats.t_up]
     if candidates.size == 0:
         return 0.0
     den = np.searchsorted(s_sorted, candidates, side="right")
@@ -379,16 +379,16 @@ _alphas = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(_instances(), _alphas, st.booleans())
-def test_mixed_select_matches_all_candidates_reference(instance, alpha, cap):
+@given(_instances(), _alphas)
+def test_mixed_select_matches_all_candidates_reference(instance, alpha):
     stats, fitted = instance
-    t_hat = select_threshold(stats, alpha, cap_at_tup=cap, mixed_fitted=fitted)
-    assert t_hat == _reference_select_mixed(stats, alpha, cap, fitted)
+    t_hat = select_threshold(stats, alpha, mixed_fitted=fitted)
+    assert t_hat == _reference_select_mixed(stats, alpha, fitted)
+    assert t_hat <= stats.t_up
     # and, bit for bit, the largest candidate whose reported estimate is admissible
-    cap_value = stats.t_up if cap else 1.0
     admitted = [
         t
-        for t in stats.s[stats.s <= cap_value]
+        for t in stats.s[stats.s <= stats.t_up]
         if reject(stats, t, mixed_fitted=fitted).fdp_hat <= alpha
     ]
     assert t_hat == max(admitted, default=0.0)
@@ -416,7 +416,7 @@ def test_mixed_select_skips_blocks_that_cannot_be_admissible(monkeypatch):
     candidates = int(np.count_nonzero(stats.s <= stats.t_up))
     assert candidates > 15_000
     assert 0 < len(evaluated) < candidates // 100
-    assert t_hat == _reference_select_mixed(stats, 1e-12, True, fitted) == 0.0
+    assert t_hat == _reference_select_mixed(stats, 1e-12, fitted) == 0.0
 
 
 def test_mixed_select_block_skip_keeps_the_reference_threshold():
@@ -433,30 +433,29 @@ def test_mixed_select_block_skip_keeps_the_reference_threshold():
         stats = mirror_statistics(p, fitted)
         for alpha in (0.01, 0.05, 0.1, 0.2):
             t_hat = select_threshold(stats, alpha, mixed_fitted=fitted)
-            assert t_hat == _reference_select_mixed(stats, alpha, True, fitted)
+            assert t_hat == _reference_select_mixed(stats, alpha, fitted)
 
 
 @settings(max_examples=100, deadline=None)
-@given(_instances(), _alphas, _alphas, st.booleans(), st.booleans())
-def test_rejection_sets_are_nested_in_alpha(instance, a1, a2, cap, mixed):
+@given(_instances(), _alphas, _alphas, st.booleans())
+def test_rejection_sets_are_nested_in_alpha(instance, a1, a2, mixed):
     stats, fitted = instance
     mixed_fitted = fitted if mixed else None
     lo, hi = sorted((a1, a2))
-    small = stats.s <= select_threshold(stats, lo, cap_at_tup=cap, mixed_fitted=mixed_fitted)
-    large = stats.s <= select_threshold(stats, hi, cap_at_tup=cap, mixed_fitted=mixed_fitted)
+    small = stats.s <= select_threshold(stats, lo, mixed_fitted=mixed_fitted)
+    large = stats.s <= select_threshold(stats, hi, mixed_fitted=mixed_fitted)
     assert np.all(large[small])
 
 
 @settings(max_examples=100, deadline=None)
-@given(_instances(), _alphas, st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
-def test_permuting_hypotheses_permutes_the_mask(instance, alpha, cap, mixed, seed):
+@given(_instances(), _alphas, st.booleans(), st.integers(0, 2**32 - 1))
+def test_permuting_hypotheses_permutes_the_mask(instance, alpha, mixed, seed):
     stats, fitted = instance
     perm = np.random.default_rng(seed).permutation(stats.s.size)
     shuffled_fit = FittedHypotheses(pi_hat=fitted.pi_hat[perm], k_hat=fitted.k_hat[perm])
     shuffled = MirrorStatistics(s=stats.s[perm], r=stats.r[perm], t_up=stats.t_up)
-    t_hat = select_threshold(stats, alpha, cap_at_tup=cap, mixed_fitted=fitted if mixed else None)
-    t_perm = select_threshold(
-        shuffled, alpha, cap_at_tup=cap, mixed_fitted=shuffled_fit if mixed else None
-    )
+    t_hat = select_threshold(stats, alpha, mixed_fitted=fitted if mixed else None)
+    t_perm = select_threshold(shuffled, alpha, mixed_fitted=shuffled_fit if mixed else None)
     assert t_perm == t_hat
+    assert t_hat <= stats.t_up
     assert np.array_equal(reject(shuffled, t_perm).rejected, reject(stats, t_hat).rejected[perm])
