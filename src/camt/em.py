@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -85,7 +85,9 @@ class CoefVector:
 
 @dataclass
 class EmTrace:
-    """Per-iteration diagnostics of one EM run.
+    """Per-iteration diagnostics of one EM run. :func:`fit` creates it
+    before its first iteration and fills it as it runs (loglik and
+    param_change grow as lists and become arrays when the fit ends).
 
     The step counts add up the inner M-step steps of both links over the
     whole run: newton_steps moved along the Newton direction,
@@ -94,8 +96,8 @@ class EmTrace:
     candidates a line search rejected before it accepted one or gave up.
     """
 
-    loglik: np.ndarray
-    param_change: np.ndarray
+    loglik: np.ndarray | list[float]  # a list while the fit runs
+    param_change: np.ndarray | list[float]
     n_iter: int
     converged: bool
     newton_steps: int = 0
@@ -260,8 +262,9 @@ def m_step(gamma, params, design, pvals):
     X, logp = _prepare(design, pvals)
     gamma = np.asarray(gamma, dtype=float)
     links = _links(params.theta, params.beta, X)
+    trace = EmTrace(loglik=[], param_change=[], n_iter=0, converged=False)  # its counts go unread
     theta, beta = _m_step(
-        params.theta.copy(), params.beta.copy(), links, X, _gram(X), gamma, logp, _StepCounts()
+        params.theta.copy(), params.beta.copy(), links, X, _gram(X), gamma, logp, trace
     )
     return CoefVector(theta=theta, beta=beta)
 
@@ -311,44 +314,35 @@ def fit(design, pvals):
     links = _links(theta, beta, X)
     ll, gamma = _loglik_gamma(links, logp)
     gram = _gram(X)
-    counts = _StepCounts()
-    trace_ll = [ll]
-    trace_change = []
-    converged = False
-    n_iter = 0
+    trace = EmTrace(loglik=[ll], param_change=[], n_iter=0, converged=False)
     for _ in range(MAX_ITER):
-        n_iter += 1
-        theta_new, beta_new = _m_step(theta, beta, links, X, gram, gamma, logp, counts)
+        trace.n_iter += 1
+        theta_new, beta_new = _m_step(theta, beta, links, X, gram, gamma, logp, trace)
         del gamma  # the E-step forms the next one
         ll_new, gamma = _loglik_gamma(links, logp)
-        change = max(abs(theta_new - theta).max(), abs(beta_new - beta).max())
-        trace_ll.append(ll_new)
-        trace_change.append(change)
+        trace.loglik.append(ll_new)
+        trace.param_change.append(max(abs(theta_new - theta).max(), abs(beta_new - beta).max()))
         theta, beta = theta_new, beta_new
         if abs(ll_new - ll) < REL_TOL * max(1.0, abs(ll)):
-            converged = True
+            trace.converged = True
             break
         ll = ll_new
 
-    if not converged:
+    if not trace.converged:
         warnings.warn(
             f"EM did not converge within {MAX_ITER} iterations",
             RuntimeWarning,
             stacklevel=2,
         )
 
+    trace.loglik = np.asarray(trace.loglik)
+    trace.param_change = np.asarray(trace.param_change)
     pi_hat = winsorize(links["pi"].p)
     k_hat = np.clip(links["k"].p, K_CLIP, 1.0 - K_CLIP)
     return FitResult(
         coef=CoefVector(theta=theta, beta=beta),
         fitted=FittedHypotheses(pi_hat=pi_hat, k_hat=k_hat),
-        trace=EmTrace(
-            loglik=np.asarray(trace_ll),
-            param_change=np.asarray(trace_change),
-            n_iter=n_iter,
-            converged=converged,
-            **asdict(counts),
-        ),
+        trace=trace,
     )
 
 
@@ -380,15 +374,6 @@ class _Link(NamedTuple):
     one_m_p: np.ndarray  # expit(-u)
     sp: np.ndarray | float  # softplus(u) = log(1 + exp(u)), or its sum
     u: np.ndarray | None  # u, kept by the pi link only
-
-
-@dataclass
-class _StepCounts:
-    """Inner-step counts of the M-step updates, see :class:`EmTrace`."""
-
-    newton_steps: int = 0
-    line_search_halvings: int = 0
-    gradient_fallbacks: int = 0
 
 
 def _exp_neg_abs(u):
@@ -462,12 +447,12 @@ def _loglik_gamma(links, logp):
     return float(np.log(denom, out=denom).sum()), gamma
 
 
-def _m_step(theta, beta, links, X, gram, gamma, logp, counts):
+def _m_step(theta, beta, links, X, gram, gamma, logp, trace):
     """Update theta, then beta, by :func:`_maximize` from the link values
-    in links, with gram = _gram(X); returns the new coefficients and
-    leaves their links in links."""
-    theta = _maximize(theta, links, "pi", X, gram, _theta_share(1.0 - gamma), counts)
-    beta = _maximize(beta, links, "k", X, gram, _beta_share(gamma, logp), counts)
+    in links, with gram = _gram(X); returns the new coefficients, leaves
+    their links in links and adds the inner steps to trace's counts."""
+    theta = _maximize(theta, links, "pi", X, gram, _theta_share(1.0 - gamma), trace)
+    beta = _maximize(beta, links, "k", X, gram, _beta_share(gamma, logp), trace)
     return theta, beta
 
 
@@ -560,10 +545,11 @@ def _solve_ascent_direction(neg_hess, grad):
     return evecs @ (inv * (evecs.T @ grad))
 
 
-def _maximize(coef, links, key, X, gram, share, counts):
+def _maximize(coef, links, key, X, gram, share, trace):
     """Damped Newton ascent of one link's share of the complete-data
     objective from coef, whose link values are links[key]; returns the
-    final coef and leaves its link values in links[key]. The starting
+    final coef, leaves its link values in links[key] and counts its steps
+    into trace (an :class:`EmTrace`). The starting
     link is taken out of links, so it is freed at the first accepted step.
 
     share maps the link at u = X @ coef to (value, slope, curv): the
@@ -586,10 +572,10 @@ def _maximize(coef, links, key, X, gram, share, counts):
             break
         direction = _solve_ascent_direction(gram(curv()), grad)
         if direction is None:
-            counts.gradient_fallbacks += 1
+            trace.gradient_fallbacks += 1
             direction = grad / abs(grad).max()
         else:
-            counts.newton_steps += 1
+            trace.newton_steps += 1
         step = 1.0
         for _ in range(MAX_HALVINGS + 1):
             cand = np.minimum(np.maximum(coef + step * direction, -COEF_BOUND), COEF_BOUND)
@@ -598,7 +584,7 @@ def _maximize(coef, links, key, X, gram, share, counts):
             if math.isfinite(cand_share[0]) and cand_share[0] >= value:
                 break
             del cand_link, cand_share  # before the next candidate is built
-            counts.line_search_halvings += 1
+            trace.line_search_halvings += 1
             step *= 0.5
         else:
             break  # every halving decreased the share

@@ -11,18 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import CoefVector, EmTrace, FittedHypotheses, build_design, fit
+from .em import FitResult, build_design, fit
 from .kernel import check_alpha, clamp_pvalues
 from .threshold import MirrorStatistics, mirror_statistics, reject, select_threshold
 
 
 @dataclass
-class CamtFit:
-    """Fitted state, sufficient for threshold selection at any level."""
+class CamtFit(FitResult):
+    """The EM fit with its mirror statistics, sufficient for threshold
+    selection at any level."""
 
-    fitted: FittedHypotheses
-    coef: CoefVector
-    trace: EmTrace
     stats: MirrorStatistics
 
     def select(self, alpha, mixed=False):
@@ -55,13 +53,7 @@ def fit_camt(pvals, covariates=None, spline_knots=0):
     if design.shape[0] != p.size:
         raise ValueError(f"covariates have {design.shape[0]} rows for {p.size} p-values")
     result = fit(design, p)
-    stats = mirror_statistics(p, result.fitted)
-    return CamtFit(
-        fitted=result.fitted,
-        coef=result.coef,
-        trace=result.trace,
-        stats=stats,
-    )
+    return CamtFit(**vars(result), stats=mirror_statistics(p, result.fitted))
 
 
 def run_camt(pvals, covariates=None, alpha=0.05, spline_knots=0, mixed=False):

@@ -97,6 +97,9 @@ class SimulationConfig:
             raise ValueError("alpha_grid must not be empty")
         for a in self.alpha_grid:
             check_alpha(a)
+        for name in ("eta0", "k_d", "k_s", "k_f"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.setup == "S1":
             noncentral_gamma_params(self.k_s)  # the alternative law needs k_s > sqrt(2)
 

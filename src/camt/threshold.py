@@ -9,8 +9,10 @@ reflection are exchangeable), which gives the estimate
     FDP(t) = (1 + #{r_i < t}) / max(1, #{s_i <= t}),
 
 or, in the mixed mode, the same ratio with the numerator replaced by
-max(E(t), #{r_i < t}), E(t) being the fitted model's expected number of
-null p-values below their cutoffs. Both are written once, in
+max(1, E(t), #{r_i < t}), E(t) being the fitted model's expected number
+of null p-values below their cutoffs. The floor of one plays the part
+of the plain estimate's +1: under either estimate, n rejections are
+admissible only at levels of at least 1 / n. Both are written once, in
 ``_fdp_hat``, which the selectors and :func:`reject` share.
 
 The selector returns the largest threshold up to t_up whose estimate
@@ -81,19 +83,20 @@ def select_threshold(stats, alpha, mixed_fitted=None):
     nothing is rejected).
 
     With mixed_fitted set (a FittedHypotheses), the numerator is
-    max(E(t), #{r_i < t}) with E(t) = sum_i pi_i c(t, pi_i, k_i): the
+    max(1, E(t), #{r_i < t}) with E(t) = sum_i pi_i c(t, pi_i, k_i): the
     expected count is sharp for small t, the mirror count takes over
-    once rejections reach into moderate p-values. As that numerator is
-    never below the mirror count, a candidate with
-    count / max(1, rejections) > alpha cannot be admissible. The search
-    screens those out in one vectorized pass, then scans the survivors,
-    largest first, in blocks of 1, 2, 4, ... candidates, and stops at
-    the first admissible one. Each block's smallest candidate is
-    evaluated first: when its E already exceeds alpha times the
-    rejection count at the block's largest candidate, no candidate of
-    the block can be admissible and the block is skipped. The answer is
-    the one an evaluation of every candidate gives, but only the
-    candidates actually evaluated cost O(m) each.
+    once rejections reach into moderate p-values, and the floor of one
+    keeps a handful of rejections with a tiny E(t) out. As that
+    numerator is never below max(1, count), a candidate with
+    max(1, count) / max(1, rejections) > alpha cannot be admissible.
+    The search screens those out in one vectorized pass, then scans the
+    survivors, largest first, in blocks of 1, 2, 4, ... candidates, and
+    stops at the first admissible one. Each block's smallest candidate
+    is evaluated first: its estimate with the rejection count of the
+    block's largest candidate bounds every estimate in the block from
+    below, so when that bound exceeds alpha the block is skipped. The
+    answer is the one an evaluation of every candidate gives, but only
+    the candidates actually evaluated cost O(m) each.
     """
     check_alpha(alpha)
     candidates, num, den = _candidate_counts(stats)
@@ -111,15 +114,13 @@ def reject(stats, t_hat, mixed_fitted=None):
     """Rejection set at threshold t_hat: every i with s_i <= t_hat.
 
     fdp_hat is the estimate the selector compares with alpha, the mixed
-    one when mixed_fitted is set and t_hat > 0.
+    one when mixed_fitted is set; at t_hat = 0 both read 1.
     """
     if not 0.0 <= t_hat <= 1.0:
         raise ValueError("t_hat must lie in [0, 1]")
     rejected = stats.s <= t_hat
     n_rejections = int(np.count_nonzero(rejected))
-    expected = None
-    if mixed_fitted is not None and t_hat > 0.0:
-        expected = _ExpectedCount(mixed_fitted)(t_hat)
+    expected = None if mixed_fitted is None else _ExpectedCount(mixed_fitted)(t_hat)
     fdp_hat = _fdp_hat(int(np.count_nonzero(stats.r < t_hat)), n_rejections, expected)
     return RejectionResult(
         t_hat=float(t_hat),
@@ -132,9 +133,9 @@ def reject(stats, t_hat, mixed_fitted=None):
 def _fdp_hat(num, den, expected=None):
     """The FDP estimate from the mirror count num = #{r_i < t} and the
     rejection count den = #{s_i <= t}: (1 + num) / max(1, den), or
-    max(E(t), num) / max(1, den) given the expected null count E(t).
+    max(1, E(t), num) / max(1, den) given the expected null count E(t).
     Broadcasts, so the selectors and :func:`reject` share its rounding."""
-    numerator = 1 + num if expected is None else np.maximum(expected, num)
+    numerator = 1 + num if expected is None else np.maximum(np.maximum(expected, num), 1)
     return numerator / np.maximum(1, den)
 
 
@@ -151,20 +152,21 @@ def _candidate_counts(stats):
 
 def _select_mixed(candidates, num, den, alpha, fitted):
     """Screen-and-scan search of :func:`select_threshold` with mixed_fitted."""
-    # max(E, num) / den >= num / den, so the mirror screen only drops
-    # candidates the full test would reject too
-    survivors = np.flatnonzero(num / np.maximum(1, den) <= alpha)[::-1]
+    # the estimate is never below its value at E = 0, so the mirror
+    # screen only drops candidates the full test would reject too
+    survivors = np.flatnonzero(_fdp_hat(num, den, 0.0) <= alpha)[::-1]
     expected_count = _ExpectedCount(fitted)
     lo, size = 0, 1
     while lo < survivors.size:
         block = survivors[lo : lo + size]  # descending t
         lo += block.size
         size *= 2
-        # E(t) increases with t and den never decreases, so every t in
-        # the block has E(t) / den(t) >= E(smallest t) / den(largest t);
-        # the slack absorbs rounding in E's monotonicity
+        # E(t), num and den never decrease with t, so every t in the
+        # block has an estimate at least the one with E and num of its
+        # smallest t and den of its largest; the slack absorbs rounding
+        # in E's monotonicity
         smallest = expected_count(candidates[block[-1]])
-        if smallest / max(1, den[block[0]]) > alpha * (1.0 + 1e-9):
+        if _fdp_hat(num[block[-1]], den[block[0]], smallest) > alpha * (1.0 + 1e-9):
             continue
         for i in block:
             expected = smallest if i == block[-1] else expected_count(candidates[i])
@@ -175,12 +177,13 @@ def _select_mixed(candidates, num, den, alpha, fitted):
 
 class _ExpectedCount:
     """E(t) = sum_i pi_i * cutoff(t, pi_i, k_i) at one threshold t in
-    (0, 1] per call.
+    [0, 1] per call.
 
     Written on the log scale: the cutoff is
     exp(min(0, (logit t + log((1-k)(1-pi)/pi)) / k)), so the min
-    against one costs nothing, and at t = 1 (logit inf) every cutoff is
-    1 and E(1) = sum(pi).
+    against one costs nothing; at t = 0 (logit -inf) every cutoff is 0
+    and E(0) = 0, at t = 1 (logit inf) every cutoff is 1 and
+    E(1) = sum(pi).
     """
 
     def __init__(self, fitted):

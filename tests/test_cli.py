@@ -469,6 +469,19 @@ def test_fit_accepts_a_psi_statistic_of_one(tmp_path, capsys):
         assert "1.0" in psi_stat
 
 
+def test_fit_mixed_rejects_nothing_from_all_null_pvalues(tmp_path, capsys):
+    # the seed-0 case of the pipeline test, through the CLI
+    rng = np.random.default_rng(0)
+    in_path = _write_table(tmp_path / "in.csv", rng.random(2000), rng.standard_normal((2000, 1)))
+    out = tmp_path / "o.csv"
+    assert main(["fit", "--input", in_path, "--mixed", "--output", str(out)]) == 0
+    assert "rejections=0," in capsys.readouterr().out
+    meta, _, rows = _read_fit_output(out)
+    assert meta["mixed"] == "true" and meta["alpha"] == "0.05"
+    assert (meta["n_rejections"], meta["t_hat"], meta["fdp_hat"]) == ("0", "0.0", "1.0")
+    assert len(rows) == 2000 and all(r[-1] == "0" for r in rows)
+
+
 def test_fit_refuses_tiny_tables(tmp_path, capsys):
     in_path, _ = _dataset_table(tmp_path / "in.csv", 150, seed=32)
     assert main(["fit", "--input", in_path, "--output", str(tmp_path / "o.csv")]) == 1
@@ -604,6 +617,19 @@ def test_simulate_refuses_an_s1_effect_without_a_gamma_law(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err == "error: mean must exceed sqrt(2) for a valid non-centrality\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("option, field", [("--kd", "k_d"), ("--ks", "k_s")])
+def test_simulate_refuses_a_non_finite_parameter(tmp_path, capsys, monkeypatch, option, field):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr("camt.simulation.run_sweep", no_sweep)
+    out_path = tmp_path / "o.csv"
+    args = ["simulate", "--setup", "S0", "--m", "500", "--reps", "1", option, "nan"]
+    assert main([*args, "--output", str(out_path)]) == 1
+    assert capsys.readouterr().err == f"error: {field} must be finite\n"
     assert not out_path.exists()
 
 

@@ -38,7 +38,6 @@ from camt.em import (
     _link,
     _maximize,
     _solve_ascent_direction,
-    _StepCounts,
 )
 from camt.kernel import clamp_pvalues, psi, winsorize
 from camt.pipeline import run_camt
@@ -186,6 +185,7 @@ def _design_and_weights(draw):
 @given(_design_and_weights())
 @example((np.ones((1, 1)), np.array([-2.0])))
 @example((np.array([[1.0, 1.0], [1.0, 1.0 + 1e-8]]), np.array([0.3, -0.3])))
+@example((np.array([[1.0, 1.5]]), np.array([5e-324])))
 def test_gram_matches_the_weighted_product(case):
     X, w = case
     got = _gram(np.asfortranarray(X))(w)
@@ -194,9 +194,13 @@ def test_gram_matches_the_weighted_product(case):
     # the two forms round w_r x_ri x_rj in different orders, so they
     # agree relative to the sum of magnitudes, the largest entry of
     # X.T diag(|w|) X; the signed entries can cancel to near 0 (the
-    # second example differs by 7e-9 relative to its own largest entry)
+    # second example differs by 7e-9 relative to its own largest entry).
+    # Below the normal range a rounding errs by up to half the smallest
+    # subnormal whatever the magnitude, three roundings per term (the
+    # third example's corner entry reads 1e-323 one way, 1.5e-323 the other)
     scale = np.abs((X.T * np.abs(w)) @ X).max()
-    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    floor = 3 * X.shape[0] * np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(got - want) <= 1e-12 * scale + floor)
 
 
 def test_beta_ascent_falls_back_to_the_gradient_where_the_hessian_is_indefinite():
@@ -207,13 +211,13 @@ def test_beta_ascent_falls_back_to_the_gradient_where_the_hessian_is_indefinite(
     logp = np.log(10.0 ** rng.uniform(-12.0, -6.0, m))
     share = _beta_share(np.ones(m), logp)
     start = np.array([-3.0, 0.0])
-    counts = _StepCounts()
+    trace = EmTrace(loglik=[], param_change=[], n_iter=0, converged=False)
     links = {"k": _link(X @ start)}
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        beta = _maximize(start, links, "k", X, _gram(X), share, counts)
+        beta = _maximize(start, links, "k", X, _gram(X), share, trace)
     link = links["k"]
-    assert counts.gradient_fallbacks >= 1
-    assert counts.line_search_halvings >= 1
+    assert trace.gradient_fallbacks >= 1
+    assert trace.line_search_halvings >= 1
     assert share(link)[0] >= share(_link(X @ start))[0]
     assert link.u is None  # the k link carries softplus(u), k and 1 - k only
     for got, want in zip(link, _link(X @ beta)):

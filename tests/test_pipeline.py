@@ -32,6 +32,19 @@ def test_covariate_rows_must_match_the_p_values():
         run_camt(p, np.arange(1001.0), spline_knots=3)
 
 
+def test_mixed_mode_rejects_nothing_from_all_null_pvalues():
+    # every hypothesis is null, so any rejection is false; the mixed
+    # estimate's floor of one keeps out the few rejections with a tiny
+    # E(t) that max(E(t), #{r_i < t}) alone let through (2 at seed 0)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        pvals, covariates = rng.random(2000), rng.standard_normal((2000, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # EM may not converge on a complete null
+            _, result = run_camt(pvals, covariates, alpha=0.05, mixed=True)
+        assert (result.n_rejections, result.t_hat, result.fdp_hat) == (0, 0.0, 1.0), seed
+
+
 @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5, float("nan")])
 def test_run_camt_refuses_a_bad_alpha_before_the_fit(alpha, monkeypatch):
     def no_fit(*args, **kwargs):

@@ -239,7 +239,7 @@ def test_a_statistic_that_rounds_to_one_is_a_candidate():
         expected = _ExpectedCount(state.fitted)(1.0)
         assert expected == pytest.approx(state.fitted.pi_hat.sum(), rel=1e-12)
         mirror_count = np.count_nonzero(state.stats.r < 1.0)
-        assert result.fdp_hat == max(expected, mirror_count) / 500
+        assert result.fdp_hat == max(1.0, expected, mirror_count) / 500
 
 
 # ----------------------------------------------------------------------
@@ -253,10 +253,13 @@ def test_mixed_estimate_vanishes_with_the_threshold():
     stats = mirror_statistics(rng.uniform(0.05, 0.95, m), fitted)
     tiny = reject(stats, 1e-12, mixed_fitted=fitted)
     small = reject(stats, 1e-6, mixed_fitted=fitted)
-    # nothing is rejected and no mirror statistic is below t, so fdp_hat is E(t)
+    # nothing is rejected and no mirror statistic is below t: E(t) vanishes
+    # with t, and fdp_hat reads the floor of one, as the plain estimate does
     assert tiny.n_rejections == small.n_rejections == 0
-    assert 0.0 <= tiny.fdp_hat <= small.fdp_hat < 1e-3
-    assert small.fdp_hat == _ExpectedCount(fitted)(1e-6)
+    assert 0.0 == _ExpectedCount(fitted)(0.0) <= _ExpectedCount(fitted)(1e-12)
+    assert _ExpectedCount(fitted)(1e-12) <= _ExpectedCount(fitted)(1e-6) < 1e-3
+    assert tiny.fdp_hat == small.fdp_hat == reject(stats, 1e-6).fdp_hat == 1.0
+    assert reject(stats, 0.0, mixed_fitted=fitted).fdp_hat == 1.0
 
 
 def test_mixed_estimate_is_the_max_of_its_two_parts():
@@ -272,7 +275,7 @@ def test_mixed_estimate_is_the_max_of_its_two_parts():
         assert _ExpectedCount(fitted)(t) == pytest.approx(expected_count, rel=1e-9)
         got = reject(stats, t, mixed_fitted=fitted)
         assert got.fdp_hat == pytest.approx(
-            max(expected_count, mirror_count) / max(1, got.n_rejections), rel=1e-9
+            max(1.0, expected_count, mirror_count) / max(1, got.n_rejections), rel=1e-9
         )
 
 
@@ -286,7 +289,9 @@ def test_mixed_estimate_all_null_reduction():
     t = 0.02
     got = reject(stats, t, mixed_fitted=fitted)
     assert got.n_rejections == 0 and not np.any(stats.r < t)
-    assert got.fdp_hat == pytest.approx(float(np.sum(cutoff(t, pi, k))), rel=1e-4)
+    expected = _ExpectedCount(fitted)(t)
+    assert expected == pytest.approx(float(np.sum(cutoff(t, pi, k))), rel=1e-4)
+    assert got.fdp_hat == max(1.0, expected)
 
 
 def test_mixed_estimate_domain():
@@ -294,7 +299,7 @@ def test_mixed_estimate_domain():
     for t in (-0.1, 1.1):
         with pytest.raises(ValueError):
             reject(WORKED, t, mixed_fitted=fitted)
-    # at t = 0 nothing is rejected and the plain estimate is reported
+    # at t = 0 nothing is rejected and E(0) = 0: the estimate is its floor of one
     assert reject(WORKED, 0.0, mixed_fitted=fitted).fdp_hat == 1.0
     # at t = 1 every cutoff is 1: E(1) = sum(pi), without a floating-point warning
     with np.errstate(all="raise"):
@@ -318,7 +323,7 @@ def test_reject_with_mixed_estimate_reports_its_fdp():
     t_hat = select_threshold(stats, 0.3, mixed_fitted=fitted)
     if t_hat > 0.0:
         result = reject(stats, t_hat, mixed_fitted=fitted)
-        est = max(_ExpectedCount(fitted)(t_hat), float(np.count_nonzero(stats.r < t_hat)))
+        est = max(1.0, _ExpectedCount(fitted)(t_hat), float(np.count_nonzero(stats.r < t_hat)))
         assert result.fdp_hat == est / max(1, result.n_rejections)
         assert result.fdp_hat <= 0.3
 
@@ -346,7 +351,7 @@ def _reference_select_mixed(stats, alpha, fitted):
         logc = (logit_t[lo : lo + chunk, None] + log_pref[None, :]) * inv_k[None, :]
         np.minimum(logc, 0.0, out=logc)
         expected[lo : lo + chunk] = np.exp(logc) @ pi
-    admissible = np.maximum(expected, num) / np.maximum(1, den) <= alpha
+    admissible = np.maximum(np.maximum(1.0, expected), num) / np.maximum(1, den) <= alpha
     if not admissible.any():
         return 0.0
     return float(candidates[admissible].max())
@@ -397,9 +402,10 @@ def test_mixed_select_matches_all_candidates_reference(instance, alpha):
 
 
 def test_mixed_select_skips_blocks_that_cannot_be_admissible(monkeypatch):
-    # every candidate passes the mirror screen (no mirror statistic is
-    # small) but none is admissible at this level: the scan may not pay
-    # an expected-count evaluation per candidate
+    # no mirror statistic is small, so the screen max(1, #{r_i < t}) /
+    # #{s_i <= t} <= alpha passes every candidate with at least 1 / alpha
+    # = 1e4 rejections, over 9000 of them, but none is admissible at this
+    # level: the scan may not pay an expected-count evaluation per candidate
     rng = np.random.default_rng(7)
     m = 20_000
     fitted = FittedHypotheses(pi_hat=rng.uniform(0.5, 0.99, m), k_hat=rng.uniform(0.3, 0.9, m))
@@ -412,11 +418,12 @@ def test_mixed_select_skips_blocks_that_cannot_be_admissible(monkeypatch):
         return call(self, t)
 
     monkeypatch.setattr(_ExpectedCount, "__call__", counted)
-    t_hat = select_threshold(stats, 1e-12, mixed_fitted=fitted)
+    t_hat = select_threshold(stats, 1e-4, mixed_fitted=fitted)
     candidates = int(np.count_nonzero(stats.s <= stats.t_up))
     assert candidates > 15_000
+    assert not np.any(stats.r < stats.t_up)
     assert 0 < len(evaluated) < candidates // 100
-    assert t_hat == _reference_select_mixed(stats, 1e-12, fitted) == 0.0
+    assert t_hat == _reference_select_mixed(stats, 1e-4, fitted) == 0.0
 
 
 def test_mixed_select_block_skip_keeps_the_reference_threshold():
