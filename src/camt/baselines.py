@@ -14,7 +14,9 @@ from math import lgamma
 import numpy as np
 
 from ._special import ndtri
-from .kernel import check_alpha
+from .kernel import check_alpha, check_pvalues
+
+STOREY_LAMBDA = 0.5  # the tail above it estimates the null fraction
 
 
 def bh(pvals, alpha):
@@ -23,7 +25,7 @@ def bh(pvals, alpha):
     Rejects the k smallest p-values where k is the largest index with
     p_(k) <= k * alpha / m.
     """
-    p = np.asarray(pvals, dtype=float)
+    p = _check_baseline_pvalues(pvals)
     check_alpha(alpha)
     m = p.size
     mask = np.zeros(m, dtype=bool)
@@ -37,26 +39,32 @@ def bh(pvals, alpha):
     return mask
 
 
-def storey(pvals, alpha, lam=0.5):
+def storey(pvals, alpha):
     """Adaptive step-up: BH run at level alpha / pi0_hat.
 
-    pi0_hat = min(1, #{p > lam} / ((1 - lam) m)) estimates the null
-    fraction from the flat upper tail. A level alpha / pi0_hat of 1 or
-    more rejects everything, as BH does at level 1; so does the limit
-    of the rule when every p-value sits at or below lam and the estimate
-    degenerates to zero.
+    pi0_hat = min(1, #{p > STOREY_LAMBDA} / ((1 - STOREY_LAMBDA) m))
+    estimates the null fraction from the flat upper tail. A level
+    alpha / pi0_hat of 1 or more rejects everything, as BH does at level
+    1; so does the limit of the rule when every p-value sits at or below
+    STOREY_LAMBDA and the estimate degenerates to zero.
     """
-    p = np.asarray(pvals, dtype=float)
+    p = _check_baseline_pvalues(pvals)
     check_alpha(alpha)
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lam must lie in (0, 1)")
     m = p.size
     if m == 0:
         return np.zeros(0, dtype=bool)
-    pi0 = min(1.0, np.count_nonzero(p > lam) / ((1.0 - lam) * m))
+    pi0 = min(1.0, np.count_nonzero(p > STOREY_LAMBDA) / ((1.0 - STOREY_LAMBDA) * m))
     if alpha >= pi0:
         return np.ones(m, dtype=bool)
     return bh(p, alpha / pi0)
+
+
+def _check_baseline_pvalues(pvals):
+    """pvals as a 1-d float64 array; ValueError unless every entry lies in [0, 1]."""
+    p = check_pvalues(pvals)
+    if p.ndim != 1:
+        raise ValueError("p-values must be a 1-d array")
+    return p
 
 
 @dataclass
@@ -150,28 +158,24 @@ def lfdr_values(pvals, truth):
     return null_part / (null_part + alt_part)
 
 
-def oracle_lfdr(pvals, truth, alpha):
-    """Reject the largest LFDR-ascending prefix with running mean <= alpha.
+def oracle_prepare(values):
+    """LFDR-ascending order and running mean of the LFDR values, the
+    part of the oracle rule that every target level shares.
 
     The running mean of sorted LFDR values estimates the FDR of
     rejecting exactly that prefix; it is nondecreasing, so the optimal
     prefix is the last admissible one. Ties at the boundary are broken
     by input order (stable sort).
     """
-    return oracle_select(oracle_prepare(lfdr_values(pvals, truth)), alpha)
-
-
-def oracle_prepare(values):
-    """LFDR-ascending order and running mean: the part of
-    :func:`oracle_lfdr` that every target level shares."""
     order = np.argsort(values, kind="stable")
     running_mean = np.cumsum(values[order]) / np.arange(1, values.size + 1)
     return order, running_mean
 
 
 def oracle_select(prepared, alpha):
-    """Rejection mask of :func:`oracle_lfdr` at level alpha, from
-    :func:`oracle_prepare`'s output."""
+    """The oracle rule at level alpha, from :func:`oracle_prepare`'s
+    output: reject the largest LFDR-ascending prefix whose running mean
+    is at most alpha."""
     check_alpha(alpha)
     order, running_mean = prepared
     mask = np.zeros(order.size, dtype=bool)

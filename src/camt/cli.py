@@ -347,18 +347,17 @@ def cmd_simulate(args):
     _check_output(args.output)
     # imported here: the fit and diagnose commands never need the
     # simulation harness or its baselines
-    from .simulation import DEFAULT_PROCEDURES, SimulationConfig, make_procedure
+    from .simulation import DEFAULT_PROCEDURES, SimulationConfig, _procedure_names
     from .simulation import resolve_workers, run_sweep
 
     if args.procedures is None:
         procedures = DEFAULT_PROCEDURES
     else:  # names separated by spaces, commas or both
         procedures = tuple(n for arg in args.procedures for n in arg.split(",") if n.strip())
-    for name in procedures:
-        try:
-            make_procedure(name)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+    try:
+        procedures = _procedure_names(procedures)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     try:
         alpha_grid = tuple(float(a) for a in args.alpha_grid.split(",") if a.strip())
     except ValueError as exc:
@@ -391,7 +390,7 @@ def cmd_simulate(args):
 
 def cmd_diagnose(args):
     table = parse_table(args.input)
-    counts = null_histogram_summary(table.pvals, n_bins=20)
+    counts = null_histogram_summary(table.pvals)
     print(f"m: {table.pvals.size}")
     print(f"n_clamped: {table.n_clamped}")
     try:
@@ -407,7 +406,7 @@ def cmd_diagnose(args):
             )
     except ValueError as exc:
         print(f"gif: na ({exc})")
-    print("histogram_bins: 20")
+    print(f"histogram_bins: {counts.size}")
     print("histogram_counts: " + ",".join(str(int(c)) for c in counts))
 
 

@@ -26,6 +26,7 @@ from .kernel import check_pvalues
 
 GIF_WARN_THRESHOLD = 1.05
 MIN_TAIL_PVALUES = 20
+HISTOGRAM_BINS = 20
 _NORMAL = NormalDist()
 
 
@@ -79,14 +80,11 @@ def gif(pvals):
     )
 
 
-def null_histogram_summary(pvals, n_bins=20):
-    """Exact counts of p-values over n_bins equal bins of [0, 1].
+def null_histogram_summary(pvals):
+    """Exact counts of p-values over HISTOGRAM_BINS equal bins of [0, 1].
 
     The last bin is closed on the right, so the counts always sum to
     the number of p-values.
     """
-    if int(n_bins) < 1:
-        raise ValueError("n_bins must be positive")
-    p = check_pvalues(pvals)
-    counts, _ = np.histogram(p, bins=int(n_bins), range=(0.0, 1.0))
+    counts, _ = np.histogram(check_pvalues(pvals), bins=HISTOGRAM_BINS, range=(0.0, 1.0))
     return counts

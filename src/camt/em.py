@@ -238,37 +238,6 @@ def loglik_grad(params, design, pvals):
     return grad_theta, grad_beta
 
 
-def e_step(params, design, pvals):
-    """Posterior signal probabilities gamma_i at the current parameters.
-
-    Raises
-    ------
-    ValueError
-        As :func:`loglik`, when the mixture density underflows to 0,
-        where gamma would be 0 / 0.
-    """
-    X, logp = _prepare(design, pvals)
-    return _loglik_gamma(_links(params.theta, params.beta, X), logp)[1]
-
-
-def m_step(gamma, params, design, pvals):
-    """One M-step: update theta, then beta, holding gamma fixed.
-
-    Each update is a damped Newton ascent of its share of the
-    complete-data objective, run for at most INNER_MAX_ITER steps or
-    until its gradient is below 1e-8 * m in every coordinate.
-    No step decreases that share, which is all the EM argument needs.
-    """
-    X, logp = _prepare(design, pvals)
-    gamma = np.asarray(gamma, dtype=float)
-    links = _links(params.theta, params.beta, X)
-    trace = EmTrace(loglik=[], param_change=[], n_iter=0, converged=False)  # its counts go unread
-    theta, beta = _m_step(
-        params.theta.copy(), params.beta.copy(), links, X, _gram(X), gamma, logp, trace
-    )
-    return CoefVector(theta=theta, beta=beta)
-
-
 def fit(design, pvals):
     """Fit the mixture by EM from pi = INIT_PI, k = 1/2 until an
     iteration gains less than REL_TOL * max(1, |loglik|).
@@ -448,9 +417,11 @@ def _loglik_gamma(links, logp):
 
 
 def _m_step(theta, beta, links, X, gram, gamma, logp, trace):
-    """Update theta, then beta, by :func:`_maximize` from the link values
-    in links, with gram = _gram(X); returns the new coefficients, leaves
-    their links in links and adds the inner steps to trace's counts."""
+    """One M-step: update theta, then beta, holding gamma fixed, by
+    :func:`_maximize` from the link values in links, with gram = _gram(X);
+    returns the new coefficients, leaves their links in links and adds
+    the inner steps to trace's counts. No update decreases its share of
+    the complete-data objective, which is all the EM argument needs."""
     theta = _maximize(theta, links, "pi", X, gram, _theta_share(1.0 - gamma), trace)
     beta = _maximize(beta, links, "k", X, gram, _beta_share(gamma, logp), trace)
     return theta, beta

@@ -259,6 +259,14 @@ def make_procedure(name):
     raise ValueError(f"unknown procedure {name!r}; choose one of {', '.join(PROCEDURE_NAMES)}")
 
 
+def _procedure_names(procedures):
+    """Canonical names of the procedures; ValueError on an unknown name or on none."""
+    names = tuple(make_procedure(p).name for p in procedures)
+    if not names:
+        raise ValueError(f"no procedure to run; choose from {', '.join(PROCEDURE_NAMES)}")
+    return names
+
+
 # ----------------------------------------------------------------------
 # sweep
 
@@ -282,7 +290,6 @@ class MetricsReport:
     config: SimulationConfig
     procedures: tuple
     rows: list = field(default_factory=list)
-    rng: str = RNG_NAME
 
     def summarize(self):
         """Mean and standard error of fdp / tpr per (procedure, alpha)."""
@@ -320,7 +327,7 @@ class MetricsReport:
             ("seed", c.seed),
             ("alpha_grid", ",".join(repr(a) for a in c.alpha_grid)),
             ("procedures", ",".join(self.procedures)),
-            ("rng", self.rng),
+            ("rng", RNG_NAME),
         )
         from . import __version__
 
@@ -396,9 +403,10 @@ def run_sweep(config, procedures=DEFAULT_PROCEDURES, n_workers=None):
     Replicates are independent and fanned out over a process pool when
     more than one worker is available; the pool has at most one worker
     per replicate. Results are merged in replicate order, so the report
-    does not depend on the worker count.
+    does not depend on the worker count. ValueError when procedures is
+    empty or names an unknown procedure.
     """
-    names = tuple(make_procedure(p).name for p in procedures)
+    names = _procedure_names(procedures)
     workers = min(resolve_workers(n_workers), config.n_replicates)
     replicates = range(config.n_replicates)
     if workers == 1:

@@ -67,6 +67,10 @@ class RejectionResult:
 def mirror_statistics(pvals, fitted):
     """Build :class:`MirrorStatistics` from p-values and fitted parameters."""
     p = clamp_pvalues(pvals)
+    if p.shape != fitted.pi_hat.shape:
+        raise ValueError(
+            f"p-values of shape {p.shape} for fitted hypotheses of shape {fitted.pi_hat.shape}"
+        )
     s = psi(p, fitted.pi_hat, fitted.k_hat)
     r = psi(1.0 - p, fitted.pi_hat, fitted.k_hat)
     t_up = float(np.min(psi(0.5, fitted.pi_hat, fitted.k_hat)))

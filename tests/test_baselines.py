@@ -12,7 +12,8 @@ from camt.baselines import (
     bh,
     lfdr_values,
     noncentral_gamma_params,
-    oracle_lfdr,
+    oracle_prepare,
+    oracle_select,
     storey,
 )
 
@@ -29,6 +30,11 @@ def _bh_scan(pvals, alpha):
     if kstar == 0:
         return np.zeros(m, dtype=bool)
     return p <= ps[kstar - 1]
+
+
+def _oracle(pvals, truth, alpha):
+    """The sweep's oracle procedure: LFDR values, prepared, then selected."""
+    return oracle_select(oracle_prepare(lfdr_values(pvals, truth)), alpha)
 
 
 def _random_pvalues(rng, m):
@@ -81,12 +87,21 @@ def test_bh_empty_input():
     assert bh(np.zeros(0), 0.05).size == 0
 
 
+@pytest.mark.parametrize("procedure", [bh, storey])
+def test_baselines_refuse_corrupt_pvalues(procedure):
+    for p in (np.array([np.nan, 0.1]), np.array([1.5, 0.001]), np.array([-0.1, 0.2])):
+        with pytest.raises(ValueError, match=r"p-values must be finite and lie in \[0, 1\]"):
+            procedure(p, 0.1)
+    with pytest.raises(ValueError, match="p-values must be a 1-d array"):
+        procedure(np.full((3, 3), 0.2), 0.1)
+
+
 # ----------------------------------------------------------------------
 # Storey
 
 
 def test_storey_with_flat_tail_reduces_to_bh():
-    # 6 of 10 p-values above lam = 0.5 pushes pi0_hat to the cap of 1
+    # 6 of 10 p-values above lambda = 0.5 pushes pi0_hat to the cap of 1
     p = np.array([0.01, 0.02, 0.03, 0.04, 0.55, 0.6, 0.7, 0.8, 0.9, 0.95])
     assert np.array_equal(storey(p, 0.1), bh(p, 0.1))
 
@@ -101,7 +116,7 @@ def test_storey_halved_null_fraction_doubles_the_level():
 
 
 def test_storey_degenerate_estimate_rejects_everything():
-    p = np.full(5, 0.2)  # nothing above lam
+    p = np.full(5, 0.2)  # nothing above lambda = 0.5
     assert storey(p, 0.05).all()
 
 
@@ -127,12 +142,6 @@ def test_storey_alpha_domain():
     for alpha in (0.0, 1.5, -0.1, float("nan")):
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
             storey(np.array([0.2, 0.9]), alpha)
-
-
-def test_storey_lam_domain():
-    for lam in (0.0, 1.0, -0.5):
-        with pytest.raises(ValueError):
-            storey(np.array([0.5]), 0.05, lam=lam)
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +182,7 @@ def test_lfdr_shifted_null_raises_small_p_lfdr():
 def test_oracle_all_null_rejects_nothing():
     truth = OracleTruth(pi0=np.ones(10), effect=np.full(10, 2.0))
     p = np.linspace(0.01, 0.95, 10)
-    assert not oracle_lfdr(p, truth, 0.05).any()
+    assert not _oracle(p, truth, 0.05).any()
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.5, 0.9])
@@ -192,7 +201,7 @@ def test_oracle_matches_subset_enumeration(alpha):
         for subset in itertools.combinations(range(m), size):
             if values[list(subset)].mean() <= alpha:
                 best_size = max(best_size, size)
-    mask = oracle_lfdr(p, truth, alpha)
+    mask = _oracle(p, truth, alpha)
     assert mask.sum() == best_size
     if best_size:
         expected = np.zeros(m, dtype=bool)
@@ -204,7 +213,7 @@ def test_oracle_matches_subset_enumeration(alpha):
 def test_oracle_alpha_domain():
     truth = OracleTruth(pi0=np.array([0.5]), effect=np.array([2.0]))
     with pytest.raises(ValueError):
-        oracle_lfdr(np.array([0.5]), truth, 0.0)
+        _oracle(np.array([0.5]), truth, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -266,5 +275,5 @@ def test_procedures_are_permutation_equivariant():
     assert np.array_equal(bh(p[perm], 0.1), bh(p, 0.1)[perm])
     assert np.array_equal(storey(p[perm], 0.1), storey(p, 0.1)[perm])
     assert np.array_equal(
-        oracle_lfdr(p[perm], truth_perm, 0.1), oracle_lfdr(p, truth, 0.1)[perm]
+        _oracle(p[perm], truth_perm, 0.1), _oracle(p, truth, 0.1)[perm]
     )

@@ -665,6 +665,17 @@ def test_simulate_rejects_unknown_procedure(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("names", [[""], [","], ["", " , "]])
+def test_simulate_refuses_an_empty_procedure_list(tmp_path, capsys, monkeypatch, names):
+    monkeypatch.setattr(camt.simulation, "generate", lambda *args: pytest.fail("a replicate ran"))
+    out_path = tmp_path / "o.csv"
+    args = ["simulate", "--setup", "S0", "--m", "500", "--reps", "1", "--procedures", *names]
+    assert main([*args, "--output", str(out_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no procedure to run; choose from camt, camt-mixed, bh")
+    assert not out_path.exists()
+
+
 def test_simulate_defaults_to_the_default_procedures(tmp_path, capsys):
     out_path = tmp_path / "o.csv"
     args = ["simulate", "--setup", "S0", "--m", "1000", "--reps", "1"]

@@ -103,31 +103,31 @@ def test_gif_warns_above_the_fixed_threshold():
 
 
 def test_histogram_hand_counts():
-    # [0, 0.25): 0.03 0.07 0.12 0.0 0.21 | [0.25, 0.5): 0.25
-    # [0.5, 0.75): 0.55 0.55             | [0.75, 1.0]: 0.99 1.0
+    # bins of width 0.05: [0, 0.05): 0.03 0.0 | [0.05, 0.1): 0.07 | [0.1, 0.15): 0.12
+    # [0.2, 0.25): 0.21 | [0.25, 0.3): 0.25   | [0.55, 0.6): 0.55 0.55
+    # [0.95, 1.0]: 0.99 1.0
     p = np.array([0.03, 0.07, 0.12, 0.55, 0.55, 0.99, 1.0, 0.0, 0.25, 0.21])
-    counts = null_histogram_summary(p, n_bins=4)
-    assert counts.tolist() == [5, 1, 2, 2]
+    counts = null_histogram_summary(p)
+    assert counts.tolist() == [2, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 2]
     assert counts.sum() == p.size
 
 
 def test_histogram_uniform_goodness_of_fit():
     rng = np.random.default_rng(5)
-    counts = null_histogram_summary(rng.random(50_000), n_bins=20)
+    counts = null_histogram_summary(rng.random(50_000))
+    assert counts.size == 20
     assert counts.sum() == 50_000
     assert scipy.stats.chisquare(counts).pvalue > 0.01
 
 
 def test_histogram_boundary_values():
-    counts = null_histogram_summary(np.zeros(7), n_bins=10)
-    assert counts.tolist() == [7, 0, 0, 0, 0, 0, 0, 0, 0, 0]
-    counts = null_histogram_summary(np.ones(3), n_bins=10)
+    counts = null_histogram_summary(np.zeros(7))
+    assert counts.tolist() == [7] + [0] * 19
+    counts = null_histogram_summary(np.ones(3))
     assert counts[-1] == 3  # the last bin is closed on the right
     assert counts.sum() == 3
 
 
 def test_histogram_validation():
-    with pytest.raises(ValueError):
-        null_histogram_summary(np.array([0.5]), n_bins=0)
     with pytest.raises(ValueError):
         null_histogram_summary(np.array([1.5]))

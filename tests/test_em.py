@@ -1,5 +1,5 @@
-"""Tests for the EM estimator: likelihood values, E/M steps, the full
-fit, and its invariances."""
+"""Tests for the EM estimator: likelihood values, the E and M steps that
+fit runs, the full fit, and its invariances."""
 
 import tracemalloc
 import warnings
@@ -25,18 +25,20 @@ from camt.em import (
     FitResult,
     FittedHypotheses,
     build_design,
-    e_step,
     fit,
     loglik,
     loglik_grad,
-    m_step,
 )
 from camt.em import (
     _beta_share,
     _exp_neg_abs,
     _gram,
     _link,
+    _links,
+    _loglik_gamma,
+    _m_step,
     _maximize,
+    _prepare,
     _solve_ascent_direction,
 )
 from camt.kernel import clamp_pvalues, psi, winsorize
@@ -56,6 +58,22 @@ def _mixture_draw(theta_true, beta_true, m, seed):
     u = rng.random(m)
     p = np.where(is_alt, u ** (1.0 / (1.0 - k)), u)
     return X, p
+
+
+def _posterior(params, design, pvals):
+    """Posterior signal probabilities gamma, as fit's E-step forms them."""
+    X, logp = _prepare(design, pvals)
+    return _loglik_gamma(_links(params.theta, params.beta, X), logp)[1]
+
+
+def _one_m_step(gamma, params, design, pvals):
+    """The coefficients one of fit's M-steps moves params to, holding gamma fixed."""
+    X, logp = _prepare(design, pvals)
+    links = _links(params.theta, params.beta, X)
+    trace = EmTrace(loglik=[], param_change=[], n_iter=0, converged=False)
+    gamma = np.asarray(gamma, dtype=float)
+    theta, beta = _m_step(params.theta, params.beta, links, X, _gram(X), gamma, logp, trace)
+    return CoefVector(theta=theta, beta=beta)
 
 
 # ----------------------------------------------------------------------
@@ -96,13 +114,13 @@ def test_fit_never_ends_below_its_start():
 
 
 # ----------------------------------------------------------------------
-# e_step
+# E-step
 
 
 def test_e_step_at_p_equal_one():
     X = np.array([[1.0, 0.7], [1.0, -0.2]])
     params = CoefVector(theta=np.array([0.9, 0.4]), beta=np.array([-0.3, 0.6]))
-    gamma = e_step(params, X, np.ones(2))
+    gamma = _posterior(params, X, np.ones(2))
     pi = expit(X @ params.theta)
     k = expit(X @ params.beta)
     expected = (1.0 - pi) * (1.0 - k) / (pi + (1.0 - pi) * (1.0 - k))
@@ -115,7 +133,7 @@ def test_e_step_complements_psi():
     X = np.column_stack([np.ones(m), rng.standard_normal(m)])
     params = CoefVector(theta=np.array([1.5, -0.8]), beta=np.array([0.2, 0.5]))
     p = rng.uniform(0.0, 1.0, m)
-    gamma = e_step(params, X, p)
+    gamma = _posterior(params, X, p)
     pi = expit(X @ params.theta)
     k = expit(X @ params.beta)
     assert np.allclose(gamma + psi(clamp_pvalues(p), pi, k), 1.0, atol=1e-12)
@@ -135,11 +153,11 @@ def test_e_step_four_point_posterior():
             0.05203850568878648,
         ]
     )
-    assert e_step(params, X, p) == pytest.approx(expected, rel=1e-12)
+    assert _posterior(params, X, p) == pytest.approx(expected, rel=1e-12)
 
 
 # ----------------------------------------------------------------------
-# m_step
+# M-step
 
 
 def test_m_step_zero_gamma_drives_theta_to_the_box():
@@ -148,7 +166,7 @@ def test_m_step_zero_gamma_drives_theta_to_the_box():
     X = np.column_stack([np.ones(m), rng.standard_normal(m)])
     p = rng.uniform(0.01, 0.99, m)
     params = CoefVector(theta=np.array([logit(0.9), 0.0]), beta=np.zeros(2))
-    new = m_step(np.zeros(m), params, X, p)
+    new = _one_m_step(np.zeros(m), params, X, p)
     assert new.theta[0] == 15.0  # the coefficient bound
     assert np.array_equal(new.beta, np.zeros(2))  # zero weights leave beta
 
@@ -227,7 +245,7 @@ def test_beta_ascent_falls_back_to_the_gradient_where_the_hessian_is_indefinite(
 def test_m_step_does_not_decrease_the_complete_data_objective():
     X, p = _mixture_draw(np.array([1.8, 0.6]), np.array([0.9, 0.4]), 1_000, 3)
     params = CoefVector(theta=np.array([logit(0.9), 0.0]), beta=np.zeros(2))
-    gamma = e_step(params, X, p)
+    gamma = _posterior(params, X, p)
     logp = np.log(clamp_pvalues(p))
 
     def q_objective(coef):
@@ -238,7 +256,7 @@ def test_m_step_does_not_decrease_the_complete_data_objective():
         part_k = -(gamma @ (np.logaddexp(0.0, u_k) + expit(u_k) * logp))
         return part_pi + part_k
 
-    new = m_step(gamma, params, X, p)
+    new = _one_m_step(gamma, params, X, p)
     assert q_objective(new) >= q_objective(params) - 1e-10
 
 
@@ -706,14 +724,14 @@ def test_links_at_the_coefficient_box_raise_no_floating_point_warnings():
     box = np.array([15.0, 15.0])
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         start = CoefVector(theta=np.array([logit(0.9), 0.0]), beta=np.zeros(2))
-        assert m_step(np.zeros(m), start, X, p).theta[0] == 15.0
+        assert _one_m_step(np.zeros(m), start, X, p).theta[0] == 15.0
         for theta, beta in ((box, -box), (box, box), (-box, -box)):
             params = CoefVector(theta=theta, beta=beta)
             assert np.isfinite(loglik(params, wide, p))
-            gamma = e_step(params, wide, p)
+            gamma = _posterior(params, wide, p)
             assert np.all(np.isfinite(gamma))
             assert all(np.all(np.isfinite(g)) for g in loglik_grad(params, wide, p))
-            m_step(gamma, params, wide, p)
+            _one_m_step(gamma, params, wide, p)
         # p-values near 1 carry no signal: the fit drives k's intercept into the box
         n = 2_000
         design = np.column_stack([np.ones(n), rng.uniform(50.0, 100.0, n)])
@@ -735,9 +753,9 @@ def test_likelihood_functions_refuse_rows_whose_density_underflows():
     wide[:10, 1] = 0.0
     params = CoefVector(theta=np.array([-15.0, -15.0]), beta=np.array([15.0, 15.0]))
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for public in (loglik, e_step, loglik_grad):
+        for func in (loglik, _posterior, loglik_grad):
             with pytest.raises(ValueError, match="underflows to 0 on 50 of 60 rows"):
-                public(params, wide, p)
+                func(params, wide, p)
 
 
 def test_fit_counts_its_inner_steps():

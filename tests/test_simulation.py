@@ -286,7 +286,6 @@ def test_run_sweep_row_layout_and_summary():
     )
     report = run_sweep(config, procedures=("bh", "st"), n_workers=1)
     assert report.procedures == ("bh", "storey")
-    assert report.rng == RNG_NAME
     assert len(report.rows) == 3 * 2 * 2
     for row in report.rows:
         assert row.setup == "S0"
@@ -316,6 +315,13 @@ def _masked(report):
         (r.setup, r.procedure, r.alpha, r.replicate, r.fdp, r.tpr, r.n_rejections)
         for r in report.rows
     ]
+
+
+def test_run_sweep_refuses_an_empty_procedure_list(monkeypatch):
+    monkeypatch.setattr(camt.simulation, "generate", lambda *args: pytest.fail("a replicate ran"))
+    config = SimulationConfig(setup="S0", m=500, n_replicates=1)
+    with pytest.raises(ValueError, match="no procedure to run; choose from camt, camt-mixed"):
+        run_sweep(config, procedures=(), n_workers=1)
 
 
 def test_run_sweep_is_deterministic_apart_from_runtimes():
@@ -456,4 +462,21 @@ def test_mixed_mode_controls_fdr_across_the_target_grid_under_the_complete_null(
     cells = report.summarize()
     assert len(cells) == len(grid)
     for cell in cells:
+        assert cell["mean_fdp"] <= cell["alpha"] + 2.0 * cell["se_fdp"], cell
+
+
+@pytest.mark.parametrize("setup", ["S0", "S3.3"])
+def test_mixed_mode_controls_fdr_in_the_cells_of_criteria_1_and_7(setup):
+    # criterion 1's informative covariate (S0) and criterion 7's AR(1)
+    # dependence (S3.3) at their scale, for camt-mixed across three levels
+    config = SimulationConfig(
+        setup=setup, m=10_000, n_replicates=100, seed=0, alpha_grid=(0.05, 0.1, 0.2)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = run_sweep(config, procedures=("camt-mixed",), n_workers=2)
+    cells = report.summarize()
+    assert [cell["alpha"] for cell in cells] == [0.05, 0.1, 0.2]
+    for cell in cells:
+        assert cell["n_replicates"] == 100
         assert cell["mean_fdp"] <= cell["alpha"] + 2.0 * cell["se_fdp"], cell

@@ -205,6 +205,10 @@ def test_mirror_statistics_validation():
         MirrorStatistics(s=np.array([0.0]), r=np.array([0.5]), t_up=0.5)
     with pytest.raises(ValueError):
         MirrorStatistics(s=np.array([0.5]), r=np.array([0.5]), t_up=0.0)
+    fitted = FittedHypotheses(pi_hat=np.full(3, 0.9), k_hat=np.full(3, 0.5))
+    message = r"^p-values of shape \(5,\) for fitted hypotheses of shape \(3,\)$"
+    with pytest.raises(ValueError, match=message):
+        mirror_statistics(np.full(5, 0.2), fitted)
 
 
 def test_half_pvalue_counts_for_rejection_not_against():
