@@ -36,10 +36,12 @@ the rows of one array P, and each Hessian is X.T @ w and P @ w,
 mirrored (:func:`_gram`). P costs (d - 1)d/2 m-vectors for the length
 of the fit: 8 MB at m = 1e6 with d = 2, 80 MB with d = 5. Slopes,
 curvatures and candidate links are formed in place where they can be
-and dropped as soon as they are read, so a fit holds log p, gamma, the
-two links and P, and on top of them at most an update's weights and a
-candidate link while it is built: at most 14 m-vectors beyond the design
-and the p-values at d = 2, 23 at d = 5.
+and dropped as soon as they are read, and a line search drops the link
+it would replace before it builds a candidate, so a fit holds log p,
+gamma, the two links and P, and on top of them at most an update's
+weights and either a candidate link while it is built or the k link's
+slope or curvature while it is formed: at most 12 m-vectors beyond the
+design and the p-values at d = 2, 21 at d = 5.
 """
 
 from __future__ import annotations
@@ -520,17 +522,21 @@ def _maximize(coef, links, key, X, gram, share, trace):
     """Damped Newton ascent of one link's share of the complete-data
     objective from coef, whose link values are links[key]; returns the
     final coef, leaves its link values in links[key] and counts its steps
-    into trace (an :class:`EmTrace`). The starting
-    link is taken out of links, so it is freed at the first accepted step.
+    into trace (an :class:`EmTrace`).
 
     share maps the link at u = X @ coef to (value, slope, curv): the
     gradient is X.T @ slope() and -H = gram(curv()) with gram = _gram(X).
-    Both are deferred: a step forms each once and drops it before it
-    evaluates a candidate, and neither is formed at a rejected candidate
-    or, for curv, where the ascent stops. A step takes the Newton
-    direction, or the normalized gradient when -H is not PSD, and is
-    halved until the share does not decrease. Each candidate's link
-    carries what link does (u for the pi link).
+    Both are deferred: a step forms each once, and neither is formed at
+    a rejected candidate or, for curv, where the ascent stops. A step
+    takes the Newton direction, or the normalized gradient when -H is
+    not PSD, and is halved until the share does not decrease. Each
+    candidate's link carries what link does (u for the pi link).
+
+    Once a step's direction is formed, the link at coef and the closures
+    over it are dropped, so no more than one link of this key is alive
+    while a candidate is built. When every halving fails, the link at
+    coef is rebuilt as it was first built, _link(X @ coef), which gives
+    the same bits.
     """
     Xt = X.T
     grad_tol = 1e-8 * X.shape[0]
@@ -547,21 +553,22 @@ def _maximize(coef, links, key, X, gram, share, trace):
             direction = grad / abs(grad).max()
         else:
             trace.newton_steps += 1
+        del link, slope, curv  # before the first candidate is built
         step = 1.0
         for _ in range(MAX_HALVINGS + 1):
             cand = np.minimum(np.maximum(coef + step * direction, -COEF_BOUND), COEF_BOUND)
-            cand_link = _link(X @ cand, keep_u)
-            cand_share = share(cand_link)
-            if math.isfinite(cand_share[0]) and cand_share[0] >= value:
+            link = _link(X @ cand, keep_u)
+            cand_value, slope, curv = share(link)
+            if math.isfinite(cand_value) and cand_value >= value:
                 break
-            del cand_link, cand_share  # before the next candidate is built
+            del link, slope, curv  # before the next candidate is built
             trace.line_search_halvings += 1
             step *= 0.5
         else:
-            break  # every halving decreased the share
+            link = _link(X @ coef, keep_u)  # every halving decreased the share
+            break
         moved = abs(cand - coef).max()
-        coef, link = cand, cand_link
-        value, slope, curv = cand_share
+        coef, value = cand, cand_value
         if moved < 1e-10:
             break
     links[key] = link

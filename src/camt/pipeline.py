@@ -12,8 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em import FitResult, build_design, fit
-from .kernel import check_alpha, clamp_pvalues
-from .threshold import MirrorStatistics, mirror_statistics, reject, select_threshold
+# clamp_pvalues is not called here; bench/tracing.py counts calls through this name
+from .kernel import check_alpha, check_pvalues, clamp_pvalues  # noqa: F401
+from .threshold import (
+    MirrorStatistics,
+    _ExpectedCount,
+    mirror_statistics,
+    reject,
+    select_threshold,
+)
 
 
 @dataclass
@@ -25,7 +32,9 @@ class CamtFit(FitResult):
 
     def select(self, alpha, mixed=False):
         """Threshold search plus rejection at target level alpha."""
-        mixed_fitted = self.fitted if mixed else None
+        # one E(t) for the search and the rejection: its terms are built
+        # at most once, and dropped when the selection returns
+        mixed_fitted = _ExpectedCount(self.fitted) if mixed else None
         # by keyword: bench/tracing.py names the select span from it
         t_hat = select_threshold(self.stats, alpha, mixed_fitted=mixed_fitted)
         return reject(self.stats, t_hat, mixed_fitted=mixed_fitted)
@@ -33,6 +42,10 @@ class CamtFit(FitResult):
 
 def fit_camt(pvals, covariates=None, spline_knots=0):
     """Estimate the mixture for the given p-values and covariates.
+
+    The p-values are validated without a copy: :func:`~camt.em.fit` and
+    :func:`~camt.threshold.mirror_statistics` each clamp their own, so
+    no clamped copy stays alive through EM.
 
     Parameters
     ----------
@@ -44,7 +57,7 @@ def fit_camt(pvals, covariates=None, spline_knots=0):
     spline_knots : int
         0 for linear covariate effects, else knots per covariate.
     """
-    p = clamp_pvalues(pvals)
+    p = check_pvalues(pvals)
     if p.size == 0:
         raise ValueError("need at least one p-value")
     if covariates is None:

@@ -260,10 +260,15 @@ def make_procedure(name):
 
 
 def _procedure_names(procedures):
-    """Canonical names of the procedures; ValueError on an unknown name or on none."""
+    """Canonical names of the procedures; ValueError on an unknown name,
+    on none, or on one named twice (under an alias too), whose rows a
+    summary would pool as if they were more replicates."""
     names = tuple(make_procedure(p).name for p in procedures)
     if not names:
         raise ValueError(f"no procedure to run; choose from {', '.join(PROCEDURE_NAMES)}")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"procedure {name!r} is named more than once")
     return names
 
 

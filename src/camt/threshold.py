@@ -86,7 +86,10 @@ def select_threshold(stats, alpha, mixed_fitted=None):
     false rejections. Returns 0.0 when no candidate is admissible (then
     nothing is rejected).
 
-    With mixed_fitted set (a FittedHypotheses), the numerator is
+    With mixed_fitted set (a FittedHypotheses, or the _ExpectedCount of
+    one that :meth:`~camt.pipeline.CamtFit.select` shares with
+    :func:`reject`, so that E(t)'s per-hypothesis terms are built once
+    per selection), the numerator is
     max(1, E(t), #{r_i < t}) with E(t) = sum_i pi_i c(t, pi_i, k_i): the
     expected count is sharp for small t, the mirror count takes over
     once rejections reach into moderate p-values, and the floor of one
@@ -107,7 +110,7 @@ def select_threshold(stats, alpha, mixed_fitted=None):
     if candidates.size == 0:
         return 0.0
     if mixed_fitted is not None:
-        return _select_mixed(candidates, num, den, alpha, mixed_fitted)
+        return _select_mixed(candidates, num, den, alpha, _expected_count(mixed_fitted))
     admissible = _fdp_hat(num, den) <= alpha
     if not admissible.any():
         return 0.0
@@ -118,13 +121,14 @@ def reject(stats, t_hat, mixed_fitted=None):
     """Rejection set at threshold t_hat: every i with s_i <= t_hat.
 
     fdp_hat is the estimate the selector compares with alpha, the mixed
-    one when mixed_fitted is set; at t_hat = 0 both read 1.
+    one when mixed_fitted is set (as for :func:`select_threshold`); at
+    t_hat = 0 both read 1.
     """
     if not 0.0 <= t_hat <= 1.0:
         raise ValueError("t_hat must lie in [0, 1]")
     rejected = stats.s <= t_hat
     n_rejections = int(np.count_nonzero(rejected))
-    expected = None if mixed_fitted is None else _ExpectedCount(mixed_fitted)(t_hat)
+    expected = None if mixed_fitted is None else _expected_count(mixed_fitted)(t_hat)
     fdp_hat = _fdp_hat(int(np.count_nonzero(stats.r < t_hat)), n_rejections, expected)
     return RejectionResult(
         t_hat=float(t_hat),
@@ -154,12 +158,12 @@ def _candidate_counts(stats):
     return candidates, num, den
 
 
-def _select_mixed(candidates, num, den, alpha, fitted):
-    """Screen-and-scan search of :func:`select_threshold` with mixed_fitted."""
+def _select_mixed(candidates, num, den, alpha, expected_count):
+    """Screen-and-scan search of :func:`select_threshold` with mixed_fitted,
+    whose E(t) is expected_count."""
     # the estimate is never below its value at E = 0, so the mirror
     # screen only drops candidates the full test would reject too
     survivors = np.flatnonzero(_fdp_hat(num, den, 0.0) <= alpha)[::-1]
-    expected_count = _ExpectedCount(fitted)
     lo, size = 0, 1
     while lo < survivors.size:
         block = survivors[lo : lo + size]  # descending t
@@ -179,6 +183,14 @@ def _select_mixed(candidates, num, den, alpha, fitted):
     return 0.0
 
 
+def _expected_count(mixed_fitted):
+    """E(t) for a mixed_fitted argument: itself if it is an _ExpectedCount,
+    else a new one of the FittedHypotheses."""
+    if isinstance(mixed_fitted, _ExpectedCount):
+        return mixed_fitted
+    return _ExpectedCount(mixed_fitted)
+
+
 class _ExpectedCount:
     """E(t) = sum_i pi_i * cutoff(t, pi_i, k_i) at one threshold t in
     [0, 1] per call.
@@ -188,20 +200,32 @@ class _ExpectedCount:
     against one costs nothing; at t = 0 (logit -inf) every cutoff is 0
     and E(0) = 0, at t = 1 (logit inf) every cutoff is 1 and
     E(1) = sum(pi).
+
+    The per-hypothesis terms log((1-k)(1-pi)/pi) and 1/k, four O(m)
+    passes, are built at the first call with t > 0 and kept for the
+    instance's life; E(0) is returned without them.
     """
 
     def __init__(self, fitted):
-        k = fitted.k_hat
         self.pi = fitted.pi_hat
-        self.log_pref = np.log1p(-k) + np.log1p(-self.pi) - np.log(self.pi)
-        self.inv_k = 1.0 / k
+        self.k = fitted.k_hat
+        self.terms = None  # (log_pref, inv_k) once built
+
+    def _build(self):
+        log_pref = np.log1p(-self.k) + np.log1p(-self.pi) - np.log(self.pi)
+        return log_pref, 1.0 / self.k
 
     def __call__(self, t):
+        if t == 0.0:
+            return 0.0
+        if self.terms is None:
+            self.terms = self._build()
+        log_pref, inv_k = self.terms
         ts = np.array([t], dtype=float)
         with np.errstate(divide="ignore"):
             logit_t = np.log(ts) - np.log1p(-ts)
-        logc = logit_t + self.log_pref
-        logc *= self.inv_k
+        logc = logit_t + log_pref
+        logc *= inv_k
         np.minimum(logc, 0.0, out=logc)
         np.exp(logc, out=logc)
         return float(logc @ self.pi)

@@ -288,6 +288,32 @@ def test_parse_memory_stays_near_the_parsed_arrays(tmp_path):
     assert growth < 4 * parsed_bytes
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+def test_fit_command_memory_stays_near_the_fit(tmp_path):
+    # growth of the peak resident size over a whole `camt fit` of 2e5
+    # rows (parse, EM, select, write), over the peak after import, in
+    # m-vectors of 8 * m bytes: measured 18.1, of which EM's own working
+    # set is 12; 20.7 while EM kept a superseded link through each line
+    # search, the pipeline a clamped copy of p and the writer blocks of
+    # 8192 rows. The bound leaves 1.4 m-vectors (2.3 MB) of margin.
+    m = 200_000
+    in_path, _ = _dataset_table(tmp_path / "in.csv", m, seed=3)
+    out_path = tmp_path / "out.csv"
+    code = (
+        "import re, camt.cli; "
+        "status = lambda: open('/proc/self/status').read(); "
+        "peak = lambda: int(re.search(r'VmHWM:\\s*(\\d+)', status())[1]) * 1024; "
+        "base = peak(); "
+        f"code = camt.cli.main(['fit', '--input', {in_path!r}, '--output', {str(out_path)!r}]); "
+        "print(code, peak() - base)"
+    )
+    proc = _run_in_fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, growth = map(int, proc.stdout.splitlines()[-1].split())
+    assert exit_code == 0
+    assert growth / (8 * m) < 19.5
+
+
 def _long_table_lines(m=5000):
     rng = np.random.default_rng(61)
     rows = [f"{p!r},{a!r},{b!r}" for p, a, b in rng.random((m, 3)).tolist()]
@@ -673,6 +699,17 @@ def test_simulate_refuses_an_empty_procedure_list(tmp_path, capsys, monkeypatch,
     assert main([*args, "--output", str(out_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: no procedure to run; choose from camt, camt-mixed, bh")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("names", [["storey,st"], ["bh", "bh"], ["camt", "oracle,camt"]])
+def test_simulate_refuses_a_procedure_named_twice(tmp_path, capsys, monkeypatch, names):
+    monkeypatch.setattr(camt.simulation, "generate", lambda *args: pytest.fail("a replicate ran"))
+    out_path = tmp_path / "o.csv"
+    args = ["simulate", "--setup", "S0", "--m", "500", "--reps", "1", "--procedures", *names]
+    assert main([*args, "--output", str(out_path)]) == 1
+    err = capsys.readouterr().err
+    assert re.match(r"error: procedure '(storey|bh|camt)' is named more than once", err), err
     assert not out_path.exists()
 
 

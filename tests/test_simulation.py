@@ -324,6 +324,19 @@ def test_run_sweep_refuses_an_empty_procedure_list(monkeypatch):
         run_sweep(config, procedures=(), n_workers=1)
 
 
+@pytest.mark.parametrize(
+    "procedures",
+    [("storey", "st", "bh"), ("bh", "bh"), ("camt", " CAMT "), ("oracle", "Storey", "ST")],
+)
+def test_run_sweep_refuses_a_procedure_named_twice(monkeypatch, procedures):
+    # a procedure run twice per replicate would be pooled by summarize as
+    # twice the replicates, with a standard error about sqrt(2) too small
+    monkeypatch.setattr(camt.simulation, "generate", lambda *args: pytest.fail("a replicate ran"))
+    config = SimulationConfig(setup="S0", m=500, n_replicates=3)
+    with pytest.raises(ValueError, match="procedure '(storey|bh|camt)' is named more than once"):
+        run_sweep(config, procedures=procedures, n_workers=1)
+
+
 def test_run_sweep_is_deterministic_apart_from_runtimes():
     config = SimulationConfig(setup="S0", m=1200, n_replicates=2, seed=13)
     first = run_sweep(config, procedures=("camt", "bh"), n_workers=1)

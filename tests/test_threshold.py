@@ -332,6 +332,47 @@ def test_reject_with_mixed_estimate_reports_its_fdp():
         assert result.fdp_hat <= 0.3
 
 
+def test_a_mixed_selection_builds_the_expected_count_at_most_once(monkeypatch):
+    # building E(t)'s per-hypothesis terms is four O(m) passes; a mixed
+    # CamtFit.select shares one build between its search and its
+    # rejection, and E(0) = 0 needs none. The results are those of
+    # select_threshold and reject each building its own.
+    builds = []
+    build = _ExpectedCount._build
+
+    def counted(self):
+        builds.append(self.pi.size)
+        return build(self)
+
+    monkeypatch.setattr(_ExpectedCount, "_build", counted)
+    data = generate(SimulationConfig(setup="S0", m=3000, seed=7), 0)
+    state = fit_camt(data.pvals, data.covariates)
+    for alpha in (0.05, 0.1, 0.2):
+        builds.clear()
+        got = state.select(alpha, mixed=True)
+        assert got.t_hat > 0.0 and builds == [3000]
+        t_hat = select_threshold(state.stats, alpha, mixed_fitted=state.fitted)
+        want = reject(state.stats, t_hat, mixed_fitted=state.fitted)
+        assert len(builds) == 3
+        assert (got.t_hat, got.fdp_hat) == (want.t_hat, want.fdp_hat)
+        assert np.array_equal(got.rejected, want.rejected)
+        builds.clear()
+        state.select(alpha)
+        assert builds == []
+    assert reject(state.stats, 0.0, mixed_fitted=state.fitted).fdp_hat == 1.0
+    assert _ExpectedCount(state.fitted)(0.0) == 0.0
+    assert builds == []
+    # a complete null: no candidate survives the mirror screen, so the
+    # selection evaluates E(t) nowhere and rejects at t_hat = 0
+    data = generate(SimulationConfig(setup="complete-null", m=2000, seed=0), 0)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "EM did not converge", RuntimeWarning)
+        state = fit_camt(data.pvals, data.covariates)
+    got = state.select(0.05, mixed=True)
+    assert (got.t_hat, got.n_rejections, got.fdp_hat) == (0.0, 0, 1.0)
+    assert builds == []
+
+
 # ----------------------------------------------------------------------
 # properties of the selector
 
