@@ -22,21 +22,21 @@ STOREY_LAMBDA = 0.5  # the tail above it estimates the null fraction
 def bh(pvals, alpha):
     """Step-up procedure at level alpha; returns a boolean mask.
 
-    Rejects the k smallest p-values where k is the largest index with
-    p_(k) <= k * alpha / m.
+    Rejects {i : p_i <= p_(k*)}, where k* is the largest index with
+    p_(k*) <= k* alpha / m, and nothing when no index qualifies. That set
+    is exactly the k* smallest p-values, because ties cannot straddle
+    k*: p_(k*+1) = p_(k*) would give p_(k*+1) <= k* alpha / m
+    <= (k*+1) alpha / m (the rounded thresholds never decrease), so k*
+    would not be the largest.
     """
     p = _check_baseline_pvalues(pvals)
     check_alpha(alpha)
     m = p.size
-    mask = np.zeros(m, dtype=bool)
-    if m == 0:
-        return mask
-    order = np.argsort(p, kind="stable")
-    ok = p[order] <= alpha * np.arange(1, m + 1) / m
-    if ok.any():
-        kstar = int(np.nonzero(ok)[0].max())
-        mask[order[: kstar + 1]] = True
-    return mask
+    s = np.sort(p)
+    ok = np.flatnonzero(s <= alpha * np.arange(1, m + 1) / m)
+    if ok.size == 0:
+        return np.zeros(m, dtype=bool)
+    return p <= s[ok[-1]]
 
 
 def storey(pvals, alpha):

@@ -89,14 +89,18 @@ class SimulationConfig:
     def __post_init__(self):
         self.setup = normalize_setup(self.setup)
         self.alpha_grid = tuple(float(a) for a in self.alpha_grid)
-        if self.m < 1:
-            raise ValueError("m must be positive")
-        if self.n_replicates < 1:
-            raise ValueError("n_replicates must be positive")
+        for name, low in (("m", 1), ("n_replicates", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+            setattr(self, name, int(value))
         if not self.alpha_grid:
             raise ValueError("alpha_grid must not be empty")
-        for a in self.alpha_grid:
+        for i, a in enumerate(self.alpha_grid):
             check_alpha(a)
+            # summarize would pool a level's two copies as twice the replicates
+            if a in self.alpha_grid[:i]:
+                raise ValueError(f"level {a!r} appears more than once in alpha_grid")
         for name in ("eta0", "k_d", "k_s", "k_f"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

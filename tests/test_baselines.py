@@ -61,13 +61,35 @@ def test_bh_alpha_one_rejects_everything():
     assert bh(p, 1.0).all()
 
 
-@pytest.mark.parametrize("alpha", [0.1, 1.0])
-def test_bh_matches_definition_scan(alpha):
+def _tied_pvalues(rng, m):
+    """p-values from a small grid holding 0 and 1, so ties are the rule."""
+    return rng.choice(np.array([0.0, 0.001, 0.01, 0.02, 0.05, 0.1, 0.5, 1.0]), m)
+
+
+def _storey_scan(p, alpha):
+    """Storey's rule from its definition: the BH scan at alpha / pi0_hat,
+    pi0_hat = min(1, #{p > 0.5} / (0.5 m)); everything when pi0_hat = 0."""
+    m = p.size
+    if m == 0:
+        return np.zeros(0, dtype=bool)
+    pi0 = min(1.0, np.count_nonzero(p > 0.5) / (0.5 * m))
+    if pi0 == 0.0:
+        return np.ones(m, dtype=bool)
+    return _bh_scan(p, alpha / pi0)
+
+
+@pytest.mark.parametrize(
+    "draw, alpha",
+    [pytest.param(_random_pvalues, a, id=str(a)) for a in (0.1, 1.0)]
+    + [pytest.param(_tied_pvalues, a, id=f"ties-{a}") for a in (0.01, 0.05, 0.1, 0.2, 0.5, 1.0)],
+)
+def test_bh_matches_definition_scan(draw, alpha):
     rng = np.random.default_rng(42)
-    for _ in range(30):
-        m = int(rng.integers(1, 41))
-        p = _random_pvalues(rng, m)
-        assert np.array_equal(bh(p, alpha), _bh_scan(p, alpha))
+    for m in range(61):
+        for _ in range(4):
+            p = draw(rng, m)
+            assert np.array_equal(bh(p, alpha), _bh_scan(p, alpha))
+            assert np.array_equal(storey(p, alpha), _storey_scan(p, alpha))
 
 
 def test_bh_tied_boundary_rejects_all_tied():

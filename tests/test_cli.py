@@ -713,6 +713,26 @@ def test_simulate_refuses_a_procedure_named_twice(tmp_path, capsys, monkeypatch,
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--seed", "-1", "seed must be an integer of at least 0, got -1"),
+        ("--alpha-grid", "0.05,0.05", "level 0.05 appears more than once in alpha_grid"),
+        ("--alpha-grid", "0.05,0.050", "level 0.05 appears more than once in alpha_grid"),
+    ],
+    ids=["negative-seed", "level-twice", "level-twice-spelled-apart"],
+)
+def test_simulate_refuses_a_negative_seed_or_a_level_named_twice(
+    tmp_path, capsys, monkeypatch, option, value, message
+):
+    monkeypatch.setattr(camt.simulation, "generate", lambda *args: pytest.fail("a replicate ran"))
+    out_path = tmp_path / "o.csv"
+    args = ["simulate", "--setup", "S0", "--m", "500", "--reps", "3", "--procedures", "bh"]
+    assert main([*args, option, value, "--output", str(out_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_path.exists()
+
+
 def test_simulate_defaults_to_the_default_procedures(tmp_path, capsys):
     out_path = tmp_path / "o.csv"
     args = ["simulate", "--setup", "S0", "--m", "1000", "--reps", "1"]

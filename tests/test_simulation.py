@@ -242,6 +242,43 @@ def test_config_validation():
                     SimulationConfig(setup=setup, **{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value, low",
+    [
+        ("m", 2000.0, 1),
+        ("m", 0, 1),
+        ("m", True, 1),
+        ("m", "500", 1),
+        ("n_replicates", 2.0, 1),
+        ("n_replicates", 0, 1),
+        ("seed", 1.5, 0),
+        ("seed", -1, 0),
+        ("seed", np.bool_(True), 0),
+    ],
+)
+def test_config_refuses_a_field_that_is_not_a_count(field, value, low):
+    # a float m or seed used to fail inside numpy, and a negative seed
+    # inside SeedSequence once the sweep had started
+    with pytest.raises(ValueError, match=f"^{field} must be an integer of at least {low}, got "):
+        SimulationConfig(setup="S0", **{field: value})
+
+
+def test_config_takes_numpy_integers_as_python_ints():
+    config = SimulationConfig(m=np.int64(500), n_replicates=np.int32(2), seed=np.uint64(3))
+    assert (config.m, config.n_replicates, config.seed) == (500, 2, 3)
+    assert all(type(v) is int for v in (config.m, config.n_replicates, config.seed))
+
+
+@pytest.mark.parametrize(
+    "grid, level", [((0.05, 0.05), 0.05), ((0.2, 0.1, 0.2), 0.2), (("0.050", 0.05), 0.05)]
+)
+def test_config_refuses_a_level_named_twice(grid, level):
+    # a level run twice would be pooled by summarize as twice the
+    # replicates, with a standard error about sqrt(2) too small
+    with pytest.raises(ValueError, match=f"^level {level} appears more than once in alpha_grid$"):
+        SimulationConfig(setup="S0", m=500, n_replicates=3, alpha_grid=grid)
+
+
 def test_make_procedure_registry():
     assert make_procedure("bh").name == "bh"
     assert make_procedure("st").name == "storey"
