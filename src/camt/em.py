@@ -19,7 +19,12 @@ MAX_ITER, REL_TOL, INIT_PI, INNER_MAX_ITER, MAX_HALVINGS and COEF_BOUND.
 
 Each link vector u = X @ coef costs one exponential, e = exp(-|u|):
 expit(u), expit(-u) and softplus(u) = log(1 + exp(u)) are all cheap
-arithmetic on e, and none of them can overflow. Each M-step update
+arithmetic on e, and none of them can overflow; the factor that picks
+between them by the sign of u is built from the comparisons u >= 0 and
+u < 0, written as 0.0 and 1.0 (:func:`_link`). A fit reads the
+p-values only as -log p >= 0, formed once, so the E-step's
+p^(-k) = exp(k (-log p)) and the k link's g = gamma (-log p) take no
+negation. Each M-step update
 leaves the link values of the coefficients it accepted, so the E-step
 that follows and the next update's starting objective recompute none of
 them. A link keeps only what they read, three m-vectors: expit(+-u) for
@@ -35,13 +40,21 @@ products x_i * x_j (1 <= i <= j) of the non-intercept columns once, as
 the rows of one array P, and each Hessian is X.T @ w and P @ w,
 mirrored (:func:`_gram`). P costs (d - 1)d/2 m-vectors for the length
 of the fit: 8 MB at m = 1e6 with d = 2, 80 MB with d = 5. Slopes,
-curvatures and candidate links are formed in place where they can be
-and dropped as soon as they are read, and a line search drops the link
-it would replace before it builds a candidate, so a fit holds log p,
-gamma, the two links and P, and on top of them at most an update's
-weights and either a candidate link while it is built or the k link's
-slope or curvature while it is formed: at most 12 m-vectors beyond the
-design and the p-values at d = 2, 21 at d = 5.
+curvatures and candidate links are formed in place, each in one
+m-vector, and dropped as soon as they are read, and a line search drops
+the link it would replace before it builds a candidate, so a fit holds
+-log p, gamma, the two links and P, and on top of them at most an
+update's weights and either a candidate link while it is built or the
+k link's slope or curvature while it is formed: at most 11 m-vectors
+beyond the design and the p-values at d = 2, 20 at d = 5.
+
+A Newton direction solves -H x = gradient. Up to d = CHOLESKY_MAX_D it
+is a Cholesky solve in Python floats, accepted only when every pivot is
+positive and det(-H) > 1e-12 trace(-H)^d, a certificate that -H is
+positive definite with lambda_min > 1e-12 lambda_max; otherwise, and
+for larger d, the eigendecomposition's pseudo-inverse
+(:func:`_solve_ascent_direction`). Where the certificate holds the two
+agree to rounding.
 """
 
 from __future__ import annotations
@@ -66,6 +79,7 @@ INIT_PI = 0.9  # the starting null probability, theta's intercept
 INNER_MAX_ITER = 25  # Newton steps per link update
 MAX_HALVINGS = 20  # line-search halvings per Newton step
 COEF_BOUND = 15.0  # every link coefficient stays in [-COEF_BOUND, COEF_BOUND]
+CHOLESKY_MAX_D = 5  # Newton directions for d up to this try a Cholesky solve before eigh
 
 
 class CovariateError(ValueError):
@@ -212,8 +226,8 @@ def loglik(params, design, pvals):
         and the alternative density is 0 there), where the
         log-likelihood would be -inf.
     """
-    X, logp = _prepare(design, pvals)
-    return _loglik_gamma(_links(params.theta, params.beta, X), logp)[0]
+    X, neg_logp = _prepare(design, pvals)
+    return _loglik_gamma(_links(params.theta, params.beta, X), neg_logp)[0]
 
 
 def loglik_grad(params, design, pvals):
@@ -229,13 +243,13 @@ def loglik_grad(params, design, pvals):
     ValueError
         As :func:`loglik`, when the mixture density underflows to 0.
     """
-    X, logp = _prepare(design, pvals)
+    X, neg_logp = _prepare(design, pvals)
     links = _links(params.theta, params.beta, X)
-    alt, denom = _mixture(links, logp)
+    alt, denom = _mixture(links, neg_logp)
     pi, one_m_pi = links["pi"].p, links["pi"].one_m_p
     k, one_m_k = links["k"].p, links["k"].one_m_p
     grad_theta = X.T @ ((one_m_pi - alt) * pi / denom)
-    dh_dk = -np.exp(-k * logp) * (1.0 + one_m_k * logp)
+    dh_dk = -np.exp(k * neg_logp) * (1.0 - one_m_k * neg_logp)
     grad_beta = X.T @ (one_m_pi * dh_dk * k * one_m_k / denom)
     return grad_theta, grad_beta
 
@@ -266,7 +280,7 @@ def fit(design, pvals):
         As :func:`loglik`, when an iterate's mixture density underflows
         to 0 on some row.
     """
-    X, logp = _prepare(design, pvals)
+    X, neg_logp = _prepare(design, pvals)
     m, d = X.shape
     if m < 10 * d:
         warnings.warn(
@@ -283,14 +297,14 @@ def fit(design, pvals):
     # each M-step leaves the link values of the coefficients it ends at
     # in links; the E-step and the next M-step start from them
     links = _links(theta, beta, X)
-    ll, gamma = _loglik_gamma(links, logp)
+    ll, gamma = _loglik_gamma(links, neg_logp)
     gram = _gram(X)
     trace = EmTrace(loglik=[ll], param_change=[], n_iter=0, converged=False)
     for _ in range(MAX_ITER):
         trace.n_iter += 1
-        theta_new, beta_new = _m_step(theta, beta, links, X, gram, gamma, logp, trace)
+        theta_new, beta_new = _m_step(theta, beta, links, X, gram, gamma, neg_logp, trace)
         del gamma  # the E-step forms the next one
-        ll_new, gamma = _loglik_gamma(links, logp)
+        ll_new, gamma = _loglik_gamma(links, neg_logp)
         trace.loglik.append(ll_new)
         trace.param_change.append(max(abs(theta_new - theta).max(), abs(beta_new - beta).max()))
         theta, beta = theta_new, beta_new
@@ -319,7 +333,7 @@ def fit(design, pvals):
 
 # ----------------------------------------------------------------------
 # internals, operating on a validated column-major design and
-# precomputed log(p)
+# precomputed -log(p)
 
 
 def _prepare(design, pvals):
@@ -333,7 +347,8 @@ def _prepare(design, pvals):
     p = clamp_pvalues(pvals)
     if p.ndim != 1 or p.size != X.shape[0]:
         raise ValueError("pvals must be 1-d with one entry per design row")
-    return X, np.log(p)
+    neg_logp = np.log(p)
+    return X, np.negative(neg_logp, out=neg_logp)
 
 
 class _Link(NamedTuple):
@@ -360,24 +375,25 @@ def _link(u, keep_u=False):
 
     From e = exp(-|u|) and r = 1 / (1 + e), expit(|u|) = r and
     expit(-|u|) = e * r. The factor in front of r is 1 or e, picked
-    without a branch: max(e, sign(u)) is 1 for u > 0 and e for u < 0,
-    and at u = 0 both are 1 = e. Everything is formed in place: a link
-    is three m-vectors, and building it takes e besides them. The k
-    link's 1 - k is formed in u's buffer, so u is overwritten unless
-    keep_u.
+    without a branch: with [.] a comparison written as 0.0 or 1.0,
+    max(e, [u >= 0]) is 1 for u >= 0 and e for u < 0, max(e, [u < 0])
+    is e for u > 0 and 1 for u < 0, and at u = 0 both are 1 = e.
+    Everything is formed in place: a link is three m-vectors, and
+    building it takes e besides them. The k link's 1 - k is formed in
+    u's buffer, so u is overwritten unless keep_u.
     """
     e = _exp_neg_abs(u)
     sp = np.log1p(e)
     p = np.maximum(u, 0.0)
     sp += p
-    if keep_u:  # the pi link reads softplus(u) as a sum; sign(u) takes its buffer
-        sign, sp = sp, float(sp.sum())
+    if keep_u:  # the pi link reads softplus(u) as a sum; [u < 0] takes its buffer
+        neg, sp = sp, float(sp.sum())
     else:
-        sign = u
-    np.sign(u, out=sign)
-    np.maximum(e, sign, out=p)
-    np.negative(sign, out=sign)
-    one_m_p = np.maximum(e, sign, out=sign)
+        neg = u
+    np.greater_equal(u, 0.0, out=p)
+    np.less(u, 0.0, out=neg)
+    np.maximum(e, p, out=p)
+    one_m_p = np.maximum(e, neg, out=neg)
     e += 1.0
     np.divide(1.0, e, out=e)
     p *= e
@@ -390,19 +406,19 @@ def _links(theta, beta, X):
     return {"pi": _link(X @ theta, keep_u=True), "k": _link(X @ beta)}
 
 
-def _mixture(links, logp):
+def _mixture(links, neg_logp):
     """(alt, denom): the alternative's share alt = (1 - pi) h of the
-    mixture density, with h = (1 - k) p^(-k) the alternative density,
-    and that density denom = pi + alt. Refuses rows where denom
-    underflows to 0, whose log-likelihood would be -inf and gamma 0 / 0."""
-    alt = links["k"].p * logp
-    np.negative(alt, out=alt)
+    mixture density, with h = (1 - k) p^(-k) = (1 - k) exp(k (-log p))
+    the alternative density, and that density denom = pi + alt. Refuses
+    rows where denom underflows to 0, whose log-likelihood would be -inf
+    and gamma 0 / 0; they are counted only then."""
+    alt = links["k"].p * neg_logp
     np.exp(alt, out=alt)
     alt *= links["k"].one_m_p
     alt *= links["pi"].one_m_p
     denom = links["pi"].p + alt
-    zero = int(np.count_nonzero(denom == 0.0))
-    if zero:
+    if denom.size and denom.min() == 0.0:
+        zero = int(np.count_nonzero(denom == 0.0))
         raise ValueError(
             f"the mixture density underflows to 0 on {zero} of {denom.size} rows: "
             "pi and the alternative density are both 0 there at these coefficients"
@@ -410,22 +426,22 @@ def _mixture(links, logp):
     return alt, denom
 
 
-def _loglik_gamma(links, logp):
+def _loglik_gamma(links, neg_logp):
     """Log-likelihood and posterior signal probabilities at the links;
     gamma is formed in alt's buffer and log(denom) in denom's."""
-    alt, denom = _mixture(links, logp)
+    alt, denom = _mixture(links, neg_logp)
     gamma = np.divide(alt, denom, out=alt)
     return float(np.log(denom, out=denom).sum()), gamma
 
 
-def _m_step(theta, beta, links, X, gram, gamma, logp, trace):
+def _m_step(theta, beta, links, X, gram, gamma, neg_logp, trace):
     """One M-step: update theta, then beta, holding gamma fixed, by
     :func:`_maximize` from the link values in links, with gram = _gram(X);
     returns the new coefficients, leaves their links in links and adds
     the inner steps to trace's counts. No update decreases its share of
     the complete-data objective, which is all the EM argument needs."""
     theta = _maximize(theta, links, "pi", X, gram, _theta_share(1.0 - gamma), trace)
-    beta = _maximize(beta, links, "k", X, gram, _beta_share(gamma, logp), trace)
+    beta = _maximize(beta, links, "k", X, gram, _beta_share(gamma, neg_logp), trace)
     return theta, beta
 
 
@@ -444,28 +460,29 @@ def _theta_share(y):
     return share
 
 
-def _beta_share(gamma, logp):
+def _beta_share(gamma, neg_logp):
     """The k link's share for :func:`_maximize`, -gamma . (softplus(u) + k log p)
-    at u = X @ beta. With g = -gamma log p >= 0 its slope is k (1 - k) g - gamma k
-    and its curv k (1 - k) (gamma - (1 - 2k) g), which can be negative: -H
-    is not always positive semi-definite."""
-    g = gamma * logp
-    np.negative(g, out=g)
+    at u = X @ beta, given -log p. With g = gamma (-log p) >= 0 its slope is
+    k ((1 - k) g - gamma) and its curv k (1 - k) (gamma - (1 - 2k) g), which
+    can be negative: -H is not always positive semi-definite. Each is formed
+    in one m-vector, in place."""
+    g = gamma * neg_logp
 
     def share(link):
         k, one_m_k = link.p, link.one_m_p
 
         def slope():
-            s = k * one_m_k
-            s *= g
-            s -= gamma * k
+            s = one_m_k * g
+            s -= gamma
+            s *= k
             return s
 
         def curv():
             c = one_m_k - k
             c *= g
             np.subtract(gamma, c, out=c)
-            c *= k * one_m_k
+            c *= k
+            c *= one_m_k
             return c
 
         return -float(gamma @ link.sp - k @ g), slope, curv
@@ -502,10 +519,16 @@ def _gram(X):
 def _solve_ascent_direction(neg_hess, grad):
     """pinv(-H) @ grad when -H is PSD, else None.
 
-    Eigendecomposition instead of a Cholesky solve so that collinear
-    designs (duplicated columns) degrade to the minimum-norm Newton
-    step instead of failing.
+    For d <= CHOLESKY_MAX_D the certified Cholesky solve of
+    :func:`_cholesky_direction` comes first. Otherwise, or where it
+    refuses, an eigendecomposition, so that collinear designs
+    (duplicated columns) degrade to the minimum-norm Newton step instead
+    of failing.
     """
+    if grad.size <= CHOLESKY_MAX_D:
+        direction = _cholesky_direction(neg_hess, grad)
+        if direction is not None:
+            return direction
     if not np.isfinite(neg_hess).all():
         return None
     evals, evecs = np.linalg.eigh(neg_hess)
@@ -516,6 +539,60 @@ def _solve_ascent_direction(neg_hess, grad):
         return None  # indefinite: caller falls back to gradient ascent
     inv = np.where(evals > 1e-12 * top, 1.0 / np.maximum(evals, 1e-300), 0.0)
     return evecs @ (inv * (evecs.T @ grad))
+
+
+def _cholesky_direction(neg_hess, grad):
+    """(-H)^-1 @ grad by a Cholesky solve in Python floats, or None
+    unless every pivot is positive and det(-H) > 1e-12 trace(-H)^d.
+
+    Only the lower triangle is read. For a small d the floats cost less
+    than eigh and its array bookkeeping. The certificate keeps the result
+    equal, to rounding, to the eigh path's pseudo-inverse direction:
+    det <= lambda_min lambda_max^(d - 1) and trace >= lambda_max, so it
+    implies lambda_min > 1e-12 lambda_max, and the pseudo-inverse drops
+    no direction. A non-finite entry leaves a pivot non-positive or NaN,
+    or the trace infinite and the certificate 0 or NaN, and is refused.
+    """
+    a = neg_hess.tolist()
+    d = len(a)
+    rows = []  # the rows of L, the diagonal entry last
+    pivots = []
+    trace = 0.0
+    for i, a_i in enumerate(a):
+        row = []
+        for j, row_j in enumerate(rows):
+            s = a_i[j]
+            for k in range(j):
+                s -= row[k] * row_j[k]
+            row.append(s / row_j[j])
+        s = a_i[i]
+        for v in row:
+            s -= v * v
+        if not s > 0.0:
+            return None
+        pivots.append(s)
+        trace += a_i[i]
+        row.append(math.sqrt(s))
+        rows.append(row)
+    # det / trace^d as a product of pivot / trace, each at most 1, so
+    # that neither side overflows or underflows
+    ratio = 1.0
+    for s in pivots:
+        ratio *= s / trace
+    if not ratio > 1e-12:
+        return None
+    y = grad.tolist()  # L y = grad, then L.T x = y, both in place
+    for i, row in enumerate(rows):
+        s = y[i]
+        for k in range(i):
+            s -= row[k] * y[k]
+        y[i] = s / row[i]
+    for i in range(d - 1, -1, -1):
+        s = y[i]
+        for k in range(i + 1, d):
+            s -= rows[k][i] * y[k]
+        y[i] = s / rows[i][i]
+    return np.array(y)
 
 
 def _maximize(coef, links, key, X, gram, share, trace):

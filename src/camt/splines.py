@@ -18,10 +18,15 @@ import numpy as np
 def equiquantile_knots(x, n_knots):
     """Knot locations at the empirical j/(n_knots+1) quantiles of x.
 
+    The knots equal ``np.quantile(x, j / (n_knots + 1))`` with numpy's
+    default "linear" method, bit for bit, from one sort of x that also
+    counts its distinct values; np.quantile and np.unique would import
+    numpy.ma, a cost a fresh process notices.
+
     Parameters
     ----------
     x : array_like
-        Covariate sample, at least n_knots distinct values.
+        Finite covariate sample, at least n_knots distinct values.
     n_knots : int
         Number of knots, at least 2.
 
@@ -35,15 +40,27 @@ def equiquantile_knots(x, n_knots):
         raise ValueError("n_knots must be at least 2")
     if x.ndim != 1 or x.size < n_knots:
         raise ValueError("x must be a 1-d sample with at least n_knots values")
+    s = np.sort(x)  # NaN sorts last
+    if not (np.isfinite(s[0]) and np.isfinite(s[-1])):
+        raise ValueError("x must be finite")
     # n_knots distinct knots can still sit on fewer distinct values (a
     # balanced 0/1 column gets knots 0, 0.5, 1), and the basis then has
     # fewer distinct rows than columns
-    if np.unique(x).size < n_knots:
+    if 1 + np.count_nonzero(s[1:] != s[:-1]) < n_knots:
         raise ValueError(
             f"degenerate covariate: fewer than {n_knots} distinct values for a spline basis"
         )
+    # numpy's "linear" quantile: the order statistics below and above the
+    # virtual index (n - 1) * prob, which is below n - 1 for every prob
+    # here, joined by its lerp, which works from the nearer of the two
     probs = np.arange(1, n_knots + 1) / (n_knots + 1)
-    knots = np.quantile(x, probs)
+    at = (s.size - 1) * probs
+    below = np.floor(at)
+    t = at - below
+    lo = s[below.astype(np.intp)]
+    hi = s[below.astype(np.intp) + 1]
+    diff = hi - lo
+    knots = np.where(t >= 0.5, hi - diff * (1 - t), lo + diff * t)
     if np.any(np.diff(knots) <= 0.0):
         raise ValueError(
             "degenerate covariate: equiquantile knots collide, "

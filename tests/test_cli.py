@@ -292,10 +292,12 @@ def test_parse_memory_stays_near_the_parsed_arrays(tmp_path):
 def test_fit_command_memory_stays_near_the_fit(tmp_path):
     # growth of the peak resident size over a whole `camt fit` of 2e5
     # rows (parse, EM, select, write), over the peak after import, in
-    # m-vectors of 8 * m bytes: measured 18.1, of which EM's own working
-    # set is 12; 20.7 while EM kept a superseded link through each line
+    # m-vectors of 8 * m bytes: measured 16.5, of which EM's own working
+    # set is 11; 18.1 while the k link's slope and curvature each took a
+    # temporary and the writer formatted blocks of 4096 rows a column at
+    # a time, 20.7 while EM kept a superseded link through each line
     # search, the pipeline a clamped copy of p and the writer blocks of
-    # 8192 rows. The bound leaves 1.4 m-vectors (2.3 MB) of margin.
+    # 8192 rows.
     m = 200_000
     in_path, _ = _dataset_table(tmp_path / "in.csv", m, seed=3)
     out_path = tmp_path / "out.csv"
@@ -886,8 +888,8 @@ def test_fit_and_diagnose_load_no_scipy(tmp_path):
 
 def test_plain_fit_and_diagnose_load_no_numpy_ma(tmp_path):
     # importing numpy.ma costs 8-13 ms and 1.25 MB of peak resident
-    # memory; np.quantile (the spline knots) still loads it, a plain fit
-    # and diagnose must not
+    # memory; np.quantile and np.unique load it, and the spline knots use
+    # neither, so neither a plain fit, nor a spline one, nor diagnose may
     rng = np.random.default_rng(59)
     in_path = _write_table(tmp_path / "in.csv", rng.random(1000), rng.random((1000, 1)))
     code = (
@@ -896,6 +898,8 @@ def test_plain_fit_and_diagnose_load_no_numpy_ma(tmp_path):
         f"assert camt.cli.main(['fit', '--input', {in_path!r}, '--mixed', "
         f"'--output', {str(tmp_path / 'o.csv')!r}]) == 0; "
         f"assert camt.cli.main(['fit', '--input', {in_path!r}, "
+        f"'--output', {str(tmp_path / 'o.csv')!r}]) == 0; "
+        f"assert camt.cli.main(['fit', '--input', {in_path!r}, '--spline-knots', '3', "
         f"'--output', {str(tmp_path / 'o.csv')!r}]) == 0; "
         f"assert camt.cli.main(['diagnose', '--input', {in_path!r}]) == 0; "
         "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"

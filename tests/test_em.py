@@ -4,6 +4,7 @@ fit runs, the full fit, and its invariances."""
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit, logit
 
+import camt.em
 from camt.em import (
+    CHOLESKY_MAX_D,
     COEF_BOUND,
     INIT_PI,
     INNER_MAX_ITER,
@@ -32,6 +35,7 @@ from camt.em import (
 )
 from camt.em import (
     _beta_share,
+    _cholesky_direction,
     _exp_neg_abs,
     _gram,
     _link,
@@ -64,17 +68,17 @@ def _mixture_draw(theta_true, beta_true, m, seed):
 
 def _posterior(params, design, pvals):
     """Posterior signal probabilities gamma, as fit's E-step forms them."""
-    X, logp = _prepare(design, pvals)
-    return _loglik_gamma(_links(params.theta, params.beta, X), logp)[1]
+    X, neg_logp = _prepare(design, pvals)
+    return _loglik_gamma(_links(params.theta, params.beta, X), neg_logp)[1]
 
 
 def _one_m_step(gamma, params, design, pvals):
     """The coefficients one of fit's M-steps moves params to, holding gamma fixed."""
-    X, logp = _prepare(design, pvals)
+    X, neg_logp = _prepare(design, pvals)
     links = _links(params.theta, params.beta, X)
     trace = EmTrace(loglik=[], param_change=[], n_iter=0, converged=False)
     gamma = np.asarray(gamma, dtype=float)
-    theta, beta = _m_step(params.theta, params.beta, links, X, _gram(X), gamma, logp, trace)
+    theta, beta = _m_step(params.theta, params.beta, links, X, _gram(X), gamma, neg_logp, trace)
     return CoefVector(theta=theta, beta=beta)
 
 
@@ -189,6 +193,69 @@ def test_newton_step_equals_weighted_least_squares():
     assert np.allclose(theta0 + direction, wls, rtol=1e-10, atol=1e-12)
 
 
+def _eigh_direction(neg_hess, grad):
+    """The eigh path of _solve_ascent_direction, the one every d above
+    CHOLESKY_MAX_D takes."""
+    with mock.patch.object(camt.em, "CHOLESKY_MAX_D", 0):
+        return _solve_ascent_direction(neg_hess, grad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, CHOLESKY_MAX_D),
+    st.integers(0, 2**32 - 1),
+    st.floats(-150.0, 150.0),
+)
+def test_cholesky_direction_equals_the_pseudo_inverse_direction(d, seed, log_scale):
+    # -H = Q diag(lambda) Q.T with a condition number of at most 100,
+    # scaled anywhere from 1e-150 to 1e150
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    neg_hess = (q * 10.0 ** rng.uniform(0.0, 2.0, d)) @ q.T * 10.0**log_scale
+    neg_hess = (neg_hess + neg_hess.T) / 2.0
+    grad = rng.standard_normal(d) * 10.0 ** rng.uniform(-3.0, 3.0)
+    assert _cholesky_direction(neg_hess, grad) is not None
+    got = _solve_ascent_direction(neg_hess, grad)
+    want = _eigh_direction(neg_hess, grad)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _duplicated_column_hessian():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(50)
+    X = np.column_stack([np.ones(50), x, x])
+    return X.T @ (X * rng.uniform(0.1, 1.0, 50)[:, None])
+
+
+_REFUSED = {
+    "indefinite": np.array([[2.0, 1.0], [1.0, -0.5]]),
+    "negative-definite": -np.eye(3),
+    "zero": np.zeros((2, 2)),
+    "singular": _duplicated_column_hessian(),
+    # lambda_min = 1e-13 lambda_max: every pivot is positive, the
+    # certificate fails, and eigh drops the smaller direction
+    "near-singular": np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]),
+    "nan": np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    "inf-diagonal": np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    "minus-inf": np.array([[1.0, -np.inf], [-np.inf, 1.0]]),
+    "above-the-constant": np.eye(CHOLESKY_MAX_D + 1) + 0.1,
+}
+
+
+@pytest.mark.parametrize("name", list(_REFUSED))
+def test_direction_outside_the_cholesky_certificate_is_the_eigh_paths(name):
+    neg_hess = _REFUSED[name]
+    grad = np.linspace(-1.0, 2.0, neg_hess.shape[0])
+    if neg_hess.shape[0] <= CHOLESKY_MAX_D:
+        assert _cholesky_direction(neg_hess, grad) is None
+    got = _solve_ascent_direction(neg_hess, grad)
+    want = _eigh_direction(neg_hess, grad)
+    if want is None:
+        assert got is None
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
 @st.composite
 def _design_and_weights(draw):
     """An intercept-first design of 1-200 rows and 1-8 columns, and
@@ -228,8 +295,8 @@ def test_beta_ascent_falls_back_to_the_gradient_where_the_hessian_is_indefinite(
     rng = np.random.default_rng(0)
     m = 200
     X = np.column_stack([np.ones(m), rng.standard_normal(m)])
-    logp = np.log(10.0 ** rng.uniform(-12.0, -6.0, m))
-    share = _beta_share(np.ones(m), logp)
+    neg_logp = -np.log(10.0 ** rng.uniform(-12.0, -6.0, m))
+    share = _beta_share(np.ones(m), neg_logp)
     start = np.array([-3.0, 0.0])
     trace = EmTrace(loglik=[], param_change=[], n_iter=0, converged=False)
     links = {"k": _link(X @ start)}
@@ -250,12 +317,12 @@ def test_ascent_whose_every_halving_fails_rebuilds_the_starting_link(key):
     # no candidate is accepted it is rebuilt, and must equal, bit for bit,
     # the link the step started from
     X, p = _mixture_draw(np.array([1.8, 0.6]), np.array([0.9, 0.4]), 1_000, 3)
-    X, logp = _prepare(X, p)
+    X, neg_logp = _prepare(X, p)
     theta, beta = np.array([logit(INIT_PI), 0.0]), np.zeros(2)
     links = _links(theta, beta, X)
-    gamma = _loglik_gamma(links, logp)[1]
+    gamma = _loglik_gamma(links, neg_logp)[1]
     start = theta if key == "pi" else beta
-    real = _theta_share(1.0 - gamma) if key == "pi" else _beta_share(gamma, logp)
+    real = _theta_share(1.0 - gamma) if key == "pi" else _beta_share(gamma, neg_logp)
     calls = []
 
     def refusing(link):
@@ -803,15 +870,16 @@ def test_fit_counts_its_inner_steps():
     assert (bare.newton_steps, bare.line_search_halvings, bare.gradient_fallbacks) == (0, 0, 0)
 
 
-@pytest.mark.parametrize("setup, knots, bound", [("S0", 0, 12.5), ("S2", 3, 21.5)])
+@pytest.mark.parametrize("setup, knots, bound", [("S0", 0, 11.5), ("S2", 3, 20.5)])
 def test_fit_holds_few_m_vectors(setup, knots, bound):
-    # EM keeps log p, gamma, three m-vectors per link and P, (d - 1)d/2
+    # EM keeps -log p, gamma, three m-vectors per link and P, (d - 1)d/2
     # rows; on top of those, an update's y or g and a candidate's link
     # while it is built, the link it would replace already dropped.
-    # Measured 12.05 m-vectors at d = 2 (S0) and 21.05 at d = 5 (S2,
-    # 3 knots): 14.1 and 23.1 while the replaced link stayed alive through
-    # the line search, 23.0 and 40.0 with a link of four m-vectors, P of
-    # d(d + 1)/2 rows and the slope alive at candidates.
+    # Measured 11.10 m-vectors at d = 2 (S0) and 20.11 at d = 5 (S2,
+    # 3 knots): 12.05 and 21.05 while the k link's slope and curvature
+    # each took a temporary, 14.1 and 23.1 while the replaced link stayed
+    # alive through the line search, 23.0 and 40.0 with a link of four
+    # m-vectors, P of d(d + 1)/2 rows and the slope alive at candidates.
     m = 20_000
     data = generate(SimulationConfig(setup=setup, m=m, seed=44), 0)
     design = build_design(data.covariates, spline_knots=knots)

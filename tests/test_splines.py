@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camt.splines import equiquantile_knots, evaluate_basis, spline_basis
 
@@ -12,6 +14,37 @@ def test_knots_are_empirical_equiquantiles():
     knots = equiquantile_knots(x, 6)
     expected = np.quantile(x, np.arange(1, 7) / 7.0)
     assert np.array_equal(knots, expected)
+
+
+@st.composite
+def _sample(draw):
+    """A sample for 2-20 knots, of n_knots to 300 values: continuous draws
+    of any scale, or at least n_knots distinct values, each repeated any
+    number of times (ties)."""
+    n_knots = draw(st.integers(2, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(n_knots, 300))
+    scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+    if draw(st.booleans()):
+        x = rng.standard_normal(size) * scale
+    else:
+        pool = rng.standard_normal(draw(st.integers(n_knots, n_knots + 3))) * scale
+        x = np.concatenate([pool, rng.choice(pool, size)])
+    return x, n_knots
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sample())
+def test_knots_equal_numpys_linear_quantiles(case):
+    x, n_knots = case
+    want = np.quantile(x, np.arange(1, n_knots + 1) / (n_knots + 1))
+    try:
+        got = equiquantile_knots(x, n_knots)
+    except ValueError as exc:
+        assert "degenerate covariate" in str(exc)
+        assert np.unique(x).size < n_knots or np.any(np.diff(want) <= 0.0)
+    else:
+        assert np.array_equal(got, want)
 
 
 def test_knots_approach_theoretical_quantiles():
@@ -32,6 +65,9 @@ def test_knots_validation():
     with pytest.raises(ValueError, match="fewer than 3 distinct values"):
         equiquantile_knots(np.arange(100.0) % 2, 3)
     assert np.array_equal(equiquantile_knots(np.arange(99.0) % 3, 3), [0.0, 1.0, 2.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="x must be finite"):
+            equiquantile_knots(np.append(np.arange(10.0), bad), 3)
 
 
 def test_basis_shape_and_leading_columns():
