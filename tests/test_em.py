@@ -273,6 +273,8 @@ def _design_and_weights(draw):
 @example((np.ones((1, 1)), np.array([-2.0])))
 @example((np.array([[1.0, 1.0], [1.0, 1.0 + 1e-8]]), np.array([0.3, -0.3])))
 @example((np.array([[1.0, 1.5]]), np.array([5e-324])))
+@example((np.array([[1.0, 1.5, 7.0]]), np.array([5e-324])))
+@example((np.array([[1.0, 1.6e-162, 1.6e-162]]), np.array([1e3])))
 def test_gram_matches_the_weighted_product(case):
     X, w = case
     got = _gram(np.asfortranarray(X))(w)
@@ -283,10 +285,16 @@ def test_gram_matches_the_weighted_product(case):
     # X.T diag(|w|) X; the signed entries can cancel to near 0 (the
     # second example differs by 7e-9 relative to its own largest entry).
     # Below the normal range a rounding errs by up to half the smallest
-    # subnormal whatever the magnitude, three roundings per term (the
-    # third example's corner entry reads 1e-323 one way, 1.5e-323 the other)
+    # subnormal whatever the magnitude, and the first rounding of a term
+    # is then multiplied by its second factor: x_rj for (w_r x_ri) x_rj,
+    # w_r for (x_ri x_rj) w_r. So a term's two forms differ by at most one
+    # smallest subnormal times 1 + max(|x|, |w|) (the third example's
+    # corner entry reads 1e-323 one way, 1.5e-323 the other; the fourth's
+    # (1, 2) entry 4.9e-323 against 6.9e-323; the fifth's 4.9e-321
+    # against 2.6e-321, where x_1 x_2 underflows before w_r = 1e3 scales it)
     scale = np.abs((X.T * np.abs(w)) @ X).max()
-    floor = 3 * X.shape[0] * np.finfo(float).smallest_subnormal
+    factor = 1.0 + max(np.abs(X).max(), np.abs(w).max())
+    floor = X.shape[0] * factor * np.finfo(float).smallest_subnormal
     assert np.all(np.abs(got - want) <= 1e-12 * scale + floor)
 
 
