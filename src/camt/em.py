@@ -27,9 +27,9 @@ p^(-k) = exp(k (-log p)) and the k link's g = gamma (-log p) take no
 negation. Each M-step update
 leaves the link values of the coefficients it accepted, so the E-step
 that follows and the next update's starting objective recompute none of
-them. A link keeps only what they read, three m-vectors: expit(+-u) for
-both links, softplus(u) for the k link, and u for the pi link, which
-reads softplus(u) only as a sum.
+them. Both links keep the same three m-vectors, expit(+-u) and
+softplus(u), and not u: the pi share reads u only through
+y . u = c . theta, with c = X.T @ y formed once per update.
 
 The design is kept column-major (:func:`build_design` returns an
 F-ordered array, :func:`fit` converts any other layout once), so X.T is
@@ -43,9 +43,9 @@ of the fit: 8 MB at m = 1e6 with d = 2, 80 MB with d = 5. Slopes,
 curvatures and candidate links are formed in place, each in one
 m-vector, and dropped as soon as they are read, and a line search drops
 the link it would replace before it builds a candidate, so a fit holds
--log p, gamma, the two links and P, and on top of them at most an
-update's weights and either a candidate link while it is built or the
-k link's slope or curvature while it is formed: at most 11 m-vectors
+-log p, gamma, the two links and P, and on top of them at most the k
+update's g and either a candidate link while it is built or the k
+link's slope or curvature while it is formed: at most 11 m-vectors
 beyond the design and the p-values at d = 2, 20 at d = 5.
 
 A Newton direction solves -H x = gradient. Up to d = CHOLESKY_MAX_D it
@@ -143,10 +143,11 @@ class FitResult:
 
 
 def _check_spline_knots(spline_knots):
-    """ValueError unless spline_knots is 0 (raw covariate columns) or a
-    knot count per covariate between 2 and 20; the one home of the rule,
-    which ``camt fit`` checks before it reads its table."""
-    if spline_knots != 0 and not 2 <= spline_knots <= 20:
+    """ValueError unless spline_knots is 0 (raw covariate columns) or an
+    integer knot count per covariate between 2 and 20, not a bool; the one
+    home of the rule, which ``camt fit`` checks before it reads its table."""
+    integer = isinstance(spline_knots, (int, np.integer)) and not isinstance(spline_knots, bool)
+    if not integer or spline_knots != 0 and not 2 <= spline_knots <= 20:
         raise ValueError("spline_knots must be 0 or between 2 and 20")
 
 
@@ -353,13 +354,11 @@ def _prepare(design, pvals):
 
 class _Link(NamedTuple):
     """Values of one logistic link at u = X @ coef, as much as its share
-    and the E-step read: the k link carries softplus(u) as an m-vector,
-    the pi link its sum and u itself."""
+    and the E-step read; u itself is not kept."""
 
     p: np.ndarray  # expit(u): pi or k
     one_m_p: np.ndarray  # expit(-u)
-    sp: np.ndarray | float  # softplus(u) = log(1 + exp(u)), or its sum
-    u: np.ndarray | None  # u, kept by the pi link only
+    sp: np.ndarray  # softplus(u) = log(1 + exp(u))
 
 
 def _exp_neg_abs(u):
@@ -369,9 +368,8 @@ def _exp_neg_abs(u):
     return np.exp(e, out=e)
 
 
-def _link(u, keep_u=False):
-    """The link values at u, computed afresh; keep_u gives the pi link,
-    which keeps u and sums softplus(u).
+def _link(u):
+    """The link values at u, computed afresh.
 
     From e = exp(-|u|) and r = 1 / (1 + e), expit(|u|) = r and
     expit(-|u|) = e * r. The factor in front of r is 1 or e, picked
@@ -379,31 +377,27 @@ def _link(u, keep_u=False):
     max(e, [u >= 0]) is 1 for u >= 0 and e for u < 0, max(e, [u < 0])
     is e for u > 0 and 1 for u < 0, and at u = 0 both are 1 = e.
     Everything is formed in place: a link is three m-vectors, and
-    building it takes e besides them. The k link's 1 - k is formed in
-    u's buffer, so u is overwritten unless keep_u.
+    building it takes e besides them. 1 - p is formed in u's buffer, so
+    u is overwritten.
     """
     e = _exp_neg_abs(u)
     sp = np.log1p(e)
     p = np.maximum(u, 0.0)
     sp += p
-    if keep_u:  # the pi link reads softplus(u) as a sum; [u < 0] takes its buffer
-        neg, sp = sp, float(sp.sum())
-    else:
-        neg = u
     np.greater_equal(u, 0.0, out=p)
-    np.less(u, 0.0, out=neg)
+    one_m_p = np.less(u, 0.0, out=u)
     np.maximum(e, p, out=p)
-    one_m_p = np.maximum(e, neg, out=neg)
+    np.maximum(e, one_m_p, out=one_m_p)
     e += 1.0
     np.divide(1.0, e, out=e)
     p *= e
     one_m_p *= e
-    return _Link(p, one_m_p, sp, u if keep_u else None)
+    return _Link(p, one_m_p, sp)
 
 
 def _links(theta, beta, X):
     """The pi and k links at (theta, beta), keyed "pi" and "k"."""
-    return {"pi": _link(X @ theta, keep_u=True), "k": _link(X @ beta)}
+    return {"pi": _link(X @ theta), "k": _link(X @ beta)}
 
 
 def _mixture(links, neg_logp):
@@ -440,42 +434,47 @@ def _m_step(theta, beta, links, X, gram, gamma, neg_logp, trace):
     returns the new coefficients, leaves their links in links and adds
     the inner steps to trace's counts. No update decreases its share of
     the complete-data objective, which is all the EM argument needs."""
-    theta = _maximize(theta, links, "pi", X, gram, _theta_share(1.0 - gamma), trace)
-    beta = _maximize(beta, links, "k", X, gram, _beta_share(gamma, neg_logp), trace)
+    theta = _maximize(theta, links, "pi", X, gram, _theta_share(1.0 - gamma, X), trace)
+    beta = _maximize(beta, links, "k", X, gram, _beta_share(gamma, neg_logp, X), trace)
     return theta, beta
 
 
-def _theta_share(y):
+def _theta_share(y, X):
     """The pi link's share for :func:`_maximize` with soft null labels y:
-    -(y . softplus(-u) + (1 - y) . softplus(u)) = -(sum(softplus(u)) - y . u)
-    at u = X @ theta, with slope y - pi and curv pi (1 - pi)."""
+    -(y . softplus(-u) + (1 - y) . softplus(u)) = y . u - sum(softplus(u))
+    at u = X @ theta. With c = X.T @ y, formed once, y . u = c . theta, so
+    the value is c . theta - sum(softplus(u)), the gradient c - X.T @ pi
+    and the curv pi (1 - pi); y is not kept."""
+    Xt = X.T
+    c = Xt @ y
 
-    def share(link):
+    def share(theta, link):
         return (
-            -float(link.sp - y @ link.u),
-            lambda: y - link.p,
+            float(c @ theta - link.sp.sum()),
+            lambda: c - Xt @ link.p,
             lambda: link.p * link.one_m_p,
         )
 
     return share
 
 
-def _beta_share(gamma, neg_logp):
+def _beta_share(gamma, neg_logp, X):
     """The k link's share for :func:`_maximize`, -gamma . (softplus(u) + k log p)
-    at u = X @ beta, given -log p. With g = gamma (-log p) >= 0 its slope is
-    k ((1 - k) g - gamma) and its curv k (1 - k) (gamma - (1 - 2k) g), which
-    can be negative: -H is not always positive semi-definite. Each is formed
-    in one m-vector, in place."""
+    at u = X @ beta, given -log p. With g = gamma (-log p) >= 0 its gradient
+    is X.T @ (k ((1 - k) g - gamma)) and its curv k (1 - k) (gamma - (1 - 2k) g),
+    which can be negative: -H is not always positive semi-definite. The
+    slope and curv are each formed in one m-vector, in place."""
+    Xt = X.T
     g = gamma * neg_logp
 
-    def share(link):
+    def share(beta, link):
         k, one_m_k = link.p, link.one_m_p
 
-        def slope():
+        def gradient():
             s = one_m_k * g
             s -= gamma
             s *= k
-            return s
+            return Xt @ s
 
         def curv():
             c = one_m_k - k
@@ -485,7 +484,7 @@ def _beta_share(gamma, neg_logp):
             c *= one_m_k
             return c
 
-        return -float(gamma @ link.sp - k @ g), slope, curv
+        return -float(gamma @ link.sp - k @ g), gradient, curv
 
     return share
 
@@ -601,13 +600,13 @@ def _maximize(coef, links, key, X, gram, share, trace):
     final coef, leaves its link values in links[key] and counts its steps
     into trace (an :class:`EmTrace`).
 
-    share maps the link at u = X @ coef to (value, slope, curv): the
-    gradient is X.T @ slope() and -H = gram(curv()) with gram = _gram(X).
-    Both are deferred: a step forms each once, and neither is formed at
-    a rejected candidate or, for curv, where the ascent stops. A step
-    takes the Newton direction, or the normalized gradient when -H is
-    not PSD, and is halved until the share does not decrease. Each
-    candidate's link carries what link does (u for the pi link).
+    share maps coef and its link at u = X @ coef to (value, gradient,
+    curv): the gradient() of the share and -H = gram(curv()) with
+    gram = _gram(X). Both are deferred: a step forms each once, and
+    neither is formed at a rejected candidate or, for curv, where the
+    ascent stops. A step takes the Newton direction, or the normalized
+    gradient when -H is not PSD, and is halved until the share does not
+    decrease.
 
     Once a step's direction is formed, the link at coef and the closures
     over it are dropped, so no more than one link of this key is alive
@@ -615,13 +614,11 @@ def _maximize(coef, links, key, X, gram, share, trace):
     coef is rebuilt as it was first built, _link(X @ coef), which gives
     the same bits.
     """
-    Xt = X.T
     grad_tol = 1e-8 * X.shape[0]
     link = links.pop(key)
-    keep_u = link.u is not None
-    value, slope, curv = share(link)
+    value, gradient, curv = share(coef, link)
     for _ in range(INNER_MAX_ITER):
-        grad = Xt @ slope()
+        grad = gradient()
         if abs(grad).max() <= grad_tol:
             break
         direction = _solve_ascent_direction(gram(curv()), grad)
@@ -630,19 +627,19 @@ def _maximize(coef, links, key, X, gram, share, trace):
             direction = grad / abs(grad).max()
         else:
             trace.newton_steps += 1
-        del link, slope, curv  # before the first candidate is built
+        del link, gradient, curv  # before the first candidate is built
         step = 1.0
         for _ in range(MAX_HALVINGS + 1):
             cand = np.minimum(np.maximum(coef + step * direction, -COEF_BOUND), COEF_BOUND)
-            link = _link(X @ cand, keep_u)
-            cand_value, slope, curv = share(link)
+            link = _link(X @ cand)
+            cand_value, gradient, curv = share(cand, link)
             if math.isfinite(cand_value) and cand_value >= value:
                 break
-            del link, slope, curv  # before the next candidate is built
+            del link, gradient, curv  # before the next candidate is built
             trace.line_search_halvings += 1
             step *= 0.5
         else:
-            link = _link(X @ coef, keep_u)  # every halving decreased the share
+            link = _link(X @ coef)  # every halving decreased the share
             break
         moved = abs(cand - coef).max()
         coef, value = cand, cand_value

@@ -69,11 +69,17 @@ def check_unit(name, x, include_one=False):
 
 
 def check_alpha(alpha):
-    """ValueError unless the target level alpha lies in (0, 1].
+    """ValueError unless the target level alpha is a real scalar in (0, 1]:
+    a Python or numpy integer or float, or a 0-d array of one. A bool, a
+    string, a sequence and None are refused like a level out of range.
 
     The comparisons are false for NaN, so NaN fails too.
     """
-    if not 0.0 < alpha <= 1.0:
+    if isinstance(alpha, (np.ndarray, np.generic)):
+        real = alpha.ndim == 0 and alpha.dtype.kind in "iuf"
+    else:
+        real = isinstance(alpha, (int, float)) and not isinstance(alpha, bool)
+    if not (real and 0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
 
 

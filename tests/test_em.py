@@ -304,7 +304,7 @@ def test_beta_ascent_falls_back_to_the_gradient_where_the_hessian_is_indefinite(
     m = 200
     X = np.column_stack([np.ones(m), rng.standard_normal(m)])
     neg_logp = -np.log(10.0 ** rng.uniform(-12.0, -6.0, m))
-    share = _beta_share(np.ones(m), neg_logp)
+    share = _beta_share(np.ones(m), neg_logp, X)
     start = np.array([-3.0, 0.0])
     trace = EmTrace(loglik=[], param_change=[], n_iter=0, converged=False)
     links = {"k": _link(X @ start)}
@@ -313,8 +313,7 @@ def test_beta_ascent_falls_back_to_the_gradient_where_the_hessian_is_indefinite(
     link = links["k"]
     assert trace.gradient_fallbacks >= 1
     assert trace.line_search_halvings >= 1
-    assert share(link)[0] >= share(_link(X @ start))[0]
-    assert link.u is None  # the k link carries softplus(u), k and 1 - k only
+    assert share(beta, link)[0] >= share(start, _link(X @ start))[0]
     for got, want in zip(link, _link(X @ beta)):
         assert np.array_equal(got, want)
 
@@ -330,14 +329,14 @@ def test_ascent_whose_every_halving_fails_rebuilds_the_starting_link(key):
     links = _links(theta, beta, X)
     gamma = _loglik_gamma(links, neg_logp)[1]
     start = theta if key == "pi" else beta
-    real = _theta_share(1.0 - gamma) if key == "pi" else _beta_share(gamma, neg_logp)
+    real = _theta_share(1.0 - gamma, X) if key == "pi" else _beta_share(gamma, neg_logp, X)
     calls = []
 
-    def refusing(link):
+    def refusing(coef, link):
         """The real share at the starting link, -inf at every candidate."""
-        value, slope, curv = real(link)
+        value, gradient, curv = real(coef, link)
         calls.append(link.p.size)
-        return (value if len(calls) == 1 else -math.inf), slope, curv
+        return (value if len(calls) == 1 else -math.inf), gradient, curv
 
     trace = EmTrace(loglik=[], param_change=[], n_iter=0, converged=False)
     got = _maximize(start.copy(), links, key, X, _gram(X), refusing, trace)
@@ -345,9 +344,11 @@ def test_ascent_whose_every_halving_fails_rebuilds_the_starting_link(key):
     assert len(calls) == MAX_HALVINGS + 2
     assert trace.line_search_halvings == MAX_HALVINGS + 1
     assert trace.newton_steps + trace.gradient_fallbacks == 1
-    want = _link(X @ start, keep_u=key == "pi")
+    # one _link, with no flag, builds either link: three m-vectors
+    want = _link(X @ start)
     for field, value in zip(want._fields, links[key]):
-        assert np.asarray(value).tobytes() == np.asarray(getattr(want, field)).tobytes(), field
+        assert value.shape == (X.shape[0],), field
+        assert value.tobytes() == getattr(want, field).tobytes(), field
 
 
 def test_m_step_does_not_decrease_the_complete_data_objective():
@@ -518,6 +519,15 @@ def test_build_design_validation():
         build_design(np.array([[1.0], [np.nan]]))
     with pytest.raises(ValueError):
         build_design(np.zeros((10, 1)), spline_knots=1)
+
+
+@pytest.mark.parametrize("knots", [2.5, 3.9, 3.0, np.float64(3.0), True, "3", None], ids=repr)
+def test_build_design_refuses_a_knot_count_that_is_not_an_integer(knots):
+    # 2.5 used to build 3 columns on knots at the j / 3.5 quantiles
+    x = np.random.default_rng(54).standard_normal(200)
+    with pytest.raises(ValueError, match="spline_knots must be 0 or between 2 and 20"):
+        build_design(x, spline_knots=knots)
+    assert build_design(x, spline_knots=np.int32(3)).shape == build_design(x, spline_knots=3).shape
 
 
 def test_build_design_names_a_column_it_cannot_standardize():
@@ -806,19 +816,60 @@ _LINK_EDGES = (0.0, -0.0, 36.0, -36.0, 709.0, -709.0, 745.2, -745.2)
 def test_shared_exp_helpers_match_expit_and_logaddexp(values):
     u = np.array(values)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        k_link = _link(u.copy())
-        pi_link = _link(u.copy(), keep_u=True)
+        link = _link(u.copy())
+        # the pi and k links at coefficient 1 of the one-column design u
+        links = _links(np.ones(1), np.ones(1), u[:, None])
     normal_floor = np.finfo(float).tiny
-    for got, want in zip(k_link[:2], (expit(u), expit(-u))):
+    for got, want in zip(link[:2], (expit(u), expit(-u))):
         normal = want >= normal_floor
         assert _ulps(got[normal], want[normal]) <= 4
         assert np.all(np.abs(got[~normal] - want[~normal]) <= 1e-300)
-    assert _ulps(k_link.sp, np.logaddexp(0.0, u)) <= 4
-    # the pi link: the same pair, u itself, and the sum of softplus(u)
-    assert np.array_equal(pi_link.p, k_link.p)
-    assert np.array_equal(pi_link.one_m_p, k_link.one_m_p)
-    assert np.array_equal(pi_link.u, u)
-    assert pi_link.sp == k_link.sp.sum()
+    assert _ulps(link.sp, np.logaddexp(0.0, u)) <= 4
+    # both links are the one _link's three m-vectors, bit for bit
+    for key in ("pi", "k"):
+        for got, want in zip(links[key], link):
+            assert got.tobytes() == want.tobytes(), key
+
+
+@st.composite
+def _pi_share_case(draw):
+    """An intercept-first design of 1-30 rows and 1-5 columns with
+    entries in [-10, 10], soft null labels y in [0, 1] and theta in the
+    coefficient box, so |u| <= 615 and expit(u) stays a normal float."""
+    m = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 5))
+    X = np.ones((m, d))
+    X[:, 1:] = draw(arrays(float, (m, d - 1), elements=st.floats(-10.0, 10.0)))
+    y = draw(arrays(float, m, elements=st.floats(0.0, 1.0)))
+    theta = draw(arrays(float, d, elements=st.floats(-COEF_BOUND, COEF_BOUND)))
+    return np.asfortranarray(X), y, theta
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pi_share_case())
+@example((np.ones((1, 1)), np.zeros(1), np.zeros(1)))
+@example((np.asfortranarray([[1.0, 10.0], [1.0, -10.0]]), np.array([1.0, 0.0]), np.full(2, 15.0)))
+def test_theta_share_matches_the_logaddexp_objective(case):
+    # the pi share's value c . theta - sum(softplus(u)) and gradient
+    # c - X.T @ pi, c = X.T @ y, against the objective written out row by
+    # row and its gradient X.T @ (y - expit(u)); the two forms round in
+    # different orders, so each agrees to 1e-12 relative to its sum of
+    # magnitudes (plus, for the gradient, a few subnormal roundings of
+    # products x_ij y_i that underflow)
+    X, y, theta = case
+    u = X @ theta
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        value, gradient, curv = _theta_share(y, X)(theta, _link(X @ theta))
+        grad = gradient()
+    want = -float(y @ np.logaddexp(0.0, -u) + (1.0 - y) @ np.logaddexp(0.0, u))
+    scale = float(y @ np.abs(u) + np.logaddexp(0.0, u).sum())
+    assert abs(value - want) <= 1e-12 * scale
+    pi = expit(u)
+    want_grad = X.T @ (y - pi)
+    grad_scale = np.abs(X).T @ (y + pi)
+    floor = 4 * X.shape[0] * np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(grad - want_grad) <= 1e-12 * grad_scale + floor)
+    assert np.allclose(curv(), pi * expit(-u), rtol=1e-12, atol=0.0)
 
 
 def test_links_at_the_coefficient_box_raise_no_floating_point_warnings():
@@ -881,12 +932,15 @@ def test_fit_counts_its_inner_steps():
 @pytest.mark.parametrize("setup, knots, bound", [("S0", 0, 11.5), ("S2", 3, 20.5)])
 def test_fit_holds_few_m_vectors(setup, knots, bound):
     # EM keeps -log p, gamma, three m-vectors per link and P, (d - 1)d/2
-    # rows; on top of those, an update's y or g and a candidate's link
+    # rows; on top of those, the k update's g and a candidate's link
     # while it is built, the link it would replace already dropped.
     # Measured 11.10 m-vectors at d = 2 (S0) and 20.11 at d = 5 (S2,
-    # 3 knots): 12.05 and 21.05 while the k link's slope and curvature
-    # each took a temporary, 14.1 and 23.1 while the replaced link stayed
-    # alive through the line search, 23.0 and 40.0 with a link of four
+    # 3 knots), set by the k update: the pi update keeps c = X.T @ y, a
+    # d-vector, in place of y and peaks one m-vector lower. The same
+    # 11.10 and 20.11 while it kept y (the k update tied it), 12.05 and
+    # 21.05 while the k link's slope and curvature each took a
+    # temporary, 14.1 and 23.1 while the replaced link stayed alive
+    # through the line search, 23.0 and 40.0 with a link of four
     # m-vectors, P of d(d + 1)/2 rows and the slope alive at candidates.
     m = 20_000
     data = generate(SimulationConfig(setup=setup, m=m, seed=44), 0)

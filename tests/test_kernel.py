@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from camt.kernel import (
     P_CLAMP,
+    check_alpha,
     clamp_pvalues,
     cutoff,
     psi,
@@ -166,3 +167,34 @@ def test_winsorize_idempotent():
     x = rng.uniform(-0.5, 1.5, 1000)
     once = winsorize(x)
     assert np.array_equal(winsorize(once), once)
+
+
+@pytest.mark.parametrize(
+    "alpha", [0.1, 1, np.float64(0.05), np.float32(0.5), np.int64(1), np.array(0.2)], ids=repr
+)
+def test_check_alpha_accepts_a_real_scalar_level(alpha):
+    check_alpha(alpha)
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        np.array([0.1, 0.2]),
+        np.array([0.1]),
+        "0.1",
+        [0.1],
+        None,
+        True,
+        np.True_,
+        np.array(True),
+        np.array("0.1"),
+        0.1 + 0j,
+        np.complex128(0.1),
+    ],
+    ids=repr,
+)
+def test_check_alpha_refuses_what_is_not_a_real_scalar(alpha):
+    # its own message, not numpy's ambiguous truth value or a TypeError,
+    # and True is not a level of 1
+    with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\]$"):
+        check_alpha(alpha)

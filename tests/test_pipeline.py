@@ -45,7 +45,7 @@ def test_mixed_mode_rejects_nothing_from_all_null_pvalues():
         assert (result.n_rejections, result.t_hat, result.fdp_hat) == (0, 0.0, 1.0), seed
 
 
-@pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5, float("nan")])
+@pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5, float("nan"), np.array([0.1, 0.2])], ids=repr)
 def test_run_camt_refuses_a_bad_alpha_before_the_fit(alpha, monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("EM ran before alpha was checked")
