@@ -3,14 +3,17 @@
 expit, the standard normal CDF (ndtr) and its inverse (ndtri), and the
 AR(1) recursion of the dependent-noise setups. They stand in for the
 scipy functions of the same names (and for scipy.signal.lfilter), so
-`camt.simulation` and `camt.baselines` load no scipy. Each is
-vectorized: one numpy pass per arithmetic step, no per-element Python.
+`camt.simulation` and `camt.baselines` load no scipy, and ndtri gives
+`camt.diagnostics` its chi-square(1) quantiles. Each is vectorized:
+one numpy pass per arithmetic step, no per-element Python.
 
 ndtr follows Cephes' ndtr (S. L. Moshier), the algorithm behind
 scipy.special.ndtr, with the same split and rational approximations:
 with x = z / sqrt(2), Phi(z) = 0.5 + 0.5 erf(x) for |x| < sqrt(1/2),
 else 0.5 erfc(|x|), reflected as 1 - that for x > 0. ndtri is Wichura's
-AS241 (PPND16), the algorithm of statistics.NormalDist.inv_cdf.
+AS241 (PPND16), the algorithm of statistics.NormalDist.inv_cdf, with
+the same operations in the same order: on the central region
+|p - 1/2| <= 0.425 the two agree bit for bit.
 """
 
 from __future__ import annotations

@@ -11,28 +11,23 @@ miscalibrated (decreasing) null density that breaks FDR control.
 The chi-square(1) upper quantile at p is the square of the normal
 quantile at p/2, and it falls strictly as p rises. So the median over
 the tail is the quantile at the tail's middle one or two order
-statistics; only those are evaluated, with the standard library's
-normal quantile (Wichura's AS241), and the module needs numpy alone.
+statistics; only those are evaluated, with camt's normal quantile
+(:func:`camt._special.ndtri`, Wichura's AS241), and the module needs
+numpy alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
+from ._special import ndtri
 from .kernel import check_pvalues
 
 GIF_WARN_THRESHOLD = 1.05
 MIN_TAIL_PVALUES = 20
 HISTOGRAM_BINS = 20
-_NORMAL = NormalDist()
-
-
-def _chi2_1_isf(p):
-    """Upper chi-square(1) quantile at p, as chi2.isf(p, df=1)."""
-    return _NORMAL.inv_cdf(p / 2.0) ** 2
 
 
 @dataclass
@@ -54,9 +49,10 @@ def gif(pvals):
     q_i falls strictly in p_i, so median(q_i) is q at the middle one or
     two order statistics of the retained p-values. Those are found with
     np.partition, and q is evaluated there alone, as the square of the
-    normal quantile (AS241) at p/2; their median is their exact mean,
-    (a + b) / 2, as np.median computes it. The reference F^{-1}(0.25)
-    is computed the same way, so a tail of p = 0.75 gives exactly 1.
+    normal quantile (AS241, :func:`~camt._special.ndtri`) at p/2; their
+    median is their exact mean, (a + b) / 2, as np.median computes it.
+    The reference F^{-1}(0.25) is computed in the same call, so a tail
+    of p = 0.75 gives exactly 1.
 
     Raises ValueError when fewer than 20 p-values lie in [0.5, 1];
     a median of less than that is noise, not a diagnostic.
@@ -70,8 +66,12 @@ def gif(pvals):
         )
     n = retained.size
     mid = [(n - 1) // 2, n // 2]  # the same index twice when n is odd
-    lo, hi = (_chi2_1_isf(x) for x in np.partition(retained, mid)[mid].tolist())
-    value = (lo + hi) / 2 / _chi2_1_isf(0.75)
+    # upper chi-square(1) quantiles, as chi2.isf(p, df=1), at the middle pair and at 0.75;
+    # squared as Python floats, so each equals NormalDist().inv_cdf(p / 2) ** 2 bit for
+    # bit; numpy's x * x differs from that in the last bit for about 1 p in 1200
+    z = ndtri(np.append(np.partition(retained, mid)[mid], 0.75) / 2.0)
+    lo, hi, ref = (x**2 for x in z.tolist())
+    value = (lo + hi) / 2 / ref
     return GifReport(
         gif=value,
         n_pvalues_used=int(retained.size),

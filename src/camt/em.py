@@ -66,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import check_unit, clamp_pvalues, winsorize
+from .kernel import check_unit, clamp_pvalues, is_integer, winsorize
 from .splines import spline_basis
 
 # Fitted k values are pulled off the exact endpoints so that downstream
@@ -144,11 +144,14 @@ class FitResult:
 
 def _check_spline_knots(spline_knots):
     """ValueError unless spline_knots is 0 (raw covariate columns) or an
-    integer knot count per covariate between 2 and 20, not a bool; the one
-    home of the rule, which ``camt fit`` checks before it reads its table."""
-    integer = isinstance(spline_knots, (int, np.integer)) and not isinstance(spline_knots, bool)
-    if not integer or spline_knots != 0 and not 2 <= spline_knots <= 20:
-        raise ValueError("spline_knots must be 0 or between 2 and 20")
+    integer knot count per covariate between 2 and 20, as
+    :func:`~camt.kernel.is_integer` reads one; the one home of the rule,
+    which ``camt fit`` checks before it reads its table."""
+    message = "spline_knots must be 0 or between 2 and 20"
+    if not is_integer(spline_knots):
+        raise ValueError(f"{message}, as an integer; got {spline_knots!r}")
+    if spline_knots != 0 and not 2 <= spline_knots <= 20:
+        raise ValueError(message)
 
 
 def build_design(covariates, spline_knots=0):

@@ -6,9 +6,12 @@ the alternative p-value density, the weight function that prices a
 rejection at a given threshold, the equivalent p-value cutoff, and the
 psi transform that turns a p-value into the statistic the mirror
 estimator operates on, plus the range checks every layer applies to
-p-values, to quantities in the unit interval and to target levels.
+p-values, to quantities in the unit interval and to target levels, and
+the two scalar type tests, a real scalar and an integer count, that
+every layer's checks of levels, effect sizes and counts share.
 
-All functions broadcast over numpy arrays and accept plain floats.
+The formulas and range checks broadcast over numpy arrays and accept
+plain floats.
 """
 
 from __future__ import annotations
@@ -68,18 +71,29 @@ def check_unit(name, x, include_one=False):
     return x
 
 
+def is_real(x):
+    """True when x is a real scalar: a Python or numpy integer or float,
+    or a 0-d array of one. A bool, a string, a sequence and None are not.
+    The one test of a real scalar in the package."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.ndim == 0 and x.dtype.kind in "iuf"
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def is_integer(x):
+    """True when x is a Python or numpy integer, not a bool (np.bool_ is
+    no np.integer). The one test of a count in the package."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def check_alpha(alpha):
-    """ValueError unless the target level alpha is a real scalar in (0, 1]:
-    a Python or numpy integer or float, or a 0-d array of one. A bool, a
-    string, a sequence and None are refused like a level out of range.
+    """ValueError unless the target level alpha is a real scalar
+    (:func:`is_real`) in (0, 1]; a bool, a string, a sequence and None
+    are refused like a level out of range.
 
     The comparisons are false for NaN, so NaN fails too.
     """
-    if isinstance(alpha, (np.ndarray, np.generic)):
-        real = alpha.ndim == 0 and alpha.dtype.kind in "iuf"
-    else:
-        real = isinstance(alpha, (int, float)) and not isinstance(alpha, bool)
-    if not (real and 0.0 < alpha <= 1.0):
+    if not (is_real(alpha) and 0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
 
 

@@ -40,7 +40,7 @@ from .baselines import (
     oracle_select,
     storey,
 )
-from .kernel import check_alpha
+from .kernel import check_alpha, is_integer, is_real
 from .pipeline import fit_camt
 
 RNG_NAME = "pcg64-seedsequence"
@@ -88,24 +88,37 @@ class SimulationConfig:
 
     def __post_init__(self):
         self.setup = normalize_setup(self.setup)
-        self.alpha_grid = tuple(float(a) for a in self.alpha_grid)
         for name, low in (("m", 1), ("n_replicates", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
-            setattr(self, name, int(value))
-        if not self.alpha_grid:
+            setattr(self, name, _check_count(name, getattr(self, name), low))
+        try:
+            grid = tuple(self.alpha_grid)
+        except TypeError:
+            raise ValueError(
+                f"alpha_grid must be a sequence of levels, got {self.alpha_grid!r}"
+            ) from None
+        if not grid:
             raise ValueError("alpha_grid must not be empty")
-        for i, a in enumerate(self.alpha_grid):
+        for a in grid:
             check_alpha(a)
+        self.alpha_grid = tuple(float(a) for a in grid)
+        for i, a in enumerate(self.alpha_grid):
             # summarize would pool a level's two copies as twice the replicates
             if a in self.alpha_grid[:i]:
                 raise ValueError(f"level {a!r} appears more than once in alpha_grid")
         for name in ("eta0", "k_d", "k_s", "k_f"):
-            if not np.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not (is_real(value) and np.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
         if self.setup == "S1":
             noncentral_gamma_params(self.k_s)  # the alternative law needs k_s > sqrt(2)
+
+
+def _check_count(name, value, low):
+    """value as an int; ValueError naming name unless it is an integer
+    (:func:`~camt.kernel.is_integer`) of at least low."""
+    if not (is_integer(value) and value >= low):
+        raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -118,10 +131,10 @@ class SimulatedDataset:
 
 
 def generate(config, replicate=0):
-    """Draw one replicate of the configured setup."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence(config.seed, spawn_key=(int(replicate),))
-    )
+    """Draw one replicate of the configured setup; replicate is an
+    integer of at least 0."""
+    replicate = _check_count("replicate", replicate, 0)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(replicate,)))
     m = config.m
     setup = config.setup
 
@@ -361,10 +374,11 @@ def _se(values):
 
 
 def resolve_workers(n_workers=None):
-    """Worker count: explicit argument, else CAMT_THREADS (an integer;
-    ValueError naming it otherwise), else os.cpu_count()."""
+    """Worker count: explicit argument (an integer of at least 0, where 0
+    means 1), else CAMT_THREADS (an integer; ValueError naming it
+    otherwise), else os.cpu_count()."""
     if n_workers is not None:
-        return max(1, int(n_workers))
+        return max(1, _check_count("n_workers", n_workers, 0))
     env = os.environ.get("CAMT_THREADS")
     if env:
         try:

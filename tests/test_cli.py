@@ -889,7 +889,9 @@ def test_fit_and_diagnose_load_no_scipy(tmp_path):
 def test_plain_fit_and_diagnose_load_no_numpy_ma(tmp_path):
     # importing numpy.ma costs 8-13 ms and 1.25 MB of peak resident
     # memory; np.quantile and np.unique load it, and the spline knots use
-    # neither, so neither a plain fit, nor a spline one, nor diagnose may
+    # neither, so neither a plain fit, nor a spline one, nor diagnose may;
+    # nor statistics, with the fractions and decimal it imports: the gif
+    # takes its normal quantile from camt._special
     rng = np.random.default_rng(59)
     in_path = _write_table(tmp_path / "in.csv", rng.random(1000), rng.random((1000, 1)))
     code = (
@@ -902,11 +904,12 @@ def test_plain_fit_and_diagnose_load_no_numpy_ma(tmp_path):
         f"assert camt.cli.main(['fit', '--input', {in_path!r}, '--spline-knots', '3', "
         f"'--output', {str(tmp_path / 'o.csv')!r}]) == 0; "
         f"assert camt.cli.main(['diagnose', '--input', {in_path!r}]) == 0; "
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma'])); "
+        "print(sorted(m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules))"
     )
     proc = _run_in_fresh_python(code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert proc.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
 
 
 def test_fit_writes_utf8_under_an_ascii_locale(tmp_path):

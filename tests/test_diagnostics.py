@@ -1,5 +1,7 @@
 """Tests for the inflation factor and the p-value histogram summary."""
 
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -76,6 +78,26 @@ def test_gif_matches_the_chi_square_quantile_median(p):
     tail = p[p >= 0.5]
     expected = np.median(chdtri(1, tail)) / chdtri(1, 0.75)
     assert gif(p).gif == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def _normal_dist_gif(p):
+    """gif from statistics.NormalDist's AS241, squared as Python floats:
+    the median of q = inv_cdf(p / 2) ** 2 over the tail is the mean of q
+    at the middle one or two order statistics, over q at 0.75."""
+    tail = np.sort(p[p >= 0.5]).tolist()
+    n = len(tail)
+    q = [NormalDist().inv_cdf(x / 2.0) ** 2 for x in (tail[(n - 1) // 2], tail[n // 2], 0.75)]
+    return (q[0] + q[1]) / 2 / q[2]
+
+
+def test_gif_equals_the_normal_dist_quantile_bit_for_bit():
+    # camt._special.ndtri and NormalDist.inv_cdf run the same AS241
+    # operations on gif's domain, p / 2 in [0.25, 0.5]
+    rng = np.random.default_rng(6)
+    sizes = rng.integers(MIN_TAIL_PVALUES, 500, size=300)
+    random_tails = (0.5 + 0.5 * rng.random(n) for n in sizes)
+    for p in (*_tails(), *random_tails):
+        assert gif(p).gif == _normal_dist_gif(p)
 
 
 def test_gif_insufficient_tail():

@@ -2,6 +2,7 @@
 fit runs, the full fit, and its invariances."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -523,9 +524,11 @@ def test_build_design_validation():
 
 @pytest.mark.parametrize("knots", [2.5, 3.9, 3.0, np.float64(3.0), True, "3", None], ids=repr)
 def test_build_design_refuses_a_knot_count_that_is_not_an_integer(knots):
-    # 2.5 used to build 3 columns on knots at the j / 3.5 quantiles
+    # 2.5 used to build 3 columns on knots at the j / 3.5 quantiles; the
+    # message says what is wrong with a count that lies between 2 and 20
     x = np.random.default_rng(54).standard_normal(200)
-    with pytest.raises(ValueError, match="spline_knots must be 0 or between 2 and 20"):
+    message = f"spline_knots must be 0 or between 2 and 20, as an integer; got {knots!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build_design(x, spline_knots=knots)
     assert build_design(x, spline_knots=np.int32(3)).shape == build_design(x, spline_knots=3).shape
 

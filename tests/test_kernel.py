@@ -10,6 +10,7 @@ from camt.kernel import (
     check_alpha,
     clamp_pvalues,
     cutoff,
+    is_integer,
     psi,
     surrogate_density,
     weight,
@@ -198,3 +199,26 @@ def test_check_alpha_refuses_what_is_not_a_real_scalar(alpha):
     # and True is not a level of 1
     with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\]$"):
         check_alpha(alpha)
+
+
+@pytest.mark.parametrize(
+    "x, expected",
+    [
+        (0, True),
+        (-3, True),
+        (np.int32(3), True),
+        (np.uint64(3), True),
+        (True, False),
+        (np.True_, False),
+        (3.0, False),
+        (np.float64(3.0), False),
+        ("3", False),
+        (None, False),
+        (np.array(3), False),
+    ],
+    ids=repr,
+)
+def test_is_integer_takes_python_and_numpy_integers_but_no_bool(x, expected):
+    # the count rule of spline_knots, SimulationConfig's m, n_replicates
+    # and seed, generate's replicate and resolve_workers' n_workers
+    assert is_integer(x) is expected

@@ -221,11 +221,19 @@ def test_config_validation():
         SimulationConfig(n_replicates=0)
     with pytest.raises(ValueError):
         SimulationConfig(alpha_grid=())
-    # the alpha rule of every layer: camt.kernel.check_alpha, (0, 1]
-    for grid in ((0.05, 1.5), (0.0,), (float("nan"),)):
+    # the alpha rule of every layer: camt.kernel.check_alpha, (0, 1] and a
+    # real scalar, applied to each level as given; True and "0.1" used to
+    # be read as 1.0 and 0.1 by float(), and [0.1] failed inside float()
+    for grid in ((0.05, 1.5), (0.0,), (float("nan"),), (True,), ("0.1",), ([0.1],)):
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
             SimulationConfig(alpha_grid=grid)
     assert SimulationConfig(alpha_grid=(0.05, 1.0)).alpha_grid == (0.05, 1.0)
+    levels = SimulationConfig(alpha_grid=np.array([0.05, 0.1])).alpha_grid
+    assert levels == (0.05, 0.1) and all(type(a) is float for a in levels)
+    # a bare level is not a grid: "'float' object is not iterable" before
+    for grid in (0.1, np.float64(0.1), None):
+        with pytest.raises(ValueError, match="^alpha_grid must be a sequence of levels, got "):
+            SimulationConfig(alpha_grid=grid)
     # S1's rule is noncentral_gamma_params': k_s > sqrt(2); the other
     # setups draw normal alternatives and take any k_s
     for k_s in (1.2, np.sqrt(2.0)):
@@ -235,8 +243,9 @@ def test_config_validation():
     assert SimulationConfig(setup="S0", k_s=1.2).k_s == 1.2
     # the effect parameters must be finite: a NaN k_d made every
     # hypothesis silently null, as rng.random(m) < 1 - expit(nan) is False
+    # and real scalars: "2.5" and None failed inside np.isfinite, True read as 1
     for field in ("eta0", "k_d", "k_s", "k_f"):
-        for value in (np.nan, np.inf, -np.inf):
+        for value in (np.nan, np.inf, -np.inf, "2.5", None, True, np.array([2.5])):
             for setup in ("S0", "S1"):
                 with pytest.raises(ValueError, match=f"^{field} must be finite$"):
                     SimulationConfig(setup=setup, **{field: value})
@@ -270,13 +279,23 @@ def test_config_takes_numpy_integers_as_python_ints():
 
 
 @pytest.mark.parametrize(
-    "grid, level", [((0.05, 0.05), 0.05), ((0.2, 0.1, 0.2), 0.2), (("0.050", 0.05), 0.05)]
+    "grid, level",
+    [((0.05, 0.05), 0.05), ((0.2, 0.1, 0.2), 0.2), ((np.float64(0.05), 0.05), 0.05)],
 )
 def test_config_refuses_a_level_named_twice(grid, level):
     # a level run twice would be pooled by summarize as twice the
     # replicates, with a standard error about sqrt(2) too small
     with pytest.raises(ValueError, match=f"^level {level} appears more than once in alpha_grid$"):
         SimulationConfig(setup="S0", m=500, n_replicates=3, alpha_grid=grid)
+
+
+@pytest.mark.parametrize("replicate", [2.7, True, "1", -1, None], ids=repr)
+def test_generate_refuses_a_replicate_that_is_not_a_count(replicate):
+    # 2.7, True and "1" used to draw replicates 2, 1 and 1, and -1 failed
+    # inside SeedSequence
+    config = SimulationConfig(setup="S0", m=500)
+    with pytest.raises(ValueError, match="^replicate must be an integer of at least 0, got "):
+        generate(config, replicate)
 
 
 def test_make_procedure_registry():
@@ -301,6 +320,12 @@ def test_make_procedure_registry():
 
 def test_resolve_workers(monkeypatch):
     assert resolve_workers(2) == 2
+    assert resolve_workers(np.int64(2)) == 2
+    assert resolve_workers(0) == 1
+    # 2.5, "3" and True used to give 2, 3 and 1 workers, and -1 one
+    for n_workers in (2.5, "3", True, -1):
+        with pytest.raises(ValueError, match="^n_workers must be an integer of at least 0, got "):
+            resolve_workers(n_workers)
     monkeypatch.setenv("CAMT_THREADS", "3")
     assert resolve_workers() == 3
     assert resolve_workers(5) == 5  # explicit argument wins
