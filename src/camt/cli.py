@@ -9,13 +9,10 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
-import io
-import itertools
 import os
 import sys
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -48,24 +45,29 @@ def _is_content(line):
     return line.lstrip()[:1] not in ("", "#")
 
 
-def _content_lines(f):
-    """The content lines of text file f, split as str.splitlines splits
-    its whole text, read READ_CHUNK_CHARS characters at a time.
+def _numbered(lines, first_line_no):
+    """(line number, line) of each content line."""
+    return [(n, line) for n, line in enumerate(lines, first_line_no) if _is_content(line)]
+
+
+def _line_chunks(f):
+    """(first line number, lines, clean) per READ_CHUNK_CHARS characters
+    of text file f, split as str.splitlines splits the whole text; clean
+    when the chunk holds no \\x1f, which numpy's number reader strips
+    around a cell as whitespace where float() refuses the cell.
 
     Each chunk is cut after its last newline and the rest carried into
-    the next one, so no line is split across chunks. Raises ValueError
-    on a chunk holding \\x1f: numpy's number reader strips it around a
-    cell as whitespace, where float() refuses the cell.
+    the next one, so no line is split across chunks.
     """
-    tail = ""
+    line_no, tail = 1, ""
     while chunk := f.read(READ_CHUNK_CHARS):
-        if "\x1f" in chunk:
-            raise ValueError("unit separator in the input")
         text = tail + chunk
         cut = text.rfind("\n") + 1
-        tail = text[cut:]
-        yield from filter(_is_content, text[:cut].splitlines())
-    yield from filter(_is_content, tail.splitlines())
+        text, tail = text[:cut], text[cut:]
+        lines = text.splitlines()
+        yield line_no, lines, "\x1f" not in text
+        line_no += len(lines)
+    yield line_no, tail.splitlines(), "\x1f" not in tail
 
 
 def _parse_header(line):
@@ -83,55 +85,12 @@ def _parse_header(line):
     return delimiter, header
 
 
-def _stream_table(path):
-    """(header, values) of a well-formed table in one streaming pass, or
-    None on any irregularity.
-
-    numpy's C reader converts the data lines straight into the array, so
-    no cell becomes a Python object and the text is never held whole.
-    Its number reader and float() call the same string-to-double
-    routine, so the values are those of :func:`_parse_cells`. Irregular
-    means no data rows, a cell loadtxt cannot convert (a quote, a blank,
-    an underscore or a non-ASCII digit among them), a row whose cell
-    count is not the header's, a non-finite value or a p-value outside
-    [0, 1]; :func:`_parse_table_checked` then reports the first problem.
-    """
-    with open(path, encoding="utf-8-sig") as f:
-        lines = _content_lines(f)
-        try:
-            header_line = next(lines, None)
-            if header_line is None:
-                return None
-            delimiter, header = _parse_header(header_line)
-            first_row = next(lines, None)
-            if first_row is None:
-                return None
-            values = np.loadtxt(
-                itertools.chain([first_row], lines),
-                delimiter=delimiter,
-                comments=None,
-                quotechar=None,
-                ndmin=2,
-                dtype=float,
-            )
-        except UnicodeDecodeError:
-            raise
-        except ValueError:
-            return None
-    if values.shape[1] != len(header) or not np.isfinite(values).all():
-        return None
-    p = values[:, header.index("pvalue")]
-    if np.any((p < 0.0) | (p > 1.0)):
-        return None
-    return header, values
-
-
 def _parse_cells(data_lines, delimiter, header):
     """Cell-by-cell parse of (line number, line) pairs; raises CliError
     naming the line and column of the first malformed cell."""
     values = np.empty((len(data_lines), len(header)))
     for row_idx, (line_no, line) in enumerate(data_lines):
-        cells = next(csv.reader(io.StringIO(line), delimiter=delimiter))
+        cells = next(csv.reader([line], delimiter=delimiter))
         if len(cells) != len(header):
             short = min(len(cells), len(header))
             col = header[short] if len(cells) < len(header) else header[-1]
@@ -153,27 +112,56 @@ def _parse_cells(data_lines, delimiter, header):
     return values
 
 
-def _parse_table_checked(path):
-    """(header, values) from the whole text, parsed cell by cell; raises
-    CliError naming the line (and column) of the first problem."""
-    text = Path(path).read_text(encoding="utf-8-sig")
-    lines = [
-        (line_no, line)
-        for line_no, line in enumerate(text.splitlines(), start=1)
-        if _is_content(line)
-    ]
-    if not lines:
+def _read_table(f, path):
+    """(header, values) of text file f in one streaming pass; raises
+    CliError naming the line (and column) of the first problem.
+
+    numpy's C reader converts each chunk's data lines straight into
+    floats, so no cell becomes a Python object and the text is never
+    held whole. It and float() call the same string-to-double routine,
+    so the values are those of :func:`_parse_cells`, which reads a
+    chunk numpy refuses (a quote, a blank, an underscore or a non-ASCII
+    digit among its cells), or whose rows are not as wide as the header
+    or hold a non-finite value. A p-value outside [0, 1] is reported
+    after the last chunk, so a malformed cell on any line comes first.
+    The values go into one array grown in place by a quarter, as
+    numpy's reader grows its own; chunk arrays joined at the end raised
+    the peak resident size of a `camt fit` of 5e4 rows 0.1 MB more.
+    """
+    header, bad_p, out, n = None, None, np.empty(0), 0
+    for start, lines, clean in _line_chunks(f):
+        rows = [line for line in lines if _is_content(line)]
+        skip = 0
+        if header is None and rows:
+            delimiter, header = _parse_header(rows[0])
+            p_col, skip = header.index("pvalue"), 1
+        if len(rows) <= skip:
+            continue
+        values = None
+        if clean:
+            try:
+                values = np.loadtxt(rows[skip:], delimiter=delimiter, comments=None, ndmin=2)
+            except ValueError:
+                pass
+        if values is None or values.shape[1] != len(header) or not np.isfinite(values).all():
+            values = _parse_cells(_numbered(lines, start)[skip:], delimiter, header)
+        p = values[:, p_col]
+        bad = np.flatnonzero((p < 0.0) | (p > 1.0))
+        if bad.size and bad_p is None:
+            line_no = _numbered(lines, start)[skip + bad[0]][0]
+            bad_p = f"line {line_no}: p-value {float(p[bad[0]])!r} outside [0, 1]"
+        if n + values.size > out.size:
+            out.resize((n + values.size) * 5 // 4, refcheck=False)  # no view of out exists
+        out[n : n + values.size] = values.ravel()
+        n += values.size
+    if header is None:
         raise CliError(f"empty input file: {path}")
-    delimiter, header = _parse_header(lines[0][1])
-    values = _parse_cells(lines[1:], delimiter, header)
-    if values.shape[0] == 0:
+    if not n:
         raise CliError(f"no data rows in {path}")
-    p = values[:, header.index("pvalue")]
-    bad = np.flatnonzero((p < 0.0) | (p > 1.0))
-    if bad.size:
-        line_no = lines[1 + bad[0]][0]
-        raise CliError(f"line {line_no}: p-value {float(p[bad[0]])!r} outside [0, 1]")
-    return header, values
+    if bad_p is not None:
+        raise CliError(bad_p)
+    out.resize(n, refcheck=False)
+    return header, out.reshape(-1, len(header))
 
 
 def parse_table(path):
@@ -188,15 +176,22 @@ def parse_table(path):
     (after whitespace) are skipped. P-values of exactly 0 or 1 are
     clamped into the open interval and counted in n_clamped.
 
-    A well-formed table is streamed through numpy's reader in one pass
-    (:func:`_stream_table`), which holds neither the text nor a Python
-    object per cell. Anything irregular, quoted cells included, is
-    re-read cell by cell (:func:`_parse_table_checked`), which accepts
-    what float() accepts and names the line and column of the first
-    malformed cell.
+    The file is read once, in chunks (:func:`_read_table`): numpy's
+    reader converts a chunk of well-formed lines, and only a chunk it
+    refuses is read cell by cell, which accepts what float() accepts
+    and names the line and column of the first malformed cell. A file
+    that does not decode is reported as such, wherever its first
+    malformed cell lies.
     """
     try:
-        header, values = _stream_table(path) or _parse_table_checked(path)
+        with open(path, encoding="utf-8-sig") as f:
+            try:
+                header, values = _read_table(f, path)
+            except CliError:
+                # an undecodable byte past the first problem still wins
+                while f.read(READ_CHUNK_CHARS):
+                    pass
+                raise
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
@@ -316,23 +311,27 @@ def cmd_fit(args):
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
 
+    meta = (
+        ("alpha", _fmt(args.alpha)),
+        ("spline_knots", args.spline_knots),
+        ("mixed", str(args.mixed).lower()),
+        ("seed", "none"),
+        ("m", m),
+        ("n_clamped", table.n_clamped),
+        ("t_hat", _fmt(result.t_hat)),
+        ("n_rejections", result.n_rejections),
+        ("fdp_hat", _fmt(result.fdp_hat)),
+        ("em_iterations", fit.trace.n_iter),
+        ("em_converged", str(fit.trace.converged).lower()),
+        ("gif", gif_text),
+        ("gif_warn", warn_text),
+    )
     from . import __version__
 
     with _open_output(args.output) as out:
         out.write(f"# camt fit v{__version__}\n")
-        out.write(f"# alpha: {_fmt(args.alpha)}\n")
-        out.write(f"# spline_knots: {args.spline_knots}\n")
-        out.write(f"# mixed: {str(args.mixed).lower()}\n")
-        out.write("# seed: none\n")
-        out.write(f"# m: {m}\n")
-        out.write(f"# n_clamped: {table.n_clamped}\n")
-        out.write(f"# t_hat: {_fmt(result.t_hat)}\n")
-        out.write(f"# n_rejections: {result.n_rejections}\n")
-        out.write(f"# fdp_hat: {_fmt(result.fdp_hat)}\n")
-        out.write(f"# em_iterations: {fit.trace.n_iter}\n")
-        out.write(f"# em_converged: {str(fit.trace.converged).lower()}\n")
-        out.write(f"# gif: {gif_text}\n")
-        out.write(f"# gif_warn: {warn_text}\n")
+        for key, value in meta:
+            out.write(f"# {key}: {value}\n")
         # the covariate names may need quoting, so the header goes through
         # csv; the numeric rows never do
         csv.writer(out, lineterminator="\n").writerow(

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -435,6 +434,9 @@ def run_sweep(config, procedures=DEFAULT_PROCEDURES, n_workers=None):
     if workers == 1:
         chunks = [_run_replicate(config, r, names) for r in replicates]
     else:
+        # imported here: a one-worker sweep never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         n = config.n_replicates
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_replicate, [config] * n, replicates, [names] * n))

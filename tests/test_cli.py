@@ -122,22 +122,22 @@ def test_parse_skips_comments_and_blank_lines(tmp_path):
 @pytest.mark.parametrize("quoted", [False, True])
 def test_parse_skips_a_byte_order_mark(tmp_path, monkeypatch, quoted):
     # spreadsheets save "CSV UTF-8" with a leading U+FEFF; a quoted cell
-    # sends the table to the cell-by-cell parse
+    # sends its chunk to the cell-by-cell parse, whose line numbers the
+    # mark must not shift
     rows = ["pvalue,x1", "0.01,1.5", '0.5,"2.0"' if quoted else "0.5,2.0", "0.99,-1.0"]
     plain = _write_lines(tmp_path / "plain.csv", rows)
     marked = tmp_path / "marked.csv"
     marked.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
-    stream = camt.cli._stream_table
-    streamed = []
+    parse_cells = camt.cli._parse_cells
+    read_by_cell = []
 
-    def spy(path):
-        parsed = stream(path)
-        streamed.append(parsed is not None)
-        return parsed
+    def spy(data_lines, *args):
+        read_by_cell.append([line_no for line_no, _ in data_lines])
+        return parse_cells(data_lines, *args)
 
-    monkeypatch.setattr(camt.cli, "_stream_table", spy)
+    monkeypatch.setattr(camt.cli, "_parse_cells", spy)
     a, b = parse_table(plain), parse_table(str(marked))
-    assert streamed == [not quoted, not quoted]
+    assert read_by_cell == ([[2, 3, 4]] * 2 if quoted else [])
     assert b.covariate_names == a.covariate_names == ["x1"]
     assert np.array_equal(b.pvals, a.pvals)
     assert np.array_equal(b.covariates, a.covariates)
@@ -157,6 +157,8 @@ def test_parse_skips_a_byte_order_mark(tmp_path, monkeypatch, quoted):
         (["pvalue,x1"], "no data rows"),
         (["# only a comment"], "empty input file"),
         ([], "empty input file"),
+        # numpy's reader strips \x1f around a number, float() does not
+        (["pvalue,x1", "0.5,1.0", "0.5,\x1f1.0"], "at line 3, column 'x1'"),
     ],
 )
 def test_parse_error_messages(tmp_path, lines, fragment):
@@ -191,10 +193,12 @@ def _parse_outcome(path):
 _CELL_FORMATS = (repr, "{:.17e}".format, "{:.6g}".format, "{:+.3E}".format, "{:f}".format)
 # malformed for one path or both: float() takes underscores and
 # non-ASCII digits, numpy's reader does not; numpy strips \x1f around a
-# number, float() does not; \x85 and \u2028 end a line
+# number, float() does not; \x85 and \u2028 end a line; and p-values
+# outside [0, 1], reported only when no cell is malformed
 _IRREGULAR_CELLS = (
     "", "abc", "nan", "-inf", "1e400", '"0.5"', "0x1p-2", "1_0", "0.2_5", "\u0663",
     "0.\u0665", "\uff11", "0.5#", "#0.5", "0.5\x1f", "\x1f0.5", "0.5\x85", "\u20280.5",
+    "1.5", "-0.5",
 )
 # every line break str.splitlines honours that a data line may end in;
 # \r\n is one break
@@ -243,49 +247,80 @@ def test_parse_fast_path_matches_per_cell_parse(tmp_path_factory, drawn, chunk_c
     text, regular = drawn
     path = tmp_path_factory.mktemp("parse") / "t.csv"
     path.write_bytes(text.encode("utf-8"))
-    stream = camt.cli._stream_table
-    took_fast_path = []
+    parse_cells = camt.cli._parse_cells
+    read_by_cell = []
 
     def spy(*args):
-        parsed = stream(*args)
-        took_fast_path.append(parsed is not None)
-        return parsed
+        read_by_cell.append(args)
+        return parse_cells(*args)
+
+    def whole_text_unclean(f):
+        # the reference: the whole text split at once, every cell by float()
+        yield 1, f.read().splitlines(), False
 
     # small chunks carry lines, and a \r\n, across chunk boundaries
     with patch.object(camt.cli, "READ_CHUNK_CHARS", chunk_chars):
-        with patch.object(camt.cli, "_stream_table", spy):
+        with patch.object(camt.cli, "_parse_cells", spy):
             fast = _parse_outcome(path)
-    with patch.object(camt.cli, "_stream_table", lambda *args: None):
+    with patch.object(camt.cli, "_line_chunks", whole_text_unclean):
         per_cell = _parse_outcome(path)
     assert fast == per_cell
     if regular:
-        assert took_fast_path == [True]
+        assert read_by_cell == []
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
-def test_parse_memory_stays_near_the_parsed_arrays(tmp_path):
-    # growth of the peak resident size while parsing a 2e5-row table,
-    # over the peak after import: the streaming parse holds the parsed
-    # values, the returned arrays and a few chunks of text (2.3x the
-    # returned arrays' bytes, measured); a whole-text parse with a
-    # Python float per cell grew 34x. VmHWM, not ru_maxrss: a child's
-    # ru_maxrss starts at the peak of the process that forked it.
-    rng = np.random.default_rng(63)
-    rows = [f"{p!r},{x!r}" for p, x in rng.random((200_000, 2)).tolist()]
+def _parse_in_fresh_python(tmp_path, rows):
+    """(growth of the peak resident size while parse_table reads a table
+    of the given data rows over the peak after import, bytes of the
+    returned arrays, line count of each chunk read cell by cell). VmHWM,
+    not ru_maxrss: a child's ru_maxrss starts at the peak of the process
+    that forked it."""
     in_path = _write_lines(tmp_path / "in.csv", ["# a comment", "pvalue,x1", *rows])
     code = (
         "import re, camt.cli; "
         "status = lambda: open('/proc/self/status').read(); "
         "peak = lambda: int(re.search(r'VmHWM:\\s*(\\d+)', status())[1]) * 1024; "
+        "by_cell = []; parse_cells = camt.cli._parse_cells; "
+        "camt.cli._parse_cells = lambda lines, *a: "
+        "by_cell.append(len(lines)) or parse_cells(lines, *a); "
         "base = peak(); "
         f"table = camt.cli.parse_table({in_path!r}); "
-        "print(peak() - base, table.pvals.nbytes + table.covariates.nbytes)"
+        "print(peak() - base, table.pvals.nbytes + table.covariates.nbytes, *by_cell)"
     )
     proc = _run_in_fresh_python(code)
     assert proc.returncode == 0, proc.stderr
-    growth, parsed_bytes = map(int, proc.stdout.split())
+    growth, parsed_bytes, *by_cell = map(int, proc.stdout.split())
+    return growth, parsed_bytes, by_cell
+
+
+def _random_rows(m, seed):
+    rng = np.random.default_rng(seed)
+    return [f"{p!r},{x!r}" for p, x in rng.random((m, 2)).tolist()]
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+def test_parse_memory_stays_near_the_parsed_arrays(tmp_path):
+    # growth of the peak resident size while parsing a 2e5-row table:
+    # the streaming parse holds the parsed values, the returned arrays
+    # and a few chunks of text (2.2x the returned arrays' bytes,
+    # measured); a whole-text parse with a Python float per cell grew 34x
+    growth, parsed_bytes, by_cell = _parse_in_fresh_python(tmp_path, _random_rows(200_000, seed=63))
     assert parsed_bytes == 200_000 * 2 * 8
     assert growth < 4 * parsed_bytes
+    assert by_cell == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+def test_parse_reads_only_the_chunk_with_a_quoted_cell_cell_by_cell(tmp_path):
+    # one quoted cell sends one chunk of 64 Ki characters through
+    # float(), not the whole table; a whole-text re-read of the table
+    # grew the peak 16x the returned arrays' bytes
+    rows = _random_rows(200_000, seed=64)
+    rows[100_000] = rows[100_000].replace(",", ',"', 1) + '"'
+    growth, parsed_bytes, by_cell = _parse_in_fresh_python(tmp_path, rows)
+    assert parsed_bytes == 200_000 * 2 * 8
+    assert growth < 4 * parsed_bytes
+    assert len(by_cell) == 1 and 0 < by_cell[0] < 2000
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
@@ -803,6 +838,17 @@ def test_undecodable_input_exits_one(tmp_path, capsys, monkeypatch, command, bad
     assert err.startswith(f"error: cannot read {in_path}: ")
     assert "can't decode byte 0xff" in err
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_undecodable_byte_after_a_malformed_cell_is_reported(tmp_path, monkeypatch):
+    # the whole text must decode, wherever the first malformed cell lies
+    monkeypatch.setattr(camt.cli, "READ_CHUNK_CHARS", 256)
+    lines = _long_table_lines(1200)
+    lines[5] = "0.5,abc,1.0"
+    path = tmp_path / "t.csv"
+    path.write_bytes(("\n".join(lines) + "\n").encode() + b"0.5,\xff,1.0\n")
+    with pytest.raises(CliError, match=r"^cannot read .*can't decode byte 0xff"):
+        parse_table(str(path))
 
 
 # ----------------------------------------------------------------------

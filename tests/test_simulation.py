@@ -1,7 +1,12 @@
 """Tests for the simulation setups, metrics and the sweep runner."""
 
+import concurrent.futures
 import io
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,12 +429,31 @@ def test_run_sweep_pool_has_at_most_one_worker_per_replicate(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(camt.simulation, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     config = SimulationConfig(setup="S0", m=300, n_replicates=2, seed=3)
     report = run_sweep(config, procedures=("bh",), n_workers=8)
     assert sizes == [2]
     assert [r.replicate for r in report.rows] == [0, 1]
     assert _masked(report) == _masked(run_sweep(config, procedures=("bh",), n_workers=1))
+
+
+def test_one_worker_sweep_loads_no_process_pool():
+    # a one-worker sweep runs its replicates in the calling process, so
+    # only a sweep with more workers imports the pool and multiprocessing
+    src = str(Path(camt.simulation.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, camt.simulation as s; "
+        "config = s.SimulationConfig(setup='S0', m=300, n_replicates=2, seed=3); "
+        "s.run_sweep(config, procedures=('bh',), n_workers=1); "
+        "print(sorted(m for m in sys.modules if m == 'concurrent.futures.process' "
+        "or m.split('.')[0] == 'multiprocessing'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_run_sweep_fits_once_for_camt_and_camt_mixed(monkeypatch):
