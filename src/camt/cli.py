@@ -56,16 +56,17 @@ def _line_chunks(f):
     when the chunk holds no \\x1f, which numpy's number reader strips
     around a cell as whitespace where float() refuses the cell.
 
-    Each chunk is cut after its last newline and the rest carried into
-    the next one, so no line is split across chunks.
+    Each chunk is cut after its last line break, of any kind
+    str.splitlines honours, and the rest carried into the next one, so
+    no line is split across chunks.
     """
     line_no, tail = 1, ""
     while chunk := f.read(READ_CHUNK_CHARS):
         text = tail + chunk
-        cut = text.rfind("\n") + 1
-        text, tail = text[:cut], text[cut:]
         lines = text.splitlines()
-        yield line_no, lines, "\x1f" not in text
+        # a line break alone splits into one empty line
+        tail = "" if text[-1].splitlines() == [""] else lines.pop()
+        yield line_no, lines, text.find("\x1f", 0, len(text) - len(tail)) < 0
         line_no += len(lines)
     yield line_no, tail.splitlines(), "\x1f" not in tail
 
@@ -291,7 +292,6 @@ def cmd_fit(args):
     except ValueError:
         gif_text, warn_text = "na", "na"
 
-    covs = table.covariates if table.covariates.shape[1] else None
     # the fit's warnings (EM not converging, say) are reported in the
     # CLI's own format, not as Python warnings with a source line
     with warnings.catch_warnings(record=True) as caught:
@@ -299,7 +299,7 @@ def cmd_fit(args):
         try:
             fit, result = run_camt(
                 table.pvals,
-                covs,
+                table.covariates,
                 alpha=args.alpha,
                 spline_knots=args.spline_knots,
                 mixed=args.mixed,

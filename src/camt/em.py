@@ -13,9 +13,12 @@ is a signal, the M-step updates each link by a damped Newton ascent of
 its share of the complete-data objective: a weighted logistic
 regression for theta, a beta-surrogate fit for beta. Every M-step move
 is accepted only if it does not decrease its share, which makes the
-observed-data log-likelihood monotone along the iteration. The tuning
-is fixed for every result in this package by the module constants
-MAX_ITER, REL_TOL, INIT_PI, INNER_MAX_ITER, MAX_HALVINGS and COEF_BOUND.
+observed-data log-likelihood monotone along the iteration. The same
+shares give that log-likelihood's gradient: by the EM gradient identity
+it is theirs at the E-step posterior of the same coefficients
+(:func:`loglik_grad`). The tuning is fixed for every result in this
+package by the module constants MAX_ITER, REL_TOL, INIT_PI,
+INNER_MAX_ITER, MAX_HALVINGS and COEF_BOUND.
 
 Each link vector u = X @ coef costs one exponential, e = exp(-|u|):
 expit(u), expit(-u) and softplus(u) = log(1 + exp(u)) are all cheap
@@ -102,8 +105,8 @@ class CoefVector:
 @dataclass
 class EmTrace:
     """Per-iteration diagnostics of one EM run. :func:`fit` creates it
-    before its first iteration and fills it as it runs (loglik and
-    param_change grow as lists and become arrays when the fit ends).
+    before its first iteration and fills it as it runs (loglik grows as
+    a list and becomes an array when the fit ends).
 
     The step counts add up the inner M-step steps of both links over the
     whole run: newton_steps moved along the Newton direction,
@@ -113,7 +116,6 @@ class EmTrace:
     """
 
     loglik: np.ndarray | list[float]  # a list while the fit runs
-    param_change: np.ndarray | list[float]
     n_iter: int
     converged: bool
     newton_steps: int = 0
@@ -235,12 +237,12 @@ def loglik(params, design, pvals):
 
 
 def loglik_grad(params, design, pvals):
-    """Analytic gradient of :func:`loglik` in (theta, beta).
+    """(gradient in theta, gradient in beta) of :func:`loglik`.
 
-    Returns
-    -------
-    (numpy.ndarray, numpy.ndarray)
-        Gradients with respect to theta and beta.
+    By the EM gradient identity (Dempster, Laird & Rubin 1977) these are
+    the gradients of the M-step's two shares, _theta_share(1 - gamma, X)
+    and _beta_share(gamma, -log p, X), at the same coefficients, with
+    gamma the E-step posterior there.
 
     Raises
     ------
@@ -249,12 +251,9 @@ def loglik_grad(params, design, pvals):
     """
     X, neg_logp = _prepare(design, pvals)
     links = _links(params.theta, params.beta, X)
-    alt, denom = _mixture(links, neg_logp)
-    pi, one_m_pi = links["pi"].p, links["pi"].one_m_p
-    k, one_m_k = links["k"].p, links["k"].one_m_p
-    grad_theta = X.T @ ((one_m_pi - alt) * pi / denom)
-    dh_dk = -np.exp(k * neg_logp) * (1.0 - one_m_k * neg_logp)
-    grad_beta = X.T @ (one_m_pi * dh_dk * k * one_m_k / denom)
+    gamma = _loglik_gamma(links, neg_logp)[1]
+    grad_theta = _theta_share(1.0 - gamma, X)(params.theta, links["pi"])[1]()
+    grad_beta = _beta_share(gamma, neg_logp, X)(params.beta, links["k"])[1]()
     return grad_theta, grad_beta
 
 
@@ -303,15 +302,13 @@ def fit(design, pvals):
     links = _links(theta, beta, X)
     ll, gamma = _loglik_gamma(links, neg_logp)
     gram = _gram(X)
-    trace = EmTrace(loglik=[ll], param_change=[], n_iter=0, converged=False)
+    trace = EmTrace(loglik=[ll], n_iter=0, converged=False)
     for _ in range(MAX_ITER):
         trace.n_iter += 1
-        theta_new, beta_new = _m_step(theta, beta, links, X, gram, gamma, neg_logp, trace)
+        theta, beta = _m_step(theta, beta, links, X, gram, gamma, neg_logp, trace)
         del gamma  # the E-step forms the next one
         ll_new, gamma = _loglik_gamma(links, neg_logp)
         trace.loglik.append(ll_new)
-        trace.param_change.append(max(abs(theta_new - theta).max(), abs(beta_new - beta).max()))
-        theta, beta = theta_new, beta_new
         if abs(ll_new - ll) < REL_TOL * max(1.0, abs(ll)):
             trace.converged = True
             break
@@ -325,7 +322,6 @@ def fit(design, pvals):
         )
 
     trace.loglik = np.asarray(trace.loglik)
-    trace.param_change = np.asarray(trace.param_change)
     pi_hat = winsorize(links["pi"].p)
     k_hat = np.clip(links["k"].p, K_CLIP, 1.0 - K_CLIP)
     return FitResult(

@@ -323,6 +323,31 @@ def test_parse_reads_only_the_chunk_with_a_quoted_cell_cell_by_cell(tmp_path):
     assert len(by_cell) == 1 and 0 < by_cell[0] < 2000
 
 
+@pytest.mark.parametrize("end", ["\u2028", "\x85"])
+def test_parse_cuts_chunks_after_any_line_break(tmp_path, monkeypatch, end):
+    # a chunk is cut after its last line break of any kind, so a table
+    # whose lines end in U+2028 or \x85 streams in chunks of about
+    # READ_CHUNK_CHARS characters, as one whose lines end in \n does,
+    # and is not carried whole as one growing tail
+    monkeypatch.setattr(camt.cli, "READ_CHUNK_CHARS", 256)
+    rows = ["pvalue,x1", *_random_rows(500, seed=65)]
+    want = parse_table(_write_lines(tmp_path / "n.csv", rows))
+    path = tmp_path / "t.csv"
+    path.write_text("".join(row + end for row in rows), encoding="utf-8")
+    got = parse_table(str(path))
+    assert got.pvals.tobytes() == want.pvals.tobytes()
+    assert got.covariates.tobytes() == want.covariates.tobytes()
+    with open(path, encoding="utf-8") as f:
+        chunks = list(camt.cli._line_chunks(f))
+    assert [line for _, lines, _ in chunks for line in lines] == rows
+    assert [start for start, _, _ in chunks] == list(
+        np.cumsum([1] + [len(lines) for _, lines, _ in chunks[:-1]])
+    )
+    longest = max(map(len, rows))
+    for _, lines, _ in chunks:
+        assert sum(len(line) + 1 for line in lines) <= 256 + longest + 1
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
 def test_fit_command_memory_stays_near_the_fit(tmp_path):
     # growth of the peak resident size over a whole `camt fit` of 2e5

@@ -77,7 +77,7 @@ def _one_m_step(gamma, params, design, pvals):
     """The coefficients one of fit's M-steps moves params to, holding gamma fixed."""
     X, neg_logp = _prepare(design, pvals)
     links = _links(params.theta, params.beta, X)
-    trace = EmTrace(loglik=[], param_change=[], n_iter=0, converged=False)
+    trace = EmTrace(loglik=[], n_iter=0, converged=False)
     gamma = np.asarray(gamma, dtype=float)
     theta, beta = _m_step(params.theta, params.beta, links, X, _gram(X), gamma, neg_logp, trace)
     return CoefVector(theta=theta, beta=beta)
@@ -307,7 +307,7 @@ def test_beta_ascent_falls_back_to_the_gradient_where_the_hessian_is_indefinite(
     neg_logp = -np.log(10.0 ** rng.uniform(-12.0, -6.0, m))
     share = _beta_share(np.ones(m), neg_logp, X)
     start = np.array([-3.0, 0.0])
-    trace = EmTrace(loglik=[], param_change=[], n_iter=0, converged=False)
+    trace = EmTrace(loglik=[], n_iter=0, converged=False)
     links = {"k": _link(X @ start)}
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         beta = _maximize(start, links, "k", X, _gram(X), share, trace)
@@ -339,7 +339,7 @@ def test_ascent_whose_every_halving_fails_rebuilds_the_starting_link(key):
         calls.append(link.p.size)
         return (value if len(calls) == 1 else -math.inf), gradient, curv
 
-    trace = EmTrace(loglik=[], param_change=[], n_iter=0, converged=False)
+    trace = EmTrace(loglik=[], n_iter=0, converged=False)
     got = _maximize(start.copy(), links, key, X, _gram(X), refusing, trace)
     assert got.tobytes() == start.tobytes()
     assert len(calls) == MAX_HALVINGS + 2
@@ -374,25 +374,38 @@ def test_m_step_does_not_decrease_the_complete_data_objective():
 # gradient
 
 
-def test_analytic_gradient_matches_finite_differences():
-    X, p = _mixture_draw(np.array([2.0, 0.7]), np.array([0.5, 0.6]), 300, 17)
-    rng = np.random.default_rng(99)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([(0, 1), (0, 2), (0, 3), (0, 4), (3, 1), (3, 2)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_analytic_gradient_matches_finite_differences(knots_and_columns, seed):
+    # d from 2 to 5: 1 to 4 raw covariates (d = 1 + q) or 3-knot spline
+    # bases of 1 or 2 covariates (d = 1 + 2q), p-values from the mixture
+    # at random coefficients, the gradient at other random coefficients
+    knots, q = knots_and_columns
+    rng = np.random.default_rng(seed)
+    m = 300
+    X = build_design(rng.standard_normal((m, q)), spline_knots=knots)
+    d = X.shape[1]
+    theta_true = np.concatenate([[2.0], rng.normal(0.0, 0.7, d - 1)])
+    beta_true = np.concatenate([[0.5], rng.normal(0.0, 0.6, d - 1)])
+    alt = rng.random(m) >= expit(X @ theta_true)
+    u = rng.random(m)
+    p = np.where(alt, u ** (1.0 / (1.0 - expit(X @ beta_true))), u)
+    theta = rng.normal(0.0, 1.5, d)
+    beta = rng.normal(0.0, 1.0, d)
+    analytic = np.concatenate(loglik_grad(CoefVector(theta=theta, beta=beta), X, p))
     step = 1e-6
-    for _ in range(20):
-        theta = rng.normal(0.0, 1.5, 2)
-        beta = rng.normal(0.0, 1.0, 2)
-        params = CoefVector(theta=theta, beta=beta)
-        g_theta, g_beta = loglik_grad(params, X, p)
-        analytic = np.concatenate([g_theta, g_beta])
-        fd = np.empty(4)
-        for j in range(4):
-            delta = np.zeros(4)
-            delta[j] = step
-            up = CoefVector(theta=theta + delta[:2], beta=beta + delta[2:])
-            dn = CoefVector(theta=theta - delta[:2], beta=beta - delta[2:])
-            fd[j] = (loglik(up, X, p) - loglik(dn, X, p)) / (2.0 * step)
-        rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-10)
-        assert rel < 1e-4
+    fd = np.empty(2 * d)
+    for j in range(2 * d):
+        delta = np.zeros(2 * d)
+        delta[j] = step
+        up = CoefVector(theta=theta + delta[:d], beta=beta + delta[d:])
+        dn = CoefVector(theta=theta - delta[:d], beta=beta - delta[d:])
+        fd[j] = (loglik(up, X, p) - loglik(dn, X, p)) / (2.0 * step)
+    rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-10)
+    assert rel < 1e-4
 
 
 # ----------------------------------------------------------------------
@@ -730,7 +743,6 @@ def _reference_fit(design, pvals, formulas):
         ),
         trace=EmTrace(
             loglik=np.asarray(trace_ll),
-            param_change=np.empty(0),
             n_iter=n_iter,
             converged=converged,
         ),
@@ -928,7 +940,7 @@ def test_fit_counts_its_inner_steps():
     assert [getattr(first, c) for c in counts] == [getattr(second, c) for c in counts]
     assert first.newton_steps > 0
     # the counts default to zero, so a trace can be built without them
-    bare = EmTrace(loglik=first.loglik, param_change=first.param_change, n_iter=1, converged=True)
+    bare = EmTrace(loglik=first.loglik, n_iter=1, converged=True)
     assert (bare.newton_steps, bare.line_search_halvings, bare.gradient_fallbacks) == (0, 0, 0)
 
 
