@@ -12,7 +12,7 @@ import errno
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -362,22 +362,15 @@ def cmd_simulate(args):
         procedures = _procedure_names(procedures)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    # only the flags given, each by its field's name: SimulationConfig holds the defaults
+    given = {f.name: getattr(args, f.name) for f in fields(SimulationConfig) if f.name in args}
+    if "alpha_grid" in given:
+        try:
+            given["alpha_grid"] = tuple(float(a) for a in args.alpha_grid.split(",") if a.strip())
+        except ValueError as exc:
+            raise CliError(f"bad --alpha-grid: {exc}") from exc
     try:
-        alpha_grid = tuple(float(a) for a in args.alpha_grid.split(",") if a.strip())
-    except ValueError as exc:
-        raise CliError(f"bad --alpha-grid: {exc}") from exc
-    try:
-        config = SimulationConfig(
-            setup=args.setup,
-            m=args.m,
-            eta0=args.eta0,
-            k_d=args.kd,
-            k_s=args.ks,
-            k_f=args.kf,
-            n_replicates=args.reps,
-            seed=args.seed,
-            alpha_grid=alpha_grid,
-        )
+        config = SimulationConfig(**given)
         workers = resolve_workers()
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -433,16 +426,20 @@ def build_parser():
     p_fit.add_argument("--output", required=True)
     p_fit.set_defaults(func=cmd_fit)
 
-    p_sim = sub.add_parser("simulate", help="run a simulation sweep")
+    # a flag left out is not set, and its dest is the SimulationConfig
+    # field it sets: the defaults are the config's
+    p_sim = sub.add_parser(
+        "simulate", help="run a simulation sweep", argument_default=argparse.SUPPRESS
+    )
     p_sim.add_argument("--setup", required=True)
-    p_sim.add_argument("--m", type=int, default=10_000)
-    p_sim.add_argument("--eta0", type=float, default=2.5)
-    p_sim.add_argument("--kd", type=float, default=1.0)
-    p_sim.add_argument("--ks", type=float, default=2.4)
-    p_sim.add_argument("--kf", type=float, default=0.0)
-    p_sim.add_argument("--reps", type=int, default=100)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--alpha-grid", default="0.05", dest="alpha_grid")
+    p_sim.add_argument("--m", type=int)
+    p_sim.add_argument("--eta0", type=float)
+    p_sim.add_argument("--kd", type=float, dest="k_d", metavar="KD")
+    p_sim.add_argument("--ks", type=float, dest="k_s", metavar="KS")
+    p_sim.add_argument("--kf", type=float, dest="k_f", metavar="KF")
+    p_sim.add_argument("--reps", type=int, dest="n_replicates", metavar="REPS")
+    p_sim.add_argument("--seed", type=int)
+    p_sim.add_argument("--alpha-grid", dest="alpha_grid")
     p_sim.add_argument(
         "--procedures",
         nargs="+",

@@ -14,13 +14,7 @@ import numpy as np
 from .em import FitResult, build_design, fit
 # clamp_pvalues is not called here; bench/tracing.py counts calls through this name
 from .kernel import check_alpha, check_pvalues, clamp_pvalues  # noqa: F401
-from .threshold import (
-    MirrorStatistics,
-    _ExpectedCount,
-    mirror_statistics,
-    reject,
-    select_threshold,
-)
+from .threshold import MirrorStatistics, mirror_statistics, reject, select_threshold
 
 
 @dataclass
@@ -32,10 +26,10 @@ class CamtFit(FitResult):
 
     def select(self, alpha, mixed=False):
         """Threshold search plus rejection at target level alpha."""
-        # one E(t) for the search and the rejection: its terms are built
-        # at most once, and dropped when the selection returns
-        mixed_fitted = _ExpectedCount(self.fitted) if mixed else None
-        # by keyword: bench/tracing.py names the select span from it
+        # the fit itself: every selection on it shares the one build of
+        # E(t)'s terms, which the fit keeps; by keyword, as
+        # bench/tracing.py names the select span from it
+        mixed_fitted = self.fitted if mixed else None
         t_hat = select_threshold(self.stats, alpha, mixed_fitted=mixed_fitted)
         return reject(self.stats, t_hat, mixed_fitted=mixed_fitted)
 

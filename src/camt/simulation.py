@@ -373,18 +373,19 @@ def _se(values):
 
 
 def resolve_workers(n_workers=None):
-    """Worker count: explicit argument (an integer of at least 0, where 0
-    means 1), else CAMT_THREADS (an integer; ValueError naming it
-    otherwise), else os.cpu_count()."""
+    """Worker count: explicit argument, else CAMT_THREADS, else
+    os.cpu_count(). Either of the first two is an integer of at least 0,
+    where 0 means 1; ValueError naming it otherwise."""
     if n_workers is not None:
         return max(1, _check_count("n_workers", n_workers, 0))
     env = os.environ.get("CAMT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"CAMT_THREADS must be an integer, got {env!r}") from None
-    return max(1, os.cpu_count() or 1)
+    if not env:
+        return max(1, os.cpu_count() or 1)
+    try:
+        n_workers = int(env)
+    except ValueError:
+        raise ValueError(f"CAMT_THREADS must be an integer, got {env!r}") from None
+    return max(1, _check_count("CAMT_THREADS", n_workers, 0))
 
 
 def _run_replicate(config, replicate, procedure_names):

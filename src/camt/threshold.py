@@ -13,7 +13,12 @@ max(1, E(t), #{r_i < t}), E(t) being the fitted model's expected number
 of null p-values below their cutoffs. The floor of one plays the part
 of the plain estimate's +1: under either estimate, n rejections are
 admissible only at levels of at least 1 / n. Both are written once, in
-``_fdp_hat``, which the selectors and :func:`reject` share.
+``_fdp_hat``, which the selectors and :func:`reject` share. The mixed
+mode takes the fit itself, a :class:`~camt.em.FittedHypotheses`, as
+``mixed_fitted``; E(t)'s per-hypothesis terms are built once per fit and
+kept with it, as the sorted statistics are kept with their
+:class:`MirrorStatistics`, so any number of selections on one fit share
+one build of each.
 
 The selector returns the largest threshold up to t_up whose estimate
 stays at or below the target. The s-side uses <= and the r-side strict
@@ -25,6 +30,7 @@ needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +46,10 @@ class MirrorStatistics:
     t_up : the largest threshold the mirror argument supports,
         min_i psi_i(0.5); above it a rejection region would cross the
         midpoint of the null distribution.
+
+    Not changed after it is built, so it caches the sorted candidate
+    thresholds with their counts (``_candidates``), built on the first
+    selection and read by every later one.
     """
 
     s: np.ndarray
@@ -54,6 +64,18 @@ class MirrorStatistics:
             raise ValueError("s and r must be 1-d arrays of equal length")
         if not 0.0 < self.t_up <= 1.0:
             raise ValueError("t_up must lie in (0, 1]")
+
+    @cached_property
+    def _candidates(self):
+        """Candidate thresholds, the s-values up to t_up in ascending
+        order, with their mirror counts #{r_i < t} and rejection counts
+        #{s_i <= t}."""
+        s_sorted = np.sort(self.s)
+        r_sorted = np.sort(self.r)
+        candidates = s_sorted[s_sorted <= self.t_up]
+        den = np.searchsorted(s_sorted, candidates, side="right")
+        num = np.searchsorted(r_sorted, candidates, side="left")
+        return candidates, num, den
 
 
 @dataclass
@@ -86,10 +108,7 @@ def select_threshold(stats, alpha, mixed_fitted=None):
     false rejections. Returns 0.0 when no candidate is admissible (then
     nothing is rejected).
 
-    With mixed_fitted set (a FittedHypotheses, or the _ExpectedCount of
-    one that :meth:`~camt.pipeline.CamtFit.select` shares with
-    :func:`reject`, so that E(t)'s per-hypothesis terms are built once
-    per selection), the numerator is
+    With mixed_fitted set to the fit's FittedHypotheses, the numerator is
     max(1, E(t), #{r_i < t}) with E(t) = sum_i pi_i c(t, pi_i, k_i): the
     expected count is sharp for small t, the mirror count takes over
     once rejections reach into moderate p-values, and the floor of one
@@ -106,11 +125,11 @@ def select_threshold(stats, alpha, mixed_fitted=None):
     the candidates actually evaluated cost O(m) each.
     """
     check_alpha(alpha)
-    candidates, num, den = _candidate_counts(stats)
+    candidates, num, den = stats._candidates
     if candidates.size == 0:
         return 0.0
     if mixed_fitted is not None:
-        return _select_mixed(candidates, num, den, alpha, _expected_count(mixed_fitted))
+        return _select_mixed(candidates, num, den, alpha, mixed_fitted)
     admissible = _fdp_hat(num, den) <= alpha
     if not admissible.any():
         return 0.0
@@ -121,14 +140,14 @@ def reject(stats, t_hat, mixed_fitted=None):
     """Rejection set at threshold t_hat: every i with s_i <= t_hat.
 
     fdp_hat is the estimate the selector compares with alpha, the mixed
-    one when mixed_fitted is set (as for :func:`select_threshold`); at
-    t_hat = 0 both read 1.
+    one when mixed_fitted is set to the fit's FittedHypotheses (as for
+    :func:`select_threshold`); at t_hat = 0 both read 1.
     """
     if not 0.0 <= t_hat <= 1.0:
         raise ValueError("t_hat must lie in [0, 1]")
     rejected = stats.s <= t_hat
     n_rejections = int(np.count_nonzero(rejected))
-    expected = None if mixed_fitted is None else _expected_count(mixed_fitted)(t_hat)
+    expected = None if mixed_fitted is None else _expected_count(mixed_fitted, t_hat)
     fdp_hat = _fdp_hat(int(np.count_nonzero(stats.r < t_hat)), n_rejections, expected)
     return RejectionResult(
         t_hat=float(t_hat),
@@ -147,20 +166,9 @@ def _fdp_hat(num, den, expected=None):
     return numerator / np.maximum(1, den)
 
 
-def _candidate_counts(stats):
-    """Sorted candidate thresholds (s-values up to t_up) with mirror and
-    rejection counts."""
-    s_sorted = np.sort(stats.s)
-    r_sorted = np.sort(stats.r)
-    candidates = s_sorted[s_sorted <= stats.t_up]
-    den = np.searchsorted(s_sorted, candidates, side="right")
-    num = np.searchsorted(r_sorted, candidates, side="left")
-    return candidates, num, den
-
-
-def _select_mixed(candidates, num, den, alpha, expected_count):
-    """Screen-and-scan search of :func:`select_threshold` with mixed_fitted,
-    whose E(t) is expected_count."""
+def _select_mixed(candidates, num, den, alpha, fitted):
+    """Screen-and-scan search of :func:`select_threshold` with
+    mixed_fitted = fitted."""
     # the estimate is never below its value at E = 0, so the mirror
     # screen only drops candidates the full test would reject too
     survivors = np.flatnonzero(_fdp_hat(num, den, 0.0) <= alpha)[::-1]
@@ -173,59 +181,36 @@ def _select_mixed(candidates, num, den, alpha, expected_count):
         # block has an estimate at least the one with E and num of its
         # smallest t and den of its largest; the slack absorbs rounding
         # in E's monotonicity
-        smallest = expected_count(candidates[block[-1]])
+        smallest = _expected_count(fitted, candidates[block[-1]])
         if _fdp_hat(num[block[-1]], den[block[0]], smallest) > alpha * (1.0 + 1e-9):
             continue
         for i in block:
-            expected = smallest if i == block[-1] else expected_count(candidates[i])
+            expected = smallest if i == block[-1] else _expected_count(fitted, candidates[i])
             if _fdp_hat(num[i], den[i], expected) <= alpha:
                 return float(candidates[i])
     return 0.0
 
 
-def _expected_count(mixed_fitted):
-    """E(t) for a mixed_fitted argument: itself if it is an _ExpectedCount,
-    else a new one of the FittedHypotheses."""
-    if isinstance(mixed_fitted, _ExpectedCount):
-        return mixed_fitted
-    return _ExpectedCount(mixed_fitted)
-
-
-class _ExpectedCount:
+def _expected_count(fitted, t):
     """E(t) = sum_i pi_i * cutoff(t, pi_i, k_i) at one threshold t in
-    [0, 1] per call.
+    [0, 1].
 
     Written on the log scale: the cutoff is
     exp(min(0, (logit t + log((1-k)(1-pi)/pi)) / k)), so the min
     against one costs nothing; at t = 0 (logit -inf) every cutoff is 0
     and E(0) = 0, at t = 1 (logit inf) every cutoff is 1 and
-    E(1) = sum(pi).
-
-    The per-hypothesis terms log((1-k)(1-pi)/pi) and 1/k, four O(m)
-    passes, are built at the first call with t > 0 and kept for the
-    instance's life; E(0) is returned without them.
+    E(1) = sum(pi). The per-hypothesis terms, four O(m) passes, are the
+    fit's ``_cutoff_terms``, built at its first call with t > 0; E(0) is
+    returned without them.
     """
-
-    def __init__(self, fitted):
-        self.pi = fitted.pi_hat
-        self.k = fitted.k_hat
-        self.terms = None  # (log_pref, inv_k) once built
-
-    def _build(self):
-        log_pref = np.log1p(-self.k) + np.log1p(-self.pi) - np.log(self.pi)
-        return log_pref, 1.0 / self.k
-
-    def __call__(self, t):
-        if t == 0.0:
-            return 0.0
-        if self.terms is None:
-            self.terms = self._build()
-        log_pref, inv_k = self.terms
-        ts = np.array([t], dtype=float)
-        with np.errstate(divide="ignore"):
-            logit_t = np.log(ts) - np.log1p(-ts)
-        logc = logit_t + log_pref
-        logc *= inv_k
-        np.minimum(logc, 0.0, out=logc)
-        np.exp(logc, out=logc)
-        return float(logc @ self.pi)
+    if t == 0.0:
+        return 0.0
+    log_pref, inv_k = fitted._cutoff_terms
+    ts = np.array([t], dtype=float)
+    with np.errstate(divide="ignore"):
+        logit_t = np.log(ts) - np.log1p(-ts)
+    logc = logit_t + log_pref
+    logc *= inv_k
+    np.minimum(logc, 0.0, out=logc)
+    np.exp(logc, out=logc)
+    return float(logc @ fitted.pi_hat)

@@ -815,6 +815,15 @@ def test_simulate_names_a_malformed_thread_count(tmp_path, capsys, monkeypatch):
     assert not out_path.exists()
 
 
+def test_simulate_refuses_a_negative_thread_count(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CAMT_THREADS", "-1")
+    out_path = tmp_path / "o.csv"
+    args = ["simulate", "--setup", "S0", "--m", "500", "--reps", "1"]
+    assert main([*args, "--output", str(out_path)]) == 1
+    assert "error: CAMT_THREADS must be an integer of at least 0, got -1" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("command", ["fit", "simulate"])
 def test_unwritable_output_exits_one(tmp_path, capsys, monkeypatch, command):
     out_path = tmp_path / "missing-dir" / "o.csv"

@@ -339,6 +339,10 @@ def test_resolve_workers(monkeypatch):
     monkeypatch.setenv("CAMT_THREADS", "abc")
     with pytest.raises(ValueError, match="CAMT_THREADS must be an integer"):
         resolve_workers()
+    # a negative count used to give one worker, as 0 does
+    monkeypatch.setenv("CAMT_THREADS", "-4")
+    with pytest.raises(ValueError, match="^CAMT_THREADS must be an integer of at least 0, got -4$"):
+        resolve_workers()
     monkeypatch.delenv("CAMT_THREADS")
     assert resolve_workers() >= 1
 

@@ -1,6 +1,7 @@
 """Tests for the mirror FDP estimate, threshold search and rejection."""
 
 import warnings
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from camt.pipeline import fit_camt
 from camt.simulation import SimulationConfig, generate
 from camt.threshold import (
     MirrorStatistics,
-    _ExpectedCount,
+    _expected_count,
     mirror_statistics,
     reject,
     select_threshold,
@@ -240,14 +241,14 @@ def test_a_statistic_that_rounds_to_one_is_a_candidate():
         # E(1) = sum(pi), where the statistic of one is rejected too
         result = reject(state.stats, 1.0, mixed_fitted=state.fitted)
         assert result.n_rejections == 500
-        expected = _ExpectedCount(state.fitted)(1.0)
+        expected = _expected_count(state.fitted, 1.0)
         assert expected == pytest.approx(state.fitted.pi_hat.sum(), rel=1e-12)
         mirror_count = np.count_nonzero(state.stats.r < 1.0)
         assert result.fdp_hat == max(1.0, expected, mirror_count) / 500
 
 
 # ----------------------------------------------------------------------
-# mixed estimate: reject's fdp_hat with mixed_fitted, E(t) = _ExpectedCount
+# mixed estimate: reject's fdp_hat with mixed_fitted, E(t) = _expected_count
 
 
 def test_mixed_estimate_vanishes_with_the_threshold():
@@ -260,8 +261,8 @@ def test_mixed_estimate_vanishes_with_the_threshold():
     # nothing is rejected and no mirror statistic is below t: E(t) vanishes
     # with t, and fdp_hat reads the floor of one, as the plain estimate does
     assert tiny.n_rejections == small.n_rejections == 0
-    assert 0.0 == _ExpectedCount(fitted)(0.0) <= _ExpectedCount(fitted)(1e-12)
-    assert _ExpectedCount(fitted)(1e-12) <= _ExpectedCount(fitted)(1e-6) < 1e-3
+    assert 0.0 == _expected_count(fitted, 0.0) <= _expected_count(fitted, 1e-12)
+    assert _expected_count(fitted, 1e-12) <= _expected_count(fitted, 1e-6) < 1e-3
     assert tiny.fdp_hat == small.fdp_hat == reject(stats, 1e-6).fdp_hat == 1.0
     assert reject(stats, 0.0, mixed_fitted=fitted).fdp_hat == 1.0
 
@@ -276,7 +277,7 @@ def test_mixed_estimate_is_the_max_of_its_two_parts():
             np.sum(fitted.pi_hat * cutoff(t, fitted.pi_hat, fitted.k_hat))
         )
         mirror_count = float(np.count_nonzero(stats.r < t))
-        assert _ExpectedCount(fitted)(t) == pytest.approx(expected_count, rel=1e-9)
+        assert _expected_count(fitted, t) == pytest.approx(expected_count, rel=1e-9)
         got = reject(stats, t, mixed_fitted=fitted)
         assert got.fdp_hat == pytest.approx(
             max(1.0, expected_count, mirror_count) / max(1, got.n_rejections), rel=1e-9
@@ -293,7 +294,7 @@ def test_mixed_estimate_all_null_reduction():
     t = 0.02
     got = reject(stats, t, mixed_fitted=fitted)
     assert got.n_rejections == 0 and not np.any(stats.r < t)
-    expected = _ExpectedCount(fitted)(t)
+    expected = _expected_count(fitted, t)
     assert expected == pytest.approx(float(np.sum(cutoff(t, pi, k))), rel=1e-4)
     assert got.fdp_hat == max(1.0, expected)
 
@@ -307,7 +308,7 @@ def test_mixed_estimate_domain():
     assert reject(WORKED, 0.0, mixed_fitted=fitted).fdp_hat == 1.0
     # at t = 1 every cutoff is 1: E(1) = sum(pi), without a floating-point warning
     with np.errstate(all="raise"):
-        assert _ExpectedCount(fitted)(1.0) == pytest.approx(3.6, rel=1e-15)
+        assert _expected_count(fitted, 1.0) == pytest.approx(3.6, rel=1e-15)
         assert reject(WORKED, 1.0, mixed_fitted=fitted).fdp_hat == 4 / 4
 
 
@@ -327,43 +328,61 @@ def test_reject_with_mixed_estimate_reports_its_fdp():
     t_hat = select_threshold(stats, 0.3, mixed_fitted=fitted)
     if t_hat > 0.0:
         result = reject(stats, t_hat, mixed_fitted=fitted)
-        est = max(1.0, _ExpectedCount(fitted)(t_hat), float(np.count_nonzero(stats.r < t_hat)))
+        est = max(1.0, _expected_count(fitted, t_hat), float(np.count_nonzero(stats.r < t_hat)))
         assert result.fdp_hat == est / max(1, result.n_rejections)
         assert result.fdp_hat <= 0.3
 
 
-def test_a_mixed_selection_builds_the_expected_count_at_most_once(monkeypatch):
-    # building E(t)'s per-hypothesis terms is four O(m) passes; a mixed
-    # CamtFit.select shares one build between its search and its
-    # rejection, and E(0) = 0 needs none. The results are those of
-    # select_threshold and reject each building its own.
+def _count_builds(monkeypatch, cls, name):
+    """Patch the cached property cls.name to note each build, the size
+    of the record it builds for, in the returned list."""
+    build = cls.__dict__[name].func
     builds = []
-    build = _ExpectedCount._build
 
     def counted(self):
-        builds.append(self.pi.size)
-        return build(self)
+        value = build(self)
+        builds.append(value[0].size)
+        return value
 
-    monkeypatch.setattr(_ExpectedCount, "_build", counted)
+    prop = cached_property(counted)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return builds
+
+
+def test_a_mixed_selection_builds_the_expected_count_at_most_once(monkeypatch):
+    # building E(t)'s per-hypothesis terms is four O(m) passes; a fit
+    # builds them at its first mixed selection with t > 0 and keeps them,
+    # so every later selection on it shares that build, whether through
+    # CamtFit.select or direct select_threshold and reject calls, and
+    # E(0) = 0 needs none
+    builds = _count_builds(monkeypatch, FittedHypotheses, "_cutoff_terms")
     data = generate(SimulationConfig(setup="S0", m=3000, seed=7), 0)
     state = fit_camt(data.pvals, data.covariates)
+    assert reject(state.stats, 0.0, mixed_fitted=state.fitted).fdp_hat == 1.0
+    assert _expected_count(state.fitted, 0.0) == 0.0
+    assert builds == []
+    results = []
     for alpha in (0.05, 0.1, 0.2):
-        builds.clear()
         got = state.select(alpha, mixed=True)
         assert got.t_hat > 0.0 and builds == [3000]
         t_hat = select_threshold(state.stats, alpha, mixed_fitted=state.fitted)
         want = reject(state.stats, t_hat, mixed_fitted=state.fitted)
-        assert len(builds) == 3
         assert (got.t_hat, got.fdp_hat) == (want.t_hat, want.fdp_hat)
         assert np.array_equal(got.rejected, want.rejected)
-        builds.clear()
         state.select(alpha)
-        assert builds == []
-    assert reject(state.stats, 0.0, mixed_fitted=state.fitted).fdp_hat == 1.0
-    assert _ExpectedCount(state.fitted)(0.0) == 0.0
-    assert builds == []
+        results.append(got)
+    assert builds == [3000]
+    # the kept terms give what a fresh copy of the fit builds for itself
+    fresh = FittedHypotheses(pi_hat=state.fitted.pi_hat.copy(), k_hat=state.fitted.k_hat.copy())
+    for alpha, got in zip((0.05, 0.1, 0.2), results):
+        t_hat = select_threshold(state.stats, alpha, mixed_fitted=fresh)
+        want = reject(state.stats, t_hat, mixed_fitted=fresh)
+        assert (got.t_hat, got.fdp_hat) == (want.t_hat, want.fdp_hat)
+    assert builds == [3000, 3000]
     # a complete null: no candidate survives the mirror screen, so the
     # selection evaluates E(t) nowhere and rejects at t_hat = 0
+    builds.clear()
     data = generate(SimulationConfig(setup="complete-null", m=2000, seed=0), 0)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "EM did not converge", RuntimeWarning)
@@ -371,6 +390,20 @@ def test_a_mixed_selection_builds_the_expected_count_at_most_once(monkeypatch):
     got = state.select(0.05, mixed=True)
     assert (got.t_hat, got.n_rejections, got.fdp_hat) == (0.0, 0, 1.0)
     assert builds == []
+
+
+def test_the_statistics_are_sorted_once_per_fit(monkeypatch):
+    # every selection, plain or mixed and at any level, reads the sorted
+    # candidates its MirrorStatistics built at the first one
+    builds = _count_builds(monkeypatch, MirrorStatistics, "_candidates")
+    data = generate(SimulationConfig(setup="S0", m=2000, seed=5), 0)
+    state = fit_camt(data.pvals, data.covariates)
+    assert builds == []
+    for alpha in (0.05, 0.2):
+        for mixed in (False, True):
+            state.select(alpha, mixed=mixed)
+    select_threshold(state.stats, 0.1)
+    assert len(builds) == 1 and builds[0] == np.count_nonzero(state.stats.s <= state.stats.t_up)
 
 
 # ----------------------------------------------------------------------
@@ -456,13 +489,12 @@ def test_mixed_select_skips_blocks_that_cannot_be_admissible(monkeypatch):
     fitted = FittedHypotheses(pi_hat=rng.uniform(0.5, 0.99, m), k_hat=rng.uniform(0.3, 0.9, m))
     stats = mirror_statistics(rng.uniform(0.0, 1e-3, m), fitted)
     evaluated = []
-    call = _ExpectedCount.__call__
 
-    def counted(self, t):
+    def counted(fitted, t):
         evaluated.append(t)
-        return call(self, t)
+        return _expected_count(fitted, t)
 
-    monkeypatch.setattr(_ExpectedCount, "__call__", counted)
+    monkeypatch.setattr("camt.threshold._expected_count", counted)
     t_hat = select_threshold(stats, 1e-4, mixed_fitted=fitted)
     candidates = int(np.count_nonzero(stats.s <= stats.t_up))
     assert candidates > 15_000
