@@ -70,7 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import check_unit, clamp_pvalues, is_integer, winsorize
+from .kernel import check_unit, clamp_pvalues, is_integer, real_array, winsorize
 from .splines import spline_basis
 
 # Fitted k values are pulled off the exact endpoints so that downstream
@@ -199,7 +199,7 @@ def build_design(covariates, spline_knots=0):
         deviation overflows) or has too few distinct values for the
         spline knots.
     """
-    x = np.asarray(covariates, dtype=float)
+    x = real_array("covariates", covariates)
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2:
@@ -352,7 +352,7 @@ def fit(design, pvals):
 
 
 def _prepare(design, pvals):
-    X = np.asfortranarray(design, dtype=float)
+    X = np.asfortranarray(real_array("design", design))
     if X.ndim != 2:
         raise ValueError("design must be 2-d")
     if not np.all(np.isfinite(X)):

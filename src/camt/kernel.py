@@ -2,13 +2,13 @@
 
 Everything here is a small, stateless formula shared by the estimation,
 thresholding and simulation layers: the one-parameter beta surrogate for
-the alternative p-value density, the weight function that prices a
-rejection at a given threshold, the equivalent p-value cutoff, and the
-psi transform that turns a p-value into the statistic the mirror
-estimator operates on, plus the range checks every layer applies to
-p-values, to quantities in the unit interval and to target levels, and
-the two scalar type tests, a real scalar and an integer count, that
-every layer's checks of levels, effect sizes and counts share.
+the alternative p-value density and the psi transform that turns a
+p-value into the statistic the mirror estimator operates on, plus the
+range checks every layer applies to p-values, to quantities in the unit
+interval and to target levels, the cast that refuses a complex array
+before it becomes float64, and the two scalar type tests, a real scalar
+and an integer count, that every layer's checks of levels, effect sizes
+and counts share.
 
 The formulas and range checks broadcast over numpy arrays and accept
 plain floats.
@@ -47,24 +47,38 @@ def clamp_pvalues(pvals):
     return np.clip(check_pvalues(pvals), P_CLAMP, 1.0 - P_CLAMP)
 
 
+def real_array(name, x):
+    """x as a float64 array; ValueError naming name when x is complex.
+
+    A float cast would keep the real part and drop the rest with no more
+    than numpy's ComplexWarning, so a complex dtype is refused even where
+    every imaginary part is zero.
+    """
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, not complex")
+    return x.astype(float, copy=False)
+
+
 def check_pvalues(pvals):
-    """pvals as a float64 array; ValueError unless every entry lies in [0, 1].
+    """pvals as a float64 array (:func:`real_array`); ValueError unless
+    every entry lies in [0, 1].
 
     The comparisons are false for NaN, so non-finite entries fail too.
     """
-    p = np.asarray(pvals, dtype=float)
+    p = real_array("p-values", pvals)
     if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
         raise ValueError("p-values must be finite and lie in [0, 1]")
     return p
 
 
 def check_unit(name, x, include_one=False):
-    """x as a float64 array; ValueError unless every entry lies in (0, 1),
-    or in (0, 1] with include_one.
+    """x as a float64 array (:func:`real_array`); ValueError naming name
+    unless every entry lies in (0, 1), or in (0, 1] with include_one.
 
     The comparisons are false for NaN, so non-finite entries fail too.
     """
-    x = np.asarray(x, dtype=float)
+    x = real_array(name, x)
     if x.size and not (x.min() > 0.0 and (x.max() <= 1.0 if include_one else x.max() < 1.0)):
         interval = "(0, 1]" if include_one else "the open interval (0, 1)"
         raise ValueError(f"{name} must lie in {interval}")
@@ -123,53 +137,20 @@ def surrogate_density(p, k):
     return (1.0 - k) * p ** (-k)
 
 
-def weight(t, pi):
-    """Rejection weight w(t) = (1 - t) * pi / (t * (1 - pi)).
-
-    A hypothesis with null probability pi is rejected at threshold t
-    exactly when its surrogate likelihood ratio reaches this weight.
-    Decreasing in t: a looser threshold prices rejections more cheaply.
-
-    Parameters
-    ----------
-    t : array_like
-        Threshold in (0, 1).
-    pi : array_like
-        Prior null probability in (0, 1).
-    """
-    t = check_unit("t", t)
-    pi = check_unit("pi", pi)
-    return (1.0 - t) * pi / (t * (1.0 - pi))
-
-
-def cutoff(t, pi, k):
-    """P-value cutoff equivalent to the weight-form rejection rule.
-
-    Solving surrogate_density(p, k) >= weight(t, pi) for p gives
-
-        c(t, pi, k) = min(1, (t (1-k) (1-pi) / ((1-t) pi)) ** (1/k)),
-
-    so the rule "likelihood ratio at least w(t)" coincides with the rule
-    "p below c(t, pi, k)". The min handles thresholds loose enough that
-    every p-value qualifies.
-    """
-    t = check_unit("t", t)
-    pi = check_unit("pi", pi)
-    k = check_unit("k", k)
-    inner = t * (1.0 - k) * (1.0 - pi) / ((1.0 - t) * pi)
-    with np.errstate(over="ignore"):
-        c = inner ** (1.0 / k)
-    return np.minimum(1.0, c)
-
-
 def psi(p, pi, k):
     """Monotone statistic psi(p) = pi / (pi + (1 - pi) h(p)).
 
     h is the beta surrogate density. psi is strictly increasing in p
-    (h is decreasing), so small p-values map to small psi values, and
-    rejecting when the likelihood ratio h(p) clears weight(t, pi) is the
-    same as rejecting when psi(p) <= t. One minus psi at the observed
-    p-value is the posterior probability of the alternative.
+    (h is decreasing), so small p-values map to small psi values.
+    Rejecting when psi(p) <= t is the package's one form of the rejection
+    rule. It is the same as rejecting when the likelihood ratio h(p)
+    reaches the weight
+
+        w(t, pi) = (1 - t) pi / (t (1 - pi)),
+
+    or when p is at most the cutoff c(t, pi, k) that solves h(p) = w(t, pi)
+    (see :func:`camt.threshold._expected_count`). One minus psi at the
+    observed p-value is the posterior probability of the alternative.
     """
     h = surrogate_density(p, k)
     pi = check_unit("pi", pi)

@@ -373,13 +373,16 @@ def _se(values):
 
 
 def resolve_workers(n_workers=None):
-    """Worker count: explicit argument, else CAMT_THREADS, else
-    os.cpu_count(). Either of the first two is an integer of at least 0,
-    where 0 means 1; ValueError naming it otherwise."""
+    """Worker count: explicit argument, else CAMT_THREADS, else the CPUs
+    this process may run on (its affinity mask where the platform has
+    one, os.cpu_count() elsewhere). Either of the first two is an integer
+    of at least 0, where 0 means 1; ValueError naming it otherwise."""
     if n_workers is not None:
         return max(1, _check_count("n_workers", n_workers, 0))
     env = os.environ.get("CAMT_THREADS")
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))  # never empty
         return max(1, os.cpu_count() or 1)
     try:
         n_workers = int(env)

@@ -192,8 +192,12 @@ def _select_mixed(candidates, num, den, alpha, fitted):
 
 
 def _expected_count(fitted, t):
-    """E(t) = sum_i pi_i * cutoff(t, pi_i, k_i) at one threshold t in
-    [0, 1].
+    """E(t) = sum_i pi_i * c(t, pi_i, k_i) at one threshold t in [0, 1].
+
+    c is the p-value cutoff of the rejection rule psi(p) <= t
+    (:func:`camt.kernel.psi`), the p that solves h(p) = w(t, pi):
+
+        c(t, pi, k) = min(1, (t (1-k) (1-pi) / ((1-t) pi)) ** (1/k)).
 
     Written on the log scale: the cutoff is
     exp(min(0, (logit t + log((1-k)(1-pi)/pi)) / k)), so the min

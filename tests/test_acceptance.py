@@ -16,12 +16,28 @@ from scipy.special import expit
 
 from camt.diagnostics import gif
 from camt.em import CoefVector, FittedHypotheses, loglik, loglik_grad
-from camt.kernel import clamp_pvalues, cutoff, psi, surrogate_density, weight
+from camt.kernel import clamp_pvalues, psi, surrogate_density
 from camt.pipeline import fit_camt, run_camt
 from camt.simulation import SimulationConfig, generate, run_sweep
 from camt.threshold import mirror_statistics, select_threshold
 
 FULL = os.environ.get("CAMT_FULL_ACCEPTANCE") == "1"
+
+
+def _weight(t, pi):
+    """The paper's rejection weight w(t, pi) = (1 - t) pi / (t (1 - pi)):
+    the weight form of the rule rejects when h(p) >= w(t, pi)."""
+    return (1.0 - t) * pi / (t * (1.0 - pi))
+
+
+def _cutoff(t, pi, k):
+    """The paper's p-value cutoff c(t, pi, k), the p that solves
+    h(p) = w(t, pi), capped at one: the cutoff form rejects when
+    p <= c(t, pi, k)."""
+    inner = t * (1.0 - k) * (1.0 - pi) / ((1.0 - t) * pi)
+    with np.errstate(over="ignore"):
+        c = inner ** (1.0 / k)
+    return np.minimum(1.0, c)
 
 
 def _announce(capsys, idx, name, ok, detail):
@@ -142,15 +158,16 @@ def test_criterion_5_alternative_density_targets(capsys):
 
 
 def test_criterion_6_internal_consistency(capsys):
-    # (a) the three forms of the rejection rule agree exactly
+    # (a) the three forms of the rejection rule agree exactly: camt's psi
+    # and the paper's weight and cutoff forms, written out above
     rng = np.random.default_rng(123)
     n = 100_000
     t = rng.uniform(0.01, 0.99, n)
     pi = rng.uniform(0.1, 0.99, n)
     k = rng.uniform(0.05, 0.95, n)
     p = clamp_pvalues(rng.uniform(1e-12, 1.0, n))
-    by_weight = surrogate_density(p, k) >= weight(t, pi)
-    by_cutoff = p <= cutoff(t, pi, k)
+    by_weight = surrogate_density(p, k) >= _weight(t, pi)
+    by_cutoff = p <= _cutoff(t, pi, k)
     by_psi = psi(p, pi, k) <= t
     forms_ok = np.array_equal(by_weight, by_cutoff) and np.array_equal(by_cutoff, by_psi)
 

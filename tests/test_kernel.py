@@ -1,5 +1,6 @@
-"""Tests for the closed-form kernel: surrogate density, weight/cutoff
-algebra, the psi transform, clamping and winsorization."""
+"""Tests for the closed-form kernel: surrogate density, the psi
+transform against the paper's weight form of the rejection rule,
+clamping and winsorization."""
 
 import numpy as np
 import pytest
@@ -9,11 +10,9 @@ from camt.kernel import (
     P_CLAMP,
     check_alpha,
     clamp_pvalues,
-    cutoff,
     is_integer,
     psi,
     surrogate_density,
-    weight,
     winsorize,
 )
 
@@ -37,8 +36,6 @@ def test_clamp_pvalues_rejects_corrupt_input():
     "fn, args",
     [
         (surrogate_density, (0.5, 0.5)),
-        (weight, (0.5, 0.5)),
-        (cutoff, (0.1, 0.5, 0.5)),
         (psi, (0.5, 0.5, 0.5)),
     ],
 )
@@ -82,53 +79,6 @@ def test_surrogate_density_domain_errors():
             surrogate_density(0.5, k)
 
 
-def test_weight_hand_values():
-    assert float(weight(0.5, 0.5)) == 1.0
-    assert float(weight(0.2, 0.5)) == 4.0
-    assert float(weight(0.1, 0.9)) == pytest.approx(81.0, rel=1e-14)
-
-
-def test_weight_monotone():
-    t = np.linspace(0.05, 0.95, 200)
-    assert np.all(np.diff(weight(t, 0.7)) < 0.0)
-    pi = np.linspace(0.05, 0.95, 200)
-    assert np.all(np.diff(weight(0.3, pi)) > 0.0)
-
-
-def test_weight_domain_errors():
-    for t in (0.0, 1.0, -0.5):
-        with pytest.raises(ValueError):
-            weight(t, 0.5)
-    for pi in (0.0, 1.0):
-        with pytest.raises(ValueError):
-            weight(0.5, pi)
-
-
-def test_cutoff_hand_value():
-    # inner ratio 0.5, power 1/k = 2
-    assert float(cutoff(0.5, 0.5, 0.5)) == 0.25
-
-
-def test_cutoff_clamped_branch():
-    # inner ratio far above one, so the min with 1 binds
-    assert float(cutoff(0.9, 0.05, 0.5)) == 1.0
-
-
-def test_cutoff_nondecreasing_in_t():
-    t = np.linspace(0.1, 0.9, 9)
-    for pi, k in ((0.9, 0.5), (0.5, 0.2), (0.99, 0.8)):
-        assert np.all(np.diff(cutoff(t, pi, k)) >= 0.0)
-
-
-def test_cutoff_domain_errors():
-    with pytest.raises(ValueError):
-        cutoff(0.0, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        cutoff(0.5, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        cutoff(0.5, 0.5, 0.0)
-
-
 def test_psi_at_one():
     assert float(psi(1.0, 0.5, 0.5)) == 2.0 / 3.0
 
@@ -141,20 +91,18 @@ def test_psi_strictly_increasing():
 
 
 def test_rejection_rule_forms_agree_exactly():
-    # the three formulations of the rejection rule (likelihood ratio vs
-    # weight, p-value vs cutoff, psi vs threshold) must pick identical
-    # index sets on random tuples
+    # psi vs threshold and the paper's likelihood ratio vs weight
+    # w(t, pi) = (1 - t) pi / (t (1 - pi)) must pick identical index sets
+    # on random tuples; criterion 6(a) adds the p-value cutoff form
     rng = np.random.default_rng(123)
     n = 100_000
     p = clamp_pvalues(rng.uniform(0.0, 1.0, n))
     t = rng.uniform(0.01, 0.99, n)
     pi = rng.uniform(0.01, 0.99, n)
     k = rng.uniform(0.01, 0.99, n)
-    by_weight = surrogate_density(p, k) >= weight(t, pi)
-    by_cutoff = p <= cutoff(t, pi, k)
+    by_weight = surrogate_density(p, k) >= (1.0 - t) * pi / (t * (1.0 - pi))
     by_psi = psi(p, pi, k) <= t
-    assert np.array_equal(by_weight, by_cutoff)
-    assert np.array_equal(by_psi, by_cutoff)
+    assert np.array_equal(by_psi, by_weight)
 
 
 def test_winsorize_hand_values():

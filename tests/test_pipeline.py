@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import camt
+from camt.em import FittedHypotheses, build_design, fit
 from camt.pipeline import CamtFit, fit_camt, run_camt
 from camt.simulation import SimulationConfig, generate
 from camt.threshold import RejectionResult
@@ -30,6 +31,31 @@ def test_covariate_rows_must_match_the_p_values():
         fit_camt(p, np.ones((999, 1)))
     with pytest.raises(ValueError, match="covariates have 1001 rows for 1000 p-values"):
         run_camt(p, np.arange(1001.0), spline_knots=3)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda p, x: run_camt(p + 0j, x), "p-values"),
+        (lambda p, x: run_camt(list(p + 0j), x), "p-values"),
+        (lambda p, x: run_camt(p, x + 5j), "covariates"),
+        (lambda p, x: fit_camt(p, np.column_stack([x, x * 1j])), "covariates"),
+        (lambda p, x: fit(build_design(x) + 0j, p), "design"),
+        (lambda p, x: FittedHypotheses(pi_hat=np.full(p.size, 0.9 + 0j), k_hat=np.full(p.size, 0.5)), "pi_hat"),
+        (lambda p, x: FittedHypotheses(pi_hat=np.full(p.size, 0.9), k_hat=np.full(p.size, 0.5 + 0j)), "k_hat"),
+    ],
+    ids=["pvals", "pvals-list", "covariates", "covariate-column", "design", "pi_hat", "k_hat"],
+)
+def test_complex_input_is_refused_not_truncated(call, name):
+    # a float cast kept the real part: run_camt(p + 0j, x) and
+    # run_camt(p, x + 5j) returned the real-part fit's rejections, and
+    # numpy's ComplexWarning was the only sign
+    rng = np.random.default_rng(12)
+    p, x = rng.uniform(size=500), rng.standard_normal(500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any cast can warn
+        with pytest.raises(ValueError, match=f"^{name} must be real, not complex$"):
+            call(p, x)
 
 
 def test_mixed_mode_rejects_nothing_from_all_null_pvalues():

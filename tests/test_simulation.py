@@ -345,6 +345,17 @@ def test_resolve_workers(monkeypatch):
         resolve_workers()
     monkeypatch.delenv("CAMT_THREADS")
     assert resolve_workers() >= 1
+    # the default is the CPUs the process may run on, not the host's: under
+    # taskset -c 1 on a 2-core host it used to be 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert resolve_workers() == 1
+    assert resolve_workers(3) == 3
+    # where os has no affinity call, the host's count, at least 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert resolve_workers() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert resolve_workers() == 1
 
 
 # ----------------------------------------------------------------------

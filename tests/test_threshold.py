@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camt.em import FittedHypotheses
-from camt.kernel import cutoff, psi
+from camt.kernel import psi
 from camt.pipeline import fit_camt
 from camt.simulation import SimulationConfig, generate
 from camt.threshold import (
@@ -25,6 +25,16 @@ WORKED = MirrorStatistics(
     r=np.array([0.65, 0.8, 0.03, 0.9]),
     t_up=1.0,
 )
+
+
+def _cutoff(t, pi, k):
+    """The paper's p-value cutoff c(t, pi, k) = min(1, (t (1-k) (1-pi) /
+    ((1-t) pi)) ** (1/k)), written directly: the reference for E(t),
+    which camt forms on the log scale."""
+    inner = t * (1.0 - k) * (1.0 - pi) / ((1.0 - t) * pi)
+    with np.errstate(over="ignore"):
+        c = inner ** (1.0 / k)
+    return np.minimum(1.0, c)
 
 
 def _grid_best(stats, alpha, n_points):
@@ -274,7 +284,7 @@ def test_mixed_estimate_is_the_max_of_its_two_parts():
     stats = mirror_statistics(rng.random(m), fitted)
     for t in (0.02, 0.1, 0.3):
         expected_count = float(
-            np.sum(fitted.pi_hat * cutoff(t, fitted.pi_hat, fitted.k_hat))
+            np.sum(fitted.pi_hat * _cutoff(t, fitted.pi_hat, fitted.k_hat))
         )
         mirror_count = float(np.count_nonzero(stats.r < t))
         assert _expected_count(fitted, t) == pytest.approx(expected_count, rel=1e-9)
@@ -295,7 +305,7 @@ def test_mixed_estimate_all_null_reduction():
     got = reject(stats, t, mixed_fitted=fitted)
     assert got.n_rejections == 0 and not np.any(stats.r < t)
     expected = _expected_count(fitted, t)
-    assert expected == pytest.approx(float(np.sum(cutoff(t, pi, k))), rel=1e-4)
+    assert expected == pytest.approx(float(np.sum(_cutoff(t, pi, k))), rel=1e-4)
     assert got.fdp_hat == max(1.0, expected)
 
 
@@ -310,6 +320,21 @@ def test_mixed_estimate_domain():
     with np.errstate(all="raise"):
         assert _expected_count(fitted, 1.0) == pytest.approx(3.6, rel=1e-15)
         assert reject(WORKED, 1.0, mixed_fitted=fitted).fdp_hat == 4 / 4
+
+
+def test_expected_count_hand_values():
+    # c(1/2, 1/2, 1/2) = (1/2) ** 2, and at pi = 0.05 the cutoff's
+    # inner ratio is 9.5 at t = 1/2 and 85.5 at t = 0.9, so the cap binds
+    interior = FittedHypotheses(pi_hat=np.array([0.5]), k_hat=np.array([0.5]))
+    assert _expected_count(interior, 0.5) == pytest.approx(0.5 * 0.25, rel=1e-15)
+    capped = FittedHypotheses(pi_hat=np.array([0.05]), k_hat=np.array([0.5]))
+    for t in (0.5, 0.9):
+        assert _expected_count(capped, t) == 0.05
+    # never decreasing in t, as the selector's block screen assumes
+    rng = np.random.default_rng(41)
+    fitted = FittedHypotheses(pi_hat=rng.uniform(0.1, 0.99, 50), k_hat=rng.uniform(0.2, 0.8, 50))
+    counts = [_expected_count(fitted, t) for t in np.linspace(0.0, 1.0, 101)]
+    assert np.all(np.diff(counts) >= 0.0)
 
 
 def test_mixed_select_keeps_a_candidate_on_the_mirror_bound():
