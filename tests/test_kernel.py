@@ -1,11 +1,13 @@
 """Tests for the closed-form kernel: surrogate density, the psi
-transform against the paper's weight form of the rejection rule,
+transform against the paper's weight form of the rejection rule, the
+p-value cutoff form as the library computes it (E(t)'s log form),
 clamping and winsorization."""
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from camt.em import FittedHypotheses
 from camt.kernel import (
     P_CLAMP,
     check_alpha,
@@ -15,6 +17,7 @@ from camt.kernel import (
     surrogate_density,
     winsorize,
 )
+from camt.threshold import _expected_count
 
 
 def test_clamp_pvalues_endpoints_and_interior():
@@ -77,6 +80,29 @@ def test_surrogate_density_domain_errors():
     for k in (0.0, 1.0, -0.2, 1.2):
         with pytest.raises(ValueError):
             surrogate_density(0.5, k)
+
+
+def _cutoff(t, pi, k):
+    """c(t, pi, k), the p-value cutoff of psi(p) <= t, read off the
+    library's one cutoff: E(t) of a single hypothesis over its pi."""
+    fitted = FittedHypotheses(pi_hat=np.array([pi]), k_hat=np.array([k]))
+    return _expected_count(fitted, t) / pi
+
+
+def test_cutoff_hand_value():
+    # inner ratio 0.5, power 1/k = 2
+    assert _cutoff(0.5, 0.5, 0.5) == 0.25
+
+
+def test_cutoff_clamped_branch():
+    # inner ratio far above one, so the min with 1 binds
+    assert _cutoff(0.9, 0.05, 0.5) == 1.0
+
+
+def test_cutoff_nondecreasing_in_t():
+    t = np.linspace(0.1, 0.9, 9)
+    for pi, k in ((0.9, 0.5), (0.5, 0.2), (0.99, 0.8)):
+        assert np.all(np.diff([_cutoff(x, pi, k) for x in t]) >= 0.0)
 
 
 def test_psi_at_one():

@@ -322,15 +322,9 @@ def test_mixed_estimate_domain():
         assert reject(WORKED, 1.0, mixed_fitted=fitted).fdp_hat == 4 / 4
 
 
-def test_expected_count_hand_values():
-    # c(1/2, 1/2, 1/2) = (1/2) ** 2, and at pi = 0.05 the cutoff's
-    # inner ratio is 9.5 at t = 1/2 and 85.5 at t = 0.9, so the cap binds
-    interior = FittedHypotheses(pi_hat=np.array([0.5]), k_hat=np.array([0.5]))
-    assert _expected_count(interior, 0.5) == pytest.approx(0.5 * 0.25, rel=1e-15)
-    capped = FittedHypotheses(pi_hat=np.array([0.05]), k_hat=np.array([0.5]))
-    for t in (0.5, 0.9):
-        assert _expected_count(capped, t) == 0.05
-    # never decreasing in t, as the selector's block screen assumes
+def test_expected_count_nondecreasing_in_t():
+    # on [0, 1], endpoints included, as the selector's block screen
+    # assumes; test_kernel checks one hypothesis's cutoff by hand
     rng = np.random.default_rng(41)
     fitted = FittedHypotheses(pi_hat=rng.uniform(0.1, 0.99, 50), k_hat=rng.uniform(0.2, 0.8, 50))
     counts = [_expected_count(fitted, t) for t in np.linspace(0.0, 1.0, 101)]
