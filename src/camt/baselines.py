@@ -14,7 +14,7 @@ from math import lgamma
 import numpy as np
 
 from ._special import ndtri
-from .kernel import check_alpha, check_pvalues
+from .kernel import check_alpha, check_pvalues, real_array
 
 STOREY_LAMBDA = 0.5  # the tail above it estimates the null fraction
 
@@ -29,7 +29,7 @@ def bh(pvals, alpha):
     <= (k*+1) alpha / m (the rounded thresholds never decrease), so k*
     would not be the largest.
     """
-    p = _check_baseline_pvalues(pvals)
+    p = check_pvalues(pvals)
     check_alpha(alpha)
     m = p.size
     s = np.sort(p)
@@ -48,7 +48,7 @@ def storey(pvals, alpha):
     1; so does the limit of the rule when every p-value sits at or below
     STOREY_LAMBDA and the estimate degenerates to zero.
     """
-    p = _check_baseline_pvalues(pvals)
+    p = check_pvalues(pvals)
     check_alpha(alpha)
     m = p.size
     if m == 0:
@@ -57,14 +57,6 @@ def storey(pvals, alpha):
     if alpha >= pi0:
         return np.ones(m, dtype=bool)
     return bh(p, alpha / pi0)
-
-
-def _check_baseline_pvalues(pvals):
-    """pvals as a 1-d float64 array; ValueError unless every entry lies in [0, 1]."""
-    p = check_pvalues(pvals)
-    if p.ndim != 1:
-        raise ValueError("p-values must be a 1-d array")
-    return p
 
 
 @dataclass
@@ -78,6 +70,10 @@ class OracleTruth:
         `effect` and unit variance)
     null_mean : mean of the null z-score, zero except in the
         shifted-null setups
+
+    pi0 and effect are real arrays of one shape (:func:`real_array`
+    refuses a complex one), every pi0 in [0, 1] and every effect
+    finite; anything else raises ValueError.
     """
 
     pi0: np.ndarray
@@ -86,12 +82,17 @@ class OracleTruth:
     null_mean: float = 0.0
 
     def __post_init__(self):
-        self.pi0 = np.asarray(self.pi0, dtype=float)
-        self.effect = np.asarray(self.effect, dtype=float)
+        self.pi0 = real_array("pi0", self.pi0)
+        self.effect = real_array("effect", self.effect)
         if self.family not in ("normal", "noncentral-gamma"):
             raise ValueError(f"unknown family {self.family!r}")
         if self.pi0.shape != self.effect.shape:
             raise ValueError("pi0 and effect must have identical shapes")
+        # the comparisons are false for NaN, so NaN fails too
+        if self.pi0.size and not (self.pi0.min() >= 0.0 and self.pi0.max() <= 1.0):
+            raise ValueError("pi0 must lie in [0, 1]")
+        if not np.isfinite(self.effect).all():
+            raise ValueError("effect must be finite")
 
 
 def noncentral_gamma_params(mean):
@@ -141,8 +142,13 @@ def lfdr_values(pvals, truth):
     The z-score behind p is recovered as z = Phi^{-1}(1 - p); densities
     of p under the null and the alternative are the corresponding
     z-densities divided by the standard normal density at z.
+
+    pvals pass :func:`~camt.kernel.check_pvalues`, and truth must hold
+    one entry per p-value; anything else raises ValueError.
     """
-    p = np.asarray(pvals, dtype=float)
+    p = check_pvalues(pvals)
+    if truth.pi0.shape != p.shape:
+        raise ValueError(f"truth of shape {truth.pi0.shape} for p-values of shape {p.shape}")
     z = -ndtri(p)  # Phi^{-1}(1 - p), computed in the precise tail
     # density ratios against the standard normal carrier
     f0 = np.exp(truth.null_mean * z - 0.5 * truth.null_mean**2)

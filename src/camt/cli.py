@@ -18,7 +18,7 @@ import numpy as np
 
 from .diagnostics import gif, null_histogram_summary
 from .em import CovariateError, _check_spline_knots
-from .kernel import P_CLAMP, check_alpha, clamp_pvalues
+from .kernel import check_alpha, clamp_pvalues
 from .numtext import FLOAT_CELL, INT_CELL, float_cells, int_cells
 from .pipeline import run_camt
 
@@ -198,13 +198,13 @@ def parse_table(path):
 
     p_col = header.index("pvalue")
     p = values[:, p_col]
-    n_clamped = int(np.count_nonzero((p < P_CLAMP) | (p > 1.0 - P_CLAMP)))
+    pvals = clamp_pvalues(p)
     cov_cols = [j for j in range(len(header)) if j != p_col]
     return ParsedTable(
-        pvals=clamp_pvalues(p),
+        pvals=pvals,
         covariates=values[:, cov_cols],
         covariate_names=[header[j] for j in cov_cols],
-        n_clamped=n_clamped,
+        n_clamped=int(np.count_nonzero(pvals != p)),  # the entries the clamp moved
     )
 
 

@@ -25,9 +25,9 @@ expit(u), expit(-u) and softplus(u) = log(1 + exp(u)) are all cheap
 arithmetic on e, and none of them can overflow; the factor that picks
 between them by the sign of u is built from the comparisons u >= 0 and
 u < 0, written as 0.0 and 1.0 (:func:`_link`). A fit reads the
-p-values only as -log p >= 0, formed once, so the E-step's
-p^(-k) = exp(k (-log p)) and the k link's g = gamma (-log p) take no
-negation. Each M-step update
+p-values only as -log p >= 0, formed once in the buffer of their
+clamped copy, so the E-step's p^(-k) = exp(k (-log p)) and the k
+link's g = gamma (-log p) take no negation. Each M-step update
 leaves the link values of the coefficients it accepted, so the E-step
 that follows and the next update's starting objective recompute none of
 them. Both links keep the same three m-vectors, expit(+-u) and
@@ -282,7 +282,8 @@ def fit(design, pvals):
         Output of :func:`build_design` (or any matrix whose first
         column is an all-ones intercept).
     pvals : array_like
-        P-values in [0, 1]; exact endpoints are clamped.
+        P-values, a 1-d array in [0, 1] with one entry per design row
+        (:func:`camt.kernel.check_pvalues`); exact endpoints are clamped.
 
     Returns
     -------
@@ -360,9 +361,10 @@ def _prepare(design, pvals):
     if X.size and not np.all(X[:, 0] == 1.0):
         raise ValueError("design must carry an all-ones intercept in column 0")
     p = clamp_pvalues(pvals)
-    if p.ndim != 1 or p.size != X.shape[0]:
-        raise ValueError("pvals must be 1-d with one entry per design row")
-    neg_logp = np.log(p)
+    if p.size != X.shape[0]:
+        raise ValueError(f"{p.size} p-values for {X.shape[0]} design rows")
+    # -log p in the clamped copy's own buffer; the caller's array is not written
+    neg_logp = np.log(p, out=p)
     return X, np.negative(neg_logp, out=neg_logp)
 
 

@@ -10,8 +10,11 @@ before it becomes float64, and the two scalar type tests, a real scalar
 and an integer count, that every layer's checks of levels, effect sizes
 and counts share.
 
-The formulas and range checks broadcast over numpy arrays and accept
-plain floats.
+:func:`check_pvalues` is the one gate of a p-value array: every public
+function that takes p-values, one per hypothesis, passes them through
+it, directly or by :func:`clamp_pvalues`, and it refuses anything but a
+real 1-d array with every entry in [0, 1]. The formulas and the other
+range checks broadcast over numpy arrays and accept plain floats.
 """
 
 from __future__ import annotations
@@ -36,13 +39,16 @@ def clamp_pvalues(pvals):
     Parameters
     ----------
     pvals : array_like
-        P-values in [0, 1]. Anything outside [0, 1] or non-finite is a
-        corrupt input and raises ValueError.
+        P-values, checked by :func:`check_pvalues`: a real 1-d array
+        with every entry in [0, 1], else ValueError.
 
     Returns
     -------
     numpy.ndarray
-        Clamped copy, dtype float64.
+        Clamped copy, dtype float64, never the caller's array. The fit
+        path writes its own transforms of p into it in place
+        (-log p in :func:`camt.em.fit`, 1 - p in
+        :func:`camt.threshold.mirror_statistics`).
     """
     return np.clip(check_pvalues(pvals), P_CLAMP, 1.0 - P_CLAMP)
 
@@ -62,11 +68,15 @@ def real_array(name, x):
 
 def check_pvalues(pvals):
     """pvals as a float64 array (:func:`real_array`); ValueError unless
-    every entry lies in [0, 1].
+    it is 1-d, one p-value per hypothesis, and every entry lies in
+    [0, 1]. The one gate of a p-value array in the package.
 
     The comparisons are false for NaN, so non-finite entries fail too.
+    The caller's float64 array is returned as it is, not copied.
     """
     p = real_array("p-values", pvals)
+    if p.ndim != 1:
+        raise ValueError("p-values must be a 1-d array")
     if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
         raise ValueError("p-values must be finite and lie in [0, 1]")
     return p

@@ -37,14 +37,17 @@ class CamtFit(FitResult):
 def fit_camt(pvals, covariates=None, spline_knots=0):
     """Estimate the mixture for the given p-values and covariates.
 
-    The p-values are validated without a copy: :func:`~camt.em.fit` and
-    :func:`~camt.threshold.mirror_statistics` each clamp their own, so
-    no clamped copy stays alive through EM.
+    The p-values are validated without a copy
+    (:func:`~camt.kernel.check_pvalues`): :func:`~camt.em.fit` and
+    :func:`~camt.threshold.mirror_statistics` each clamp their own and
+    use that copy as their working buffer (-log p, then 1 - p), so no
+    clamped copy stays alive through EM and the caller's array is never
+    written.
 
     Parameters
     ----------
     pvals : array_like
-        P-values in [0, 1].
+        P-values, a 1-d array in [0, 1].
     covariates : array_like or None
         (m, q) covariate matrix; None fits an intercept-only model,
         which still adapts to the overall signal fraction and strength.

@@ -87,14 +87,20 @@ class RejectionResult:
 
 
 def mirror_statistics(pvals, fitted):
-    """Build :class:`MirrorStatistics` from p-values and fitted parameters."""
+    """Build :class:`MirrorStatistics` from p-values and fitted parameters.
+
+    The p-values pass :func:`~camt.kernel.check_pvalues` and are clamped
+    (:func:`~camt.kernel.clamp_pvalues`) into a copy; once s is built,
+    1 - p is formed in that copy's own buffer, so the caller's array is
+    never written.
+    """
     p = clamp_pvalues(pvals)
     if p.shape != fitted.pi_hat.shape:
         raise ValueError(
             f"p-values of shape {p.shape} for fitted hypotheses of shape {fitted.pi_hat.shape}"
         )
     s = psi(p, fitted.pi_hat, fitted.k_hat)
-    r = psi(1.0 - p, fitted.pi_hat, fitted.k_hat)
+    r = psi(np.subtract(1.0, p, out=p), fitted.pi_hat, fitted.k_hat)
     t_up = float(np.min(psi(0.5, fitted.pi_hat, fitted.k_hat)))
     return MirrorStatistics(s=s, r=r, t_up=t_up)
 

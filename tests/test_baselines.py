@@ -1,6 +1,7 @@
 """Tests for the BH, Storey and oracle LFDR reference procedures."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,38 @@ def test_oracle_truth_validation():
         OracleTruth(pi0=np.array([0.5, 0.6]), effect=np.array([2.0]))
     # a fully null truth is legitimate
     OracleTruth(pi0=np.ones(3), effect=np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "pi0, effect, message",
+    [
+        ([0.5 + 0j, 0.6], [2.0, 2.0], "pi0 must be real, not complex"),
+        ([0.5, 0.6], [2.0 + 0j, 2.0], "effect must be real, not complex"),
+        ([0.5, 1.5], [2.0, 2.0], r"pi0 must lie in \[0, 1\]"),
+        ([0.5, -0.1], [2.0, 2.0], r"pi0 must lie in \[0, 1\]"),
+        ([0.5, np.nan], [2.0, 2.0], r"pi0 must lie in \[0, 1\]"),
+        ([0.5, 0.6], [2.0, np.inf], "effect must be finite"),
+        ([0.5, 0.6], [2.0, np.nan], "effect must be finite"),
+    ],
+    ids=["complex-pi0", "complex-effect", "pi0-1.5", "pi0-negative", "pi0-nan", "effect-inf", "effect-nan"],
+)
+def test_oracle_truth_refuses_what_is_no_truth(pi0, effect, message):
+    # a float cast kept a complex pi0's real part with only a
+    # ComplexWarning, and pi0 = 1.5 gave LFDR values above one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before a cast can warn
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            OracleTruth(pi0=np.array(pi0), effect=np.array(effect))
+
+
+@pytest.mark.parametrize("n_truth", [1, 2, 4])
+def test_lfdr_values_needs_one_truth_entry_per_pvalue(n_truth):
+    # two entries raised numpy's bare broadcast error, and one was
+    # silently broadcast over all three p-values
+    truth = OracleTruth(pi0=np.full(n_truth, 0.9), effect=np.full(n_truth, 2.0))
+    message = rf"^truth of shape \({n_truth},\) for p-values of shape \(3,\)$"
+    with pytest.raises(ValueError, match=message):
+        lfdr_values(np.array([0.01, 0.5, 0.9]), truth)
 
 
 def test_procedures_are_permutation_equivariant():

@@ -83,12 +83,13 @@ def test_parse_pvalue_column_position_is_free(tmp_path):
 
 
 def test_parse_clamps_boundary_pvalues(tmp_path):
-    path = _write_lines(tmp_path / "t.csv", ["pvalue", "0.0", "1.0", "0.5"])
+    # n_clamped counts the entries the clamp moved: a p-value at either
+    # bound stays and is not counted, one just beyond it is
+    edges = [P_CLAMP, 1.0 - P_CLAMP, P_CLAMP / 2, 1.0 - P_CLAMP / 4]
+    path = _write_lines(tmp_path / "t.csv", ["pvalue", "0.0", "1.0", "0.5"] + [repr(x) for x in edges])
     table = parse_table(path)
-    assert table.n_clamped == 2
-    assert table.pvals[0] == P_CLAMP
-    assert table.pvals[1] == 1.0 - P_CLAMP
-    assert table.pvals[2] == 0.5
+    assert table.n_clamped == 4
+    assert table.pvals.tolist() == [P_CLAMP, 1.0 - P_CLAMP, 0.5] + [P_CLAMP, 1.0 - P_CLAMP] * 2
 
 
 def test_parse_csv_and_tsv_agree(tmp_path):

@@ -1,23 +1,30 @@
 """Tests for the closed-form kernel: surrogate density, the psi
 transform against the paper's weight form of the rejection rule, the
 p-value cutoff form as the library computes it (E(t)'s log form),
-clamping and winsorization."""
+clamping, the one p-value gate that every public entry passes, and
+winsorization."""
+
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from camt.em import FittedHypotheses
+from camt.baselines import OracleTruth, bh, lfdr_values, storey
+from camt.diagnostics import gif, null_histogram_summary
+from camt.em import FittedHypotheses, fit
 from camt.kernel import (
     P_CLAMP,
     check_alpha,
+    check_pvalues,
     clamp_pvalues,
     is_integer,
     psi,
     surrogate_density,
     winsorize,
 )
-from camt.threshold import _expected_count
+from camt.pipeline import fit_camt, run_camt
+from camt.threshold import _expected_count, mirror_statistics
 
 
 def test_clamp_pvalues_endpoints_and_interior():
@@ -33,6 +40,45 @@ def test_clamp_pvalues_rejects_corrupt_input():
     for bad in ([-0.1], [1.1], [np.nan], [np.inf]):
         with pytest.raises(ValueError):
             clamp_pvalues(bad)
+
+
+# every public function that takes one p-value per hypothesis, called on
+# three of them; each must refuse a malformed array with check_pvalues'
+# message before it reads anything else
+_PVALUE_ENTRIES = {
+    "check_pvalues": check_pvalues,
+    "clamp_pvalues": clamp_pvalues,
+    "bh": lambda p: bh(p, 0.1),
+    "storey": lambda p: storey(p, 0.1),
+    "lfdr_values": lambda p: lfdr_values(p, OracleTruth(pi0=np.full(3, 0.9), effect=np.full(3, 2.0))),
+    "gif": gif,
+    "null_histogram_summary": null_histogram_summary,
+    "fit_camt": fit_camt,
+    "run_camt": run_camt,
+    "em.fit": lambda p: fit(np.ones((3, 1)), p),
+    "mirror_statistics": lambda p: mirror_statistics(
+        p, FittedHypotheses(pi_hat=np.full(3, 0.9), k_hat=np.full(3, 0.5))
+    ),
+}
+_RANGE = r"^p-values must be finite and lie in \[0, 1\]$"
+_MALFORMED_PVALUES = {
+    "2-d": (np.full((3, 1), 0.2), r"^p-values must be a 1-d array$"),
+    "1.5": (np.array([0.2, 1.5, 0.4]), _RANGE),
+    "nan": (np.array([0.2, np.nan, 0.4]), _RANGE),
+    "complex": (np.array([0.2, 0.3, 0.4]) + 0j, r"^p-values must be real, not complex$"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_PVALUES))
+@pytest.mark.parametrize("entry", list(_PVALUE_ENTRIES))
+def test_every_pvalue_entry_refuses_malformed_pvalues(entry, case):
+    # lfdr_values checked nothing (1.5 gave a NaN LFDR), and gif,
+    # null_histogram_summary and clamp_pvalues took a 2-d array
+    p, message = _MALFORMED_PVALUES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before a cast or EM can warn
+        with pytest.raises(ValueError, match=message):
+            _PVALUE_ENTRIES[entry](p)
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ import camt
 from camt.em import FittedHypotheses, build_design, fit
 from camt.pipeline import CamtFit, fit_camt, run_camt
 from camt.simulation import SimulationConfig, generate
-from camt.threshold import RejectionResult
+from camt.threshold import RejectionResult, mirror_statistics
 
 
 def test_empty_input_is_a_clear_error():
@@ -91,6 +91,22 @@ def test_run_camt_is_fit_then_select(mixed):
     assert sel.t_hat == alone.t_hat > 0.0
     assert np.array_equal(sel.rejected, alone.rejected)
     assert sel.fdp_hat == alone.fdp_hat
+
+
+def test_fit_path_never_writes_the_callers_pvalues():
+    # fit and mirror_statistics form -log p and 1 - p in place, in their
+    # clamped copies; a read-only p raises on any write to the caller's
+    # array, the exact endpoints included
+    data = generate(SimulationConfig(setup="S0", m=3000, seed=7), 0)
+    p = data.pvals.copy()
+    p[:2] = 0.0, 1.0
+    p.setflags(write=False)
+    before = p.copy()
+    state = fit_camt(p, data.covariates)
+    result = fit(build_design(data.covariates), p)
+    stats = mirror_statistics(p, result.fitted)
+    assert np.array_equal(p, before)
+    assert np.array_equal(stats.s, state.stats.s) and np.array_equal(stats.r, state.stats.r)
 
 
 def test_import_camt_loads_only_the_pipeline():
