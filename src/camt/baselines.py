@@ -14,9 +14,11 @@ from math import lgamma
 import numpy as np
 
 from ._special import ndtri
-from .kernel import check_alpha, check_pvalues, real_array
+from .kernel import check_alpha, check_finite, check_pvalues, real_array
 
 STOREY_LAMBDA = 0.5  # the tail above it estimates the null fraction
+# the doubles next to 0 and 1, where lfdr_values evaluates an exact 0 or 1
+_P_INTERIOR = (np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
 
 def bh(pvals, alpha):
@@ -73,7 +75,8 @@ class OracleTruth:
 
     pi0 and effect are real arrays of one shape (:func:`real_array`
     refuses a complex one), every pi0 in [0, 1] and every effect
-    finite; anything else raises ValueError.
+    finite, and null_mean is a finite real scalar
+    (:func:`~camt.kernel.check_finite`); anything else raises ValueError.
     """
 
     pi0: np.ndarray
@@ -93,6 +96,7 @@ class OracleTruth:
             raise ValueError("pi0 must lie in [0, 1]")
         if not np.isfinite(self.effect).all():
             raise ValueError("effect must be finite")
+        check_finite("null_mean", self.null_mean)
 
 
 def noncentral_gamma_params(mean):
@@ -104,10 +108,18 @@ def noncentral_gamma_params(mean):
     non-centrality solves delta^2 + (4 - 2 mean^2) delta
     + (4 - 2 mean^2) = 0, which has a positive root exactly when
     mean > sqrt(2).
+
+    mean is a real scalar or array, every entry finite and above
+    sqrt(2); anything else raises ValueError. A NaN entry, and a bool,
+    complex, string or None mean, get the sqrt(2) message.
     """
-    mean = np.asarray(mean, dtype=float)
-    if np.any(mean <= np.sqrt(2.0)):
+    mean = np.asarray(mean)
+    # the comparison is false for NaN, so NaN fails too
+    if mean.dtype.kind not in "iuf" or not np.all(mean > np.sqrt(2.0)):
         raise ValueError("mean must exceed sqrt(2) for a valid non-centrality")
+    if not np.isfinite(mean).all():
+        raise ValueError("mean must be finite")
+    mean = mean.astype(float, copy=False)
     b = 2.0 * mean**2 - 4.0
     delta = 0.5 * (b + np.sqrt(b * (b + 4.0)))
     scale = mean / (2.0 + delta)
@@ -144,11 +156,15 @@ def lfdr_values(pvals, truth):
     z-densities divided by the standard normal density at z.
 
     pvals pass :func:`~camt.kernel.check_pvalues`, and truth must hold
-    one entry per p-value; anything else raises ValueError.
+    one entry per p-value; anything else raises ValueError. An exact 0
+    or 1, whose z-score is infinite, is evaluated at its nearest interior
+    double, so its LFDR is finite and ranks it next to its neighbours;
+    every p strictly inside (0, 1) is evaluated as it is.
     """
     p = check_pvalues(pvals)
     if truth.pi0.shape != p.shape:
         raise ValueError(f"truth of shape {truth.pi0.shape} for p-values of shape {p.shape}")
+    p = np.clip(p, *_P_INTERIOR)
     z = -ndtri(p)  # Phi^{-1}(1 - p), computed in the precise tail
     # density ratios against the standard normal carrier
     f0 = np.exp(truth.null_mean * z - 0.5 * truth.null_mean**2)

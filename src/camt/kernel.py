@@ -4,17 +4,23 @@ Everything here is a small, stateless formula shared by the estimation,
 thresholding and simulation layers: the one-parameter beta surrogate for
 the alternative p-value density and the psi transform that turns a
 p-value into the statistic the mirror estimator operates on, plus the
-range checks every layer applies to p-values, to quantities in the unit
-interval and to target levels, the cast that refuses a complex array
-before it becomes float64, and the two scalar type tests, a real scalar
-and an integer count, that every layer's checks of levels, effect sizes
-and counts share.
+range checks every layer applies to p-values and to quantities in the
+unit interval, the cast that refuses a complex array before it becomes
+float64, and the gates of scalar arguments.
 
 :func:`check_pvalues` is the one gate of a p-value array: every public
 function that takes p-values, one per hypothesis, passes them through
 it, directly or by :func:`clamp_pvalues`, and it refuses anything but a
 real 1-d array with every entry in [0, 1]. The formulas and the other
 range checks broadcast over numpy arrays and accept plain floats.
+
+Each kind of scalar argument has one gate here, built on the two type
+tests :func:`is_real` and :func:`is_integer`: :func:`check_alpha` for a
+target level, :func:`check_count` for a count (a size, a seed, a
+replicate index, a worker or knot count) and :func:`check_finite` for a
+finite parameter (an effect size, a null mean). A bool, a string, None,
+a complex number and a non-finite float fail each of them with the
+gate's own message.
 """
 
 from __future__ import annotations
@@ -119,6 +125,25 @@ def check_alpha(alpha):
     """
     if not (is_real(alpha) and 0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
+
+
+def check_count(name, value, low):
+    """value as an int; ValueError naming name unless it is an integer
+    (:func:`is_integer`) of at least low. The one gate of a count in the
+    package: 3.5, np.float64(3.0) and True are refused, np.int32(3) is
+    taken as 3."""
+    if not (is_integer(value) and value >= low):
+        raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+    return int(value)
+
+
+def check_finite(name, value):
+    """value, unchanged; ValueError naming name unless it is a finite
+    real scalar (:func:`is_real`). The one gate of a finite parameter in
+    the package; an integer-valued one stays an int."""
+    if not (is_real(value) and np.isfinite(value)):
+        raise ValueError(f"{name} must be finite")
+    return value
 
 
 def surrogate_density(p, k):

@@ -19,6 +19,13 @@ complete-null every hypothesis null, p-values exactly uniform
 Replicate r of a run with master seed s draws from the generator
 PCG64(SeedSequence(s, spawn_key=(r,))), so streams are independent,
 reproducible and stable across worker counts.
+
+Every scalar a sweep takes passes one of :mod:`camt.kernel`'s gates
+before anything is drawn: the levels :func:`~camt.kernel.check_alpha`;
+m, the replicate count, the seed, a replicate index and the worker
+count (argument or CAMT_THREADS) :func:`~camt.kernel.check_count`; the
+effect parameters eta0, k_d, k_s and k_f :func:`~camt.kernel.check_finite`.
+This module keeps no count or finiteness rule of its own.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from .baselines import (
     oracle_select,
     storey,
 )
-from .kernel import check_alpha, is_integer, is_real
+from .kernel import check_alpha, check_count, check_finite
 from .pipeline import fit_camt
 
 RNG_NAME = "pcg64-seedsequence"
@@ -88,7 +95,7 @@ class SimulationConfig:
     def __post_init__(self):
         self.setup = normalize_setup(self.setup)
         for name, low in (("m", 1), ("n_replicates", 1), ("seed", 0)):
-            setattr(self, name, _check_count(name, getattr(self, name), low))
+            setattr(self, name, check_count(name, getattr(self, name), low))
         try:
             grid = tuple(self.alpha_grid)
         except TypeError:
@@ -105,19 +112,9 @@ class SimulationConfig:
             if a in self.alpha_grid[:i]:
                 raise ValueError(f"level {a!r} appears more than once in alpha_grid")
         for name in ("eta0", "k_d", "k_s", "k_f"):
-            value = getattr(self, name)
-            if not (is_real(value) and np.isfinite(value)):
-                raise ValueError(f"{name} must be finite")
+            check_finite(name, getattr(self, name))
         if self.setup == "S1":
             noncentral_gamma_params(self.k_s)  # the alternative law needs k_s > sqrt(2)
-
-
-def _check_count(name, value, low):
-    """value as an int; ValueError naming name unless it is an integer
-    (:func:`~camt.kernel.is_integer`) of at least low."""
-    if not (is_integer(value) and value >= low):
-        raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
-    return int(value)
 
 
 @dataclass
@@ -132,7 +129,7 @@ class SimulatedDataset:
 def generate(config, replicate=0):
     """Draw one replicate of the configured setup; replicate is an
     integer of at least 0."""
-    replicate = _check_count("replicate", replicate, 0)
+    replicate = check_count("replicate", replicate, 0)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(replicate,)))
     m = config.m
     setup = config.setup
@@ -378,7 +375,7 @@ def resolve_workers(n_workers=None):
     one, os.cpu_count() elsewhere). Either of the first two is an integer
     of at least 0, where 0 means 1; ValueError naming it otherwise."""
     if n_workers is not None:
-        return max(1, _check_count("n_workers", n_workers, 0))
+        return max(1, check_count("n_workers", n_workers, 0))
     env = os.environ.get("CAMT_THREADS")
     if not env:
         if hasattr(os, "sched_getaffinity"):
@@ -388,7 +385,7 @@ def resolve_workers(n_workers=None):
         n_workers = int(env)
     except ValueError:
         raise ValueError(f"CAMT_THREADS must be an integer, got {env!r}") from None
-    return max(1, _check_count("CAMT_THREADS", n_workers, 0))
+    return max(1, check_count("CAMT_THREADS", n_workers, 0))
 
 
 def _run_replicate(config, replicate, procedure_names):

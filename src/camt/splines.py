@@ -8,11 +8,17 @@ xi_1 < ... < xi_K, let
 then {1, x, d_1 - d_{K-1}, ..., d_{K-2} - d_{K-1}} spans the space of
 cubic splines on the knots that are linear beyond the boundary knots
 xi_1 and xi_K. The span has dimension K, counting the constant.
+
+The knot count passes :func:`camt.kernel.check_count` with a floor of 2:
+an integer, so 3.5, np.float64(3.0) and True are refused, as
+:func:`camt.em.build_design` refuses them, rather than read as a count.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .kernel import check_count
 
 
 def equiquantile_knots(x, n_knots):
@@ -28,16 +34,16 @@ def equiquantile_knots(x, n_knots):
     x : array_like
         Finite covariate sample, at least n_knots distinct values.
     n_knots : int
-        Number of knots, at least 2.
+        Number of knots, an integer of at least 2
+        (:func:`~camt.kernel.check_count`).
 
     Returns
     -------
     numpy.ndarray
         Strictly increasing knot vector of length n_knots.
     """
+    n_knots = check_count("n_knots", n_knots, 2)
     x = np.asarray(x, dtype=float)
-    if n_knots < 2:
-        raise ValueError("n_knots must be at least 2")
     if x.ndim != 1 or x.size < n_knots:
         raise ValueError("x must be a 1-d sample with at least n_knots values")
     s = np.sort(x)  # NaN sorts last
@@ -87,7 +93,8 @@ def spline_basis(x, n_knots):
     x : array_like
         Points to evaluate at (1-d).
     n_knots : int
-        Number of knots, at least 2.
+        Number of knots, an integer of at least 2
+        (:func:`~camt.kernel.check_count`).
 
     Returns
     -------

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import check_alpha, check_unit, clamp_pvalues, psi
+from .kernel import check_alpha, check_unit, clamp_pvalues, is_real, psi
 
 
 @dataclass
@@ -45,7 +45,8 @@ class MirrorStatistics:
     r : psi at one minus the p-value (the mirror statistic)
     t_up : the largest threshold the mirror argument supports,
         min_i psi_i(0.5); above it a rejection region would cross the
-        midpoint of the null distribution.
+        midpoint of the null distribution. A real scalar
+        (:func:`~camt.kernel.is_real`) in (0, 1].
 
     Not changed after it is built, so it caches the sorted candidate
     thresholds with their counts (``_candidates``), built on the first
@@ -62,7 +63,8 @@ class MirrorStatistics:
         self.r = check_unit("r", self.r, include_one=True)
         if self.s.shape != self.r.shape or self.s.ndim != 1:
             raise ValueError("s and r must be 1-d arrays of equal length")
-        if not 0.0 < self.t_up <= 1.0:
+        # the comparisons are false for NaN, so NaN fails too
+        if not (is_real(self.t_up) and 0.0 < self.t_up <= 1.0):
             raise ValueError("t_up must lie in (0, 1]")
 
     @cached_property
@@ -129,8 +131,12 @@ def select_threshold(stats, alpha, mixed_fitted=None):
     below, so when that bound exceeds alpha the block is skipped. The
     answer is the one an evaluation of every candidate gives, but only
     the candidates actually evaluated cost O(m) each.
+
+    A mixed_fitted whose shape is not that of stats, another fit's,
+    raises ValueError.
     """
     check_alpha(alpha)
+    _check_mixed_fitted(stats, mixed_fitted)
     candidates, num, den = stats._candidates
     if candidates.size == 0:
         return 0.0
@@ -147,10 +153,14 @@ def reject(stats, t_hat, mixed_fitted=None):
 
     fdp_hat is the estimate the selector compares with alpha, the mixed
     one when mixed_fitted is set to the fit's FittedHypotheses (as for
-    :func:`select_threshold`); at t_hat = 0 both read 1.
+    :func:`select_threshold`, and refused the same way when it is another
+    fit's); at t_hat = 0 both read 1. t_hat is a real scalar
+    (:func:`~camt.kernel.is_real`) in [0, 1].
     """
-    if not 0.0 <= t_hat <= 1.0:
+    # the comparisons are false for NaN, so NaN fails too
+    if not (is_real(t_hat) and 0.0 <= t_hat <= 1.0):
         raise ValueError("t_hat must lie in [0, 1]")
+    _check_mixed_fitted(stats, mixed_fitted)
     rejected = stats.s <= t_hat
     n_rejections = int(np.count_nonzero(rejected))
     expected = None if mixed_fitted is None else _expected_count(mixed_fitted, t_hat)
@@ -161,6 +171,17 @@ def reject(stats, t_hat, mixed_fitted=None):
         n_rejections=n_rejections,
         fdp_hat=float(fdp_hat),
     )
+
+
+def _check_mixed_fitted(stats, mixed_fitted):
+    """ValueError unless mixed_fitted is None or holds one fitted
+    hypothesis per statistic of stats: E(t) over another fit would price
+    the wrong hypotheses. A shape compare, no pass over the data."""
+    if mixed_fitted is not None and mixed_fitted.pi_hat.shape != stats.s.shape:
+        raise ValueError(
+            f"mixed_fitted of shape {mixed_fitted.pi_hat.shape} "
+            f"for statistics of shape {stats.s.shape}"
+        )
 
 
 def _fdp_hat(num, den, expected=None):

@@ -202,6 +202,26 @@ def test_lfdr_shifted_null_raises_small_p_lfdr():
     assert hi[1] > lo[1]
 
 
+@pytest.mark.parametrize("family", ["normal", "noncentral-gamma"])
+def test_lfdr_at_an_exact_zero_or_one_is_its_nearest_interior_value(family):
+    # z = -ndtri(p) is infinite at p = 0 or 1, which gave a NaN LFDR and
+    # a RuntimeWarning; an exact 0 or 1 now reads the LFDR of the double
+    # next to it, and every p inside (0, 1) keeps its own bits
+    truth = OracleTruth(pi0=np.full(4, 0.9), effect=np.full(4, 2.0), family=family)
+    p = np.array([0.0, 1e-300, 1.0, 0.5])
+    interior = np.array([np.nextafter(0.0, 1.0), 1e-300, np.nextafter(1.0, 0.0), 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = lfdr_values(p, truth)
+        want = lfdr_values(interior, truth)
+    assert np.array_equal(values, want)
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    assert values[0] < values[1] < values[3] <= values[2]
+    # the oracle ranks the most significant p-value first
+    order, _ = oracle_prepare(values)
+    assert order[0] == 0
+
+
 def test_oracle_all_null_rejects_nothing():
     truth = OracleTruth(pi0=np.ones(10), effect=np.full(10, 2.0))
     p = np.linspace(0.01, 0.95, 10)
@@ -261,6 +281,9 @@ def test_noncentral_gamma_mean_domain():
     for mean in (np.sqrt(2.0), 1.2, 0.0):
         with pytest.raises(ValueError):
             noncentral_gamma_params(mean)
+    # a NaN entry of an array gave a NaN scale and non-centrality
+    with pytest.raises(ValueError, match=r"^mean must exceed sqrt\(2\)"):
+        noncentral_gamma_params(np.array([2.0, np.nan]))
 
 
 def test_noncentral_gamma_pdf_moments_by_quadrature():

@@ -1,8 +1,8 @@
 """Tests for the closed-form kernel: surrogate density, the psi
 transform against the paper's weight form of the rejection rule, the
 p-value cutoff form as the library computes it (E(t)'s log form),
-clamping, the one p-value gate that every public entry passes, and
-winsorization."""
+clamping, the one p-value gate that every public entry passes, the
+scalar gates that every scalar entry passes, and winsorization."""
 
 import warnings
 
@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from camt.baselines import OracleTruth, bh, lfdr_values, storey
+from camt.baselines import OracleTruth, bh, lfdr_values, noncentral_gamma_params, storey
 from camt.diagnostics import gif, null_histogram_summary
 from camt.em import FittedHypotheses, fit
 from camt.kernel import (
     P_CLAMP,
     check_alpha,
+    check_count,
+    check_finite,
     check_pvalues,
     clamp_pvalues,
     is_integer,
@@ -24,7 +26,9 @@ from camt.kernel import (
     winsorize,
 )
 from camt.pipeline import fit_camt, run_camt
-from camt.threshold import _expected_count, mirror_statistics
+from camt.simulation import SimulationConfig, generate, resolve_workers
+from camt.splines import equiquantile_knots, spline_basis
+from camt.threshold import MirrorStatistics, _expected_count, mirror_statistics, reject
 
 
 def test_clamp_pvalues_endpoints_and_interior():
@@ -239,6 +243,112 @@ def test_check_alpha_refuses_what_is_not_a_real_scalar(alpha):
     ids=repr,
 )
 def test_is_integer_takes_python_and_numpy_integers_but_no_bool(x, expected):
-    # the count rule of spline_knots, SimulationConfig's m, n_replicates
-    # and seed, generate's replicate and resolve_workers' n_workers
+    # the type test of spline_knots and of check_count, the gate of
+    # SimulationConfig's m, n_replicates and seed, generate's replicate,
+    # resolve_workers' n_workers and the splines' n_knots
     assert is_integer(x) is expected
+
+
+# every public scalar argument, by the gate it passes, with the message
+# that gate gives; each entry is a call of the scalar alone
+_COUNT = "^{} must be an integer of at least {}, got "
+_FINITE = "^{} must be finite$"
+_KNOT_SAMPLE = np.linspace(0.0, 1.0, 50)
+_STATS = MirrorStatistics(s=np.array([0.1, 0.6]), r=np.array([0.7, 0.2]), t_up=0.8)
+_SCALAR_ENTRIES = {
+    "SimulationConfig.m": (lambda v: SimulationConfig(m=v), _COUNT.format("m", 1)),
+    "SimulationConfig.n_replicates": (
+        lambda v: SimulationConfig(n_replicates=v),
+        _COUNT.format("n_replicates", 1),
+    ),
+    "SimulationConfig.seed": (lambda v: SimulationConfig(seed=v), _COUNT.format("seed", 0)),
+    "generate.replicate": (
+        lambda v: generate(SimulationConfig(m=50, n_replicates=1), v),
+        _COUNT.format("replicate", 0),
+    ),
+    "resolve_workers": (resolve_workers, _COUNT.format("n_workers", 0)),
+    "equiquantile_knots": (
+        lambda v: equiquantile_knots(_KNOT_SAMPLE, v),
+        _COUNT.format("n_knots", 2),
+    ),
+    "spline_basis": (lambda v: spline_basis(_KNOT_SAMPLE, v), _COUNT.format("n_knots", 2)),
+    **{
+        f"SimulationConfig.{name}": (
+            lambda v, name=name: SimulationConfig(**{name: v}),
+            _FINITE.format(name),
+        )
+        for name in ("eta0", "k_d", "k_s", "k_f")
+    },
+    "OracleTruth.null_mean": (
+        lambda v: OracleTruth(pi0=np.full(2, 0.9), effect=np.full(2, 2.0), null_mean=v),
+        _FINITE.format("null_mean"),
+    ),
+    "noncentral_gamma_params": (
+        noncentral_gamma_params,
+        r"^mean must exceed sqrt\(2\) for a valid non-centrality$",
+    ),
+    "check_alpha": (check_alpha, r"^alpha must lie in \(0, 1\]$"),
+    "reject.t_hat": (lambda v: reject(_STATS, v), r"^t_hat must lie in \[0, 1\]$"),
+    "MirrorStatistics.t_up": (
+        lambda v: MirrorStatistics(s=_STATS.s, r=_STATS.r, t_up=v),
+        r"^t_up must lie in \(0, 1\]$",
+    ),
+}
+_COUNT_ENTRIES = (
+    "SimulationConfig.m",
+    "SimulationConfig.n_replicates",
+    "SimulationConfig.seed",
+    "generate.replicate",
+    "resolve_workers",
+    "equiquantile_knots",
+    "spline_basis",
+)
+_BAD_SCALARS = {
+    "True": True,
+    "nan": np.nan,
+    "inf": np.inf,
+    "1+0j": 1 + 0j,
+    "'3'": "3",
+    "None": None,
+}
+_BAD_COUNTS = {"3.5": 3.5, "np.float64(3.0)": np.float64(3.0)}
+# an infinite mean has a non-centrality, but not a finite one
+_OWN_MESSAGE = {("noncentral_gamma_params", "inf"): "^mean must be finite$"}
+_SCALAR_CASES = [
+    pytest.param(entry, case, id=f"{entry}-{case}")
+    for entry in _SCALAR_ENTRIES
+    for case in [*_BAD_SCALARS, *(_BAD_COUNTS if entry in _COUNT_ENTRIES else ())]
+    if (entry, case) != ("resolve_workers", "None")  # None reads CAMT_THREADS
+]
+
+
+@pytest.mark.parametrize("entry, case", _SCALAR_CASES)
+def test_every_scalar_entry_refuses_what_its_gate_refuses(entry, case):
+    # 3.5 knots built a 4-column basis on the j/4.5 quantiles, a NaN,
+    # infinite or complex null_mean gave NaN or complex LFDRs, reject took
+    # True as t_hat 1.0, t_up kept True, and a NaN mean gave (nan, nan)
+    call, message = _SCALAR_ENTRIES[entry]
+    value = {**_BAD_SCALARS, **_BAD_COUNTS}[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before a cast can warn
+        with pytest.raises(ValueError, match=_OWN_MESSAGE.get((entry, case), message)):
+            call(value)
+
+
+def test_scalar_gates_return_what_they_take():
+    # a count comes back as a Python int, a finite parameter unchanged,
+    # so an integer-valued effect parameter stays an int in a sweep header
+    assert type(check_count("n_knots", np.int32(3), 2)) is int
+    assert type(check_finite("k_s", 3)) is int
+    config = SimulationConfig(eta0=2, k_d=1, k_s=3, k_f=0)
+    assert (config.eta0, config.k_d, config.k_s, config.k_f) == (2, 1, 3, 0)
+    basis, knots = spline_basis(_KNOT_SAMPLE, np.int32(3))
+    want_basis, want_knots = spline_basis(_KNOT_SAMPLE, 3)
+    assert np.array_equal(basis, want_basis) and np.array_equal(knots, want_knots)
+    p = np.array([0.01, 0.5])
+    truth = dict(pi0=np.full(2, 0.9), effect=np.full(2, 2.0))
+    assert np.array_equal(
+        lfdr_values(p, OracleTruth(**truth, null_mean=0)),
+        lfdr_values(p, OracleTruth(**truth, null_mean=0.0)),
+    )
+    assert noncentral_gamma_params(2) == noncentral_gamma_params(2.0)

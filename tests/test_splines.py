@@ -55,7 +55,7 @@ def test_knots_approach_theoretical_quantiles():
 
 
 def test_knots_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_knots must be an integer of at least 2, got 1$"):
         equiquantile_knots(np.arange(10.0), 1)
     with pytest.raises(ValueError):
         equiquantile_knots(np.arange(3.0), 4)

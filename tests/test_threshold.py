@@ -257,6 +257,23 @@ def test_a_statistic_that_rounds_to_one_is_a_candidate():
         assert result.fdp_hat == max(1.0, expected, mirror_count) / 500
 
 
+def test_a_mixed_selection_refuses_another_fits_hypotheses():
+    # E(t) over a fit of 1000 hypotheses used to price the 3000
+    # statistics of another fit without an error
+    def fitted(m):
+        return FittedHypotheses(pi_hat=np.full(m, 0.9), k_hat=np.full(m, 0.5))
+
+    stats = mirror_statistics(np.linspace(0.001, 0.999, 3000), fitted(3000))
+    message = r"^mixed_fitted of shape \(1000,\) for statistics of shape \(3000,\)$"
+    with pytest.raises(ValueError, match=message):
+        reject(stats, 0.3, mixed_fitted=fitted(1000))
+    with pytest.raises(ValueError, match=message):
+        select_threshold(stats, 0.3, mixed_fitted=fitted(1000))
+    # the fit's own hypotheses are taken
+    t_hat = select_threshold(stats, 0.3, mixed_fitted=fitted(3000))
+    assert reject(stats, t_hat, mixed_fitted=fitted(3000)).t_hat == t_hat
+
+
 # ----------------------------------------------------------------------
 # mixed estimate: reject's fdp_hat with mixed_fitted, E(t) = _expected_count
 
