@@ -65,7 +65,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -126,13 +125,7 @@ class EmTrace:
 
 @dataclass
 class FittedHypotheses:
-    """Per-hypothesis estimates: winsorized pi_hat and k_hat.
-
-    Not changed after it is built, so it caches what is derived from it:
-    the terms of the mixed selection's expected null count
-    (``_cutoff_terms``), built on first use and shared by every
-    selection on the fit.
-    """
+    """Per-hypothesis estimates: winsorized pi_hat and k_hat."""
 
     pi_hat: np.ndarray
     k_hat: np.ndarray
@@ -142,14 +135,6 @@ class FittedHypotheses:
         self.k_hat = check_unit("k_hat", self.k_hat)
         if self.pi_hat.shape != self.k_hat.shape:
             raise ValueError("pi_hat and k_hat must have identical shapes")
-
-    @cached_property
-    def _cutoff_terms(self):
-        """log((1-k)(1-pi)/pi) and 1/k: log c(t, pi, k) is
-        min(0, (logit t + the first) * the second), see
-        :func:`camt.threshold._expected_count`."""
-        pi, k = self.pi_hat, self.k_hat
-        return np.log1p(-k) + np.log1p(-pi) - np.log(pi), 1.0 / k
 
 
 @dataclass

@@ -26,9 +26,8 @@ class CamtFit(FitResult):
 
     def select(self, alpha, mixed=False):
         """Threshold search plus rejection at target level alpha."""
-        # the fit itself: every selection on it shares the one build of
-        # E(t)'s terms, which the fit keeps; by keyword, as
-        # bench/tracing.py names the select span from it
+        # the fit itself prices E(t) for a mixed selection; by keyword,
+        # as bench/tracing.py names the select span from it
         mixed_fitted = self.fitted if mixed else None
         t_hat = select_threshold(self.stats, alpha, mixed_fitted=mixed_fitted)
         return reject(self.stats, t_hat, mixed_fitted=mixed_fitted)

@@ -15,10 +15,11 @@ of the plain estimate's +1: under either estimate, n rejections are
 admissible only at levels of at least 1 / n. Both are written once, in
 ``_fdp_hat``, which the selectors and :func:`reject` share. The mixed
 mode takes the fit itself, a :class:`~camt.em.FittedHypotheses`, as
-``mixed_fitted``; E(t)'s per-hypothesis terms are built once per fit and
-kept with it, as the sorted statistics are kept with their
+``mixed_fitted``, and E(t) is written here alone, in
+``_expected_count``, from the fit's pi_hat and k_hat at each threshold
+it is asked for. The sorted statistics are kept with their
 :class:`MirrorStatistics`, so any number of selections on one fit share
-one build of each.
+one sort.
 
 The selector returns the largest threshold up to t_up whose estimate
 stays at or below the target. The s-side uses <= and the r-side strict
@@ -130,7 +131,8 @@ def select_threshold(stats, alpha, mixed_fitted=None):
     block's largest candidate bounds every estimate in the block from
     below, so when that bound exceeds alpha the block is skipped. The
     answer is the one an evaluation of every candidate gives, but only
-    the candidates actually evaluated cost O(m) each.
+    the candidates actually evaluated cost O(m) each: E(t) at one
+    threshold is a few passes over the fit's pi_hat and k_hat.
 
     A mixed_fitted whose shape is not that of stats, another fit's,
     raises ValueError.
@@ -163,7 +165,10 @@ def reject(stats, t_hat, mixed_fitted=None):
     _check_mixed_fitted(stats, mixed_fitted)
     rejected = stats.s <= t_hat
     n_rejections = int(np.count_nonzero(rejected))
-    expected = None if mixed_fitted is None else _expected_count(mixed_fitted, t_hat)
+    # at t_hat = 0, E(0) = 0 and the mirror count is 0, so the mixed
+    # estimate is the plain one and needs no pass over the fit
+    mixed = mixed_fitted is not None and t_hat > 0.0
+    expected = _expected_count(mixed_fitted, t_hat) if mixed else None
     fdp_hat = _fdp_hat(int(np.count_nonzero(stats.r < t_hat)), n_rejections, expected)
     return RejectionResult(
         t_hat=float(t_hat),
@@ -230,18 +235,14 @@ def _expected_count(fitted, t):
     exp(min(0, (logit t + log((1-k)(1-pi)/pi)) / k)), so the min
     against one costs nothing; at t = 0 (logit -inf) every cutoff is 0
     and E(0) = 0, at t = 1 (logit inf) every cutoff is 1 and
-    E(1) = sum(pi). The per-hypothesis terms, four O(m) passes, are the
-    fit's ``_cutoff_terms``, built at its first call with t > 0; E(0) is
-    returned without them.
+    E(1) = sum(pi).
     """
-    if t == 0.0:
-        return 0.0
-    log_pref, inv_k = fitted._cutoff_terms
+    pi, k = fitted.pi_hat, fitted.k_hat
     ts = np.array([t], dtype=float)
     with np.errstate(divide="ignore"):
         logit_t = np.log(ts) - np.log1p(-ts)
-    logc = logit_t + log_pref
-    logc *= inv_k
+    logc = logit_t + (np.log1p(-k) + np.log1p(-pi) - np.log(pi))
+    logc *= 1.0 / k
     np.minimum(logc, 0.0, out=logc)
     np.exp(logc, out=logc)
     return float(logc @ fitted.pi_hat)

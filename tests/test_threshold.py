@@ -386,46 +386,43 @@ def _count_builds(monkeypatch, cls, name):
     return builds
 
 
-def test_a_mixed_selection_builds_the_expected_count_at_most_once(monkeypatch):
-    # building E(t)'s per-hypothesis terms is four O(m) passes; a fit
-    # builds them at its first mixed selection with t > 0 and keeps them,
-    # so every later selection on it shares that build, whether through
-    # CamtFit.select or direct select_threshold and reject calls, and
-    # E(0) = 0 needs none
-    builds = _count_builds(monkeypatch, FittedHypotheses, "_cutoff_terms")
+def test_a_mixed_select_is_select_threshold_then_reject():
+    # CamtFit.select with mixed=True is the two public calls with the fit
+    # as mixed_fitted, and at t = 0 the mixed estimate reads 1 with E(0) = 0
     data = generate(SimulationConfig(setup="S0", m=3000, seed=7), 0)
     state = fit_camt(data.pvals, data.covariates)
-    assert reject(state.stats, 0.0, mixed_fitted=state.fitted).fdp_hat == 1.0
     assert _expected_count(state.fitted, 0.0) == 0.0
-    assert builds == []
-    results = []
+    assert reject(state.stats, 0.0, mixed_fitted=state.fitted).fdp_hat == 1.0
     for alpha in (0.05, 0.1, 0.2):
         got = state.select(alpha, mixed=True)
-        assert got.t_hat > 0.0 and builds == [3000]
+        assert got.t_hat > 0.0
         t_hat = select_threshold(state.stats, alpha, mixed_fitted=state.fitted)
         want = reject(state.stats, t_hat, mixed_fitted=state.fitted)
-        assert (got.t_hat, got.fdp_hat) == (want.t_hat, want.fdp_hat)
+        assert (got.t_hat, got.n_rejections, got.fdp_hat) == (
+            want.t_hat,
+            want.n_rejections,
+            want.fdp_hat,
+        )
         assert np.array_equal(got.rejected, want.rejected)
-        state.select(alpha)
-        results.append(got)
-    assert builds == [3000]
-    # the kept terms give what a fresh copy of the fit builds for itself
-    fresh = FittedHypotheses(pi_hat=state.fitted.pi_hat.copy(), k_hat=state.fitted.k_hat.copy())
-    for alpha, got in zip((0.05, 0.1, 0.2), results):
-        t_hat = select_threshold(state.stats, alpha, mixed_fitted=fresh)
-        want = reject(state.stats, t_hat, mixed_fitted=fresh)
-        assert (got.t_hat, got.fdp_hat) == (want.t_hat, want.fdp_hat)
-    assert builds == [3000, 3000]
-    # a complete null: no candidate survives the mirror screen, so the
-    # selection evaluates E(t) nowhere and rejects at t_hat = 0
-    builds.clear()
+
+
+def test_a_complete_null_mixed_selection_evaluates_no_expected_count(monkeypatch):
+    # no candidate survives the mirror screen, so the selection rejects
+    # nothing at t_hat = 0, where the estimate reads 1 without E(t)
     data = generate(SimulationConfig(setup="complete-null", m=2000, seed=0), 0)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "EM did not converge", RuntimeWarning)
         state = fit_camt(data.pvals, data.covariates)
+    evaluated = []
+
+    def counted(fitted, t):
+        evaluated.append(t)
+        return _expected_count(fitted, t)
+
+    monkeypatch.setattr("camt.threshold._expected_count", counted)
     got = state.select(0.05, mixed=True)
     assert (got.t_hat, got.n_rejections, got.fdp_hat) == (0.0, 0, 1.0)
-    assert builds == []
+    assert evaluated == []
 
 
 def test_the_statistics_are_sorted_once_per_fit(monkeypatch):
