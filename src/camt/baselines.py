@@ -19,6 +19,8 @@ from .kernel import check_alpha, check_finite, check_pvalues, real_array
 STOREY_LAMBDA = 0.5  # the tail above it estimates the null fraction
 # the doubles next to 0 and 1, where lfdr_values evaluates an exact 0 or 1
 _P_INTERIOR = (np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+# the largest lam numpy's Generator.poisson takes, int64 max - 10 sqrt(int64 max)
+_POISSON_LAM_MAX = 9.223372006484771e18
 
 
 def bh(pvals, alpha):
@@ -107,11 +109,13 @@ def noncentral_gamma_params(mean):
     var = scale^2 (shape + 2 delta). For shape 2 and unit variance the
     non-centrality solves delta^2 + (4 - 2 mean^2) delta
     + (4 - 2 mean^2) = 0, which has a positive root exactly when
-    mean > sqrt(2).
+    mean > sqrt(2). delta grows like 2 mean^2, and it must stay below
+    the largest lam numpy's Poisson sampler takes,
+    9.223372006484771e18, which caps the mean at about 2.147e9.
 
-    mean is a real scalar or array, every entry finite and above
-    sqrt(2); anything else raises ValueError. A NaN entry, and a bool,
-    complex, string or None mean, get the sqrt(2) message.
+    mean is a real scalar or array, every entry finite, above sqrt(2)
+    and below that cap; anything else raises ValueError. A NaN entry,
+    and a bool, complex, string or None mean, get the sqrt(2) message.
     """
     mean = np.asarray(mean)
     # the comparison is false for NaN, so NaN fails too
@@ -120,8 +124,15 @@ def noncentral_gamma_params(mean):
     if not np.isfinite(mean).all():
         raise ValueError("mean must be finite")
     mean = mean.astype(float, copy=False)
-    b = 2.0 * mean**2 - 4.0
+    # a mean of 1e10 already puts delta past the limit, so squaring the
+    # mean clipped there cannot overflow and refuses the same means
+    b = 2.0 * np.minimum(mean, 1e10) ** 2 - 4.0
     delta = 0.5 * (b + np.sqrt(b * (b + 4.0)))
+    if not np.all(delta < _POISSON_LAM_MAX):
+        raise ValueError(
+            "mean must give a non-centrality below numpy's Poisson limit "
+            f"{_POISSON_LAM_MAX!r}, so at most about 2.147e9"
+        )
     scale = mean / (2.0 + delta)
     return scale, delta
 

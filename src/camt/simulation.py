@@ -373,7 +373,10 @@ def resolve_workers(n_workers=None):
     """Worker count: explicit argument, else CAMT_THREADS, else the CPUs
     this process may run on (its affinity mask where the platform has
     one, os.cpu_count() elsewhere). Either of the first two is an integer
-    of at least 0, where 0 means 1; ValueError naming it otherwise."""
+    of at least 0, where 0 means 1; ValueError naming it otherwise.
+    CAMT_THREADS is read as plain ASCII decimal digits: blanks, a plus
+    sign, underscores and non-ASCII digits are refused as not an
+    integer, a minus sign as below 0. Unset or empty, it is ignored."""
     if n_workers is not None:
         return max(1, check_count("n_workers", n_workers, 0))
     env = os.environ.get("CAMT_THREADS")
@@ -381,11 +384,11 @@ def resolve_workers(n_workers=None):
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))  # never empty
         return max(1, os.cpu_count() or 1)
-    try:
-        n_workers = int(env)
-    except ValueError:
-        raise ValueError(f"CAMT_THREADS must be an integer, got {env!r}") from None
-    return max(1, check_count("CAMT_THREADS", n_workers, 0))
+    # int() would also take "1_6", " +2 " and "２"
+    digits = env[1:] if env.startswith("-") else env
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"CAMT_THREADS must be an integer, got {env!r}")
+    return max(1, check_count("CAMT_THREADS", int(env), 0))
 
 
 def _run_replicate(config, replicate, procedure_names):

@@ -107,9 +107,23 @@ def spline_basis(x, n_knots):
 
 
 def evaluate_basis(x, knots):
-    """Evaluate the natural spline basis for the given knots at x."""
+    """Evaluate the natural spline basis for the given knots at x.
+
+    x is finite and knots a 1-d, finite, strictly increasing array of
+    at least 2 values; anything else raises ValueError, where a NaN
+    would give a NaN row or column.
+    """
     x = np.asarray(x, dtype=float)
     knots = np.asarray(knots, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
+    if not (
+        knots.ndim == 1
+        and knots.size >= 2
+        and np.isfinite(knots).all()
+        and np.all(np.diff(knots) > 0.0)
+    ):
+        raise ValueError("knots must be a finite, strictly increasing 1-d array of at least 2 values")
     kk = knots.size
     cols = np.empty((x.size, kk))
     cols[:, 0] = 1.0

@@ -284,6 +284,14 @@ def test_noncentral_gamma_mean_domain():
     # a NaN entry of an array gave a NaN scale and non-centrality
     with pytest.raises(ValueError, match=r"^mean must exceed sqrt\(2\)"):
         noncentral_gamma_params(np.array([2.0, np.nan]))
+    # delta must stay below the largest lam rng.poisson takes; 1e200
+    # overflowed to (0.0, inf) with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mean in (2147483645.0, 3e9, 1e200, np.array([2.0, 1e300])):
+            with pytest.raises(ValueError, match="^mean must give a non-centrality below numpy's"):
+                noncentral_gamma_params(mean)
+        assert noncentral_gamma_params(2147483644.0)[1] < 9.223372006484771e18
 
 
 def test_noncentral_gamma_pdf_moments_by_quadrature():

@@ -691,22 +691,30 @@ def test_simulate_rejects_unknown_setup(tmp_path, capsys):
 
 
 def test_simulate_refuses_an_s1_effect_without_a_gamma_law(tmp_path, capsys):
-    # k_s <= sqrt(2) has no unit-variance non-central gamma; it is refused
-    # before the sweep starts
+    # k_s <= sqrt(2) has no unit-variance non-central gamma, and 3e9 one
+    # whose non-centrality rng.poisson refuses (it failed inside the sweep
+    # with exit code 2); both are refused before the sweep starts
     out_path = tmp_path / "o.csv"
-    code = main(
-        [
-            "simulate",
-            "--setup", "S1",
-            "--ks", "1.2",
-            "--reps", "1",
-            "--output", str(out_path),
-        ]
-    )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err == "error: mean must exceed sqrt(2) for a valid non-centrality\n"
-    assert not out_path.exists()
+    for k_s, message in (
+        ("1.2", "mean must exceed sqrt(2) for a valid non-centrality"),
+        (
+            "3e9",
+            "mean must give a non-centrality below numpy's Poisson limit "
+            "9.223372006484771e+18, so at most about 2.147e9",
+        ),
+    ):
+        code = main(
+            [
+                "simulate",
+                "--setup", "S1",
+                "--ks", k_s,
+                "--reps", "1",
+                "--output", str(out_path),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_path.exists()
 
 
 @pytest.mark.parametrize("option, field", [("--kd", "k_d"), ("--ks", "k_s")])
@@ -808,12 +816,14 @@ def test_simulate_defaults_to_the_default_procedures(tmp_path, capsys):
 
 
 def test_simulate_names_a_malformed_thread_count(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CAMT_THREADS", "abc")
+    # only ASCII digits are a count: int() took "1_6" as 16 and " +2 " as 2
     out_path = tmp_path / "o.csv"
     args = ["simulate", "--setup", "S0", "--m", "1000", "--reps", "1"]
-    assert main([*args, "--output", str(out_path)]) == 1
-    assert "error: CAMT_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
-    assert not out_path.exists()
+    for env in ("abc", "1_6", " +2 ", "\uff12", "\u0663"):
+        monkeypatch.setenv("CAMT_THREADS", env)
+        assert main([*args, "--output", str(out_path)]) == 1
+        assert f"error: CAMT_THREADS must be an integer, got {env!r}" in capsys.readouterr().err
+        assert not out_path.exists()
 
 
 def test_simulate_refuses_a_negative_thread_count(tmp_path, capsys, monkeypatch):

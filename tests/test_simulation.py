@@ -3,6 +3,7 @@
 import concurrent.futures
 import io
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -245,6 +246,17 @@ def test_config_validation():
         with pytest.raises(ValueError, match=r"mean must exceed sqrt\(2\)"):
             SimulationConfig(setup="S1", k_s=k_s)
     assert SimulationConfig(setup="S1", k_s=1.5).k_s == 1.5
+    # and a non-centrality rng.poisson takes, up to k_s of about 2.1e9:
+    # 3e9 failed inside generate ("lam value too large"), and 1e200
+    # overflowed in noncentral_gamma_params
+    limit = re.escape("non-centrality below numpy's Poisson limit 9.223372006484771e+18")
+    for k_s in (3e9, 1e200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^mean must give a {limit}"):
+                SimulationConfig(setup="S1", k_s=k_s)
+    data = generate(SimulationConfig(setup="S1", k_s=1e9, m=100), 0)
+    assert data.is_alternative.any() and np.all(data.z[data.is_alternative] > 1e8)
     assert SimulationConfig(setup="S0", k_s=1.2).k_s == 1.2
     # the effect parameters must be finite: a NaN k_d made every
     # hypothesis silently null, as rng.random(m) < 1 - expit(nan) is False
@@ -336,9 +348,12 @@ def test_resolve_workers(monkeypatch):
     assert resolve_workers(5) == 5  # explicit argument wins
     monkeypatch.setenv("CAMT_THREADS", "0")
     assert resolve_workers() == 1
-    monkeypatch.setenv("CAMT_THREADS", "abc")
-    with pytest.raises(ValueError, match="CAMT_THREADS must be an integer"):
-        resolve_workers()
+    # int() read "1_6" as 16 and " +2 " as 2: only ASCII digits are a count
+    for env in ("abc", "1_6", " +2 ", "2 ", "\uff12", "\u0663", "\u00b2", "-", "--1"):
+        monkeypatch.setenv("CAMT_THREADS", env)
+        message = re.escape(f"CAMT_THREADS must be an integer, got {env!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            resolve_workers()
     # a negative count used to give one worker, as 0 does
     monkeypatch.setenv("CAMT_THREADS", "-4")
     with pytest.raises(ValueError, match="^CAMT_THREADS must be an integer of at least 0, got -4$"):
@@ -350,6 +365,9 @@ def test_resolve_workers(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert resolve_workers() == 1
+    monkeypatch.setenv("CAMT_THREADS", "")  # empty, as unset
+    assert resolve_workers() == 1
+    monkeypatch.delenv("CAMT_THREADS")
     assert resolve_workers(3) == 3
     # where os has no affinity call, the host's count, at least 1
     monkeypatch.delattr(os, "sched_getaffinity")

@@ -70,6 +70,30 @@ def test_knots_validation():
             equiquantile_knots(np.append(np.arange(10.0), bad), 3)
 
 
+def test_evaluate_basis_refuses_what_would_give_nan():
+    # a NaN x gave a NaN row, and a repeated knot a NaN column with a
+    # RuntimeWarning
+    knots = np.array([0.0, 0.5, 1.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^x must be finite$"):
+            evaluate_basis([0.1, bad, 0.7], knots)
+    message = "^knots must be a finite, strictly increasing 1-d array of at least 2 values$"
+    for bad_knots in (
+        [0.0, 1.0, 1.0],
+        [0.0, 0.5, 0.4, 1.0],
+        [1.0, 0.0],
+        [0.0, np.nan, 1.0],
+        [0.0, 0.5, np.inf],
+        [-np.inf, 0.5, 1.0],
+        [0.5],
+        [],
+        [[0.0, 0.5, 1.0]],
+    ):
+        with pytest.raises(ValueError, match=message):
+            evaluate_basis([0.1, 0.7], bad_knots)
+    assert evaluate_basis([0.1, 0.7], knots).shape == (2, 3)
+
+
 def test_basis_shape_and_leading_columns():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(500)
