@@ -123,7 +123,9 @@ def evaluate_basis(x, knots):
         and np.isfinite(knots).all()
         and np.all(np.diff(knots) > 0.0)
     ):
-        raise ValueError("knots must be a finite, strictly increasing 1-d array of at least 2 values")
+        raise ValueError(
+            "knots must be a finite, strictly increasing 1-d array of at least 2 values"
+        )
     kk = knots.size
     cols = np.empty((x.size, kk))
     cols[:, 0] = 1.0

@@ -245,4 +245,4 @@ def _expected_count(fitted, t):
     logc *= 1.0 / k
     np.minimum(logc, 0.0, out=logc)
     np.exp(logc, out=logc)
-    return float(logc @ fitted.pi_hat)
+    return float(logc @ pi)
