@@ -14,7 +14,7 @@ from math import lgamma
 import numpy as np
 
 from ._special import ndtri
-from .kernel import check_alpha, check_finite, check_pvalues, real_array
+from .kernel import check_alpha, check_finite, check_finite_array, check_pvalues, real_array
 
 STOREY_LAMBDA = 0.5  # the tail above it estimates the null fraction
 # the doubles next to 0 and 1, where lfdr_values evaluates an exact 0 or 1
@@ -76,8 +76,9 @@ class OracleTruth:
         shifted-null setups
 
     pi0 and effect are real arrays of one shape (:func:`real_array`
-    refuses a complex one), every pi0 in [0, 1] and every effect
-    finite, and null_mean is a finite real scalar
+    refuses a complex, string or object one), every pi0 in [0, 1] and
+    every effect finite (:func:`~camt.kernel.check_finite_array`), and
+    null_mean is a finite real scalar
     (:func:`~camt.kernel.check_finite`); anything else raises ValueError.
     """
 
@@ -88,7 +89,7 @@ class OracleTruth:
 
     def __post_init__(self):
         self.pi0 = real_array("pi0", self.pi0)
-        self.effect = real_array("effect", self.effect)
+        self.effect = check_finite_array("effect", self.effect)
         if self.family not in ("normal", "noncentral-gamma"):
             raise ValueError(f"unknown family {self.family!r}")
         if self.pi0.shape != self.effect.shape:
@@ -96,8 +97,6 @@ class OracleTruth:
         # the comparisons are false for NaN, so NaN fails too
         if self.pi0.size and not (self.pi0.min() >= 0.0 and self.pi0.max() <= 1.0):
             raise ValueError("pi0 must lie in [0, 1]")
-        if not np.isfinite(self.effect).all():
-            raise ValueError("effect must be finite")
         check_finite("null_mean", self.null_mean)
 
 

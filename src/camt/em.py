@@ -69,7 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import check_unit, clamp_pvalues, is_integer, real_array, winsorize
+from .kernel import check_finite_array, check_unit, clamp_pvalues, is_integer, winsorize
 from .splines import spline_basis
 
 # Fitted k values are pulled off the exact endpoints so that downstream
@@ -184,13 +184,11 @@ def build_design(covariates, spline_knots=0):
         deviation overflows) or has too few distinct values for the
         spline knots.
     """
-    x = real_array("covariates", covariates)
+    x = check_finite_array("covariates", covariates)
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2:
         raise ValueError("covariates must be a 1-d or 2-d array")
-    if x.size and not np.all(np.isfinite(x)):
-        raise ValueError("covariates must be finite")
     _check_spline_knots(spline_knots)
     m, q = x.shape
     columns = [np.ones(m)]
@@ -338,11 +336,9 @@ def fit(design, pvals):
 
 
 def _prepare(design, pvals):
-    X = np.asfortranarray(real_array("design", design))
+    X = np.asfortranarray(check_finite_array("design", design))
     if X.ndim != 2:
         raise ValueError("design must be 2-d")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("design must be finite")
     if X.size and not np.all(X[:, 0] == 1.0):
         raise ValueError("design must carry an all-ones intercept in column 0")
     p = clamp_pvalues(pvals)

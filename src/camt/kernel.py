@@ -5,14 +5,18 @@ thresholding and simulation layers: the one-parameter beta surrogate for
 the alternative p-value density and the psi transform that turns a
 p-value into the statistic the mirror estimator operates on, plus the
 range checks every layer applies to p-values and to quantities in the
-unit interval, the cast that refuses a complex array before it becomes
-float64, and the gates of scalar arguments.
+unit interval, the array gates and the gates of scalar arguments.
 
+Every array gate starts with :func:`real_array`, the cast of a bool,
+integer or float array to float64 that refuses any other dtype.
 :func:`check_pvalues` is the one gate of a p-value array: every public
 function that takes p-values, one per hypothesis, passes them through
 it, directly or by :func:`clamp_pvalues`, and it refuses anything but a
-real 1-d array with every entry in [0, 1]. The formulas and the other
-range checks broadcast over numpy arrays and accept plain floats.
+real 1-d array with every entry in [0, 1]. :func:`check_finite_array`
+is the one gate of the covariates, a design, a spline's points and the
+oracle's effects; each caller adds its own shape rule. The formulas and
+the other range checks broadcast over numpy arrays and accept plain
+floats.
 
 Each kind of scalar argument has one gate here, built on the two type
 tests :func:`is_real` and :func:`is_integer`: :func:`check_alpha` for a
@@ -60,16 +64,28 @@ def clamp_pvalues(pvals):
 
 
 def real_array(name, x):
-    """x as a float64 array; ValueError naming name when x is complex.
-
-    A float cast would keep the real part and drop the rest with no more
-    than numpy's ComplexWarning, so a complex dtype is refused even where
-    every imaginary part is zero.
-    """
+    """x as a float64 array; ValueError naming name unless its dtype is
+    bool, integer or float. A complex array is refused even where every
+    imaginary part is zero (a float cast would drop them with only
+    numpy's ComplexWarning), a string or object one before numpy parses
+    it."""
     x = np.asarray(x)
     if x.dtype.kind == "c":
         raise ValueError(f"{name} must be real, not complex")
+    if x.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be a real numeric array, not dtype {x.dtype}")
     return x.astype(float, copy=False)
+
+
+def check_finite_array(name, x):
+    """x as a float64 array (:func:`real_array`); ValueError naming name
+    unless every entry is finite. The one gate of a finite real array in
+    the package; the caller's float64 array is returned as it is, not
+    copied, and the caller checks its shape."""
+    x = real_array(name, x)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
+    return x
 
 
 def check_pvalues(pvals):

@@ -9,46 +9,73 @@ then {1, x, d_1 - d_{K-1}, ..., d_{K-2} - d_{K-1}} spans the space of
 cubic splines on the knots that are linear beyond the boundary knots
 xi_1 and xi_K. The span has dimension K, counting the constant.
 
-The knot count passes :func:`camt.kernel.check_count` with a floor of 2:
-an integer, so 3.5, np.float64(3.0) and True are refused, as
-:func:`camt.em.build_design` refuses them, rather than read as a count.
+spline_basis is the module's one public function and the one place
+that checks its arguments: x passes :func:`camt.kernel.check_finite_array`
+and must be 1-d, and the knot count passes
+:func:`camt.kernel.check_count` with a floor of 2, so 3.5,
+np.float64(3.0) and True are refused, as :func:`camt.em.build_design`
+refuses them, rather than read as a count. The private helpers re-check
+none of it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kernel import check_count
+from .kernel import check_count, check_finite_array
 
 
-def equiquantile_knots(x, n_knots):
-    """Knot locations at the empirical j/(n_knots+1) quantiles of x.
+def spline_basis(x, n_knots):
+    """Natural cubic spline basis evaluated at x.
 
-    The knots equal ``np.quantile(x, j / (n_knots + 1))`` with numpy's
-    default "linear" method, bit for bit, from one sort of x that also
-    counts its distinct values; np.quantile and np.unique would import
-    numpy.ma, a cost a fresh process notices.
+    Knots sit at the empirical equiquantile points of x (see
+    :func:`_equiquantile_knots`). The returned matrix has n_knots
+    columns spanning the full natural-spline space on those knots:
+    column 0 is the constant, column 1 the identity, and the remaining
+    columns the curvature terms. Callers that already carry an
+    intercept should drop column 0.
+
+    Every column is twice continuously differentiable and linear
+    outside [knots[0], knots[-1]].
 
     Parameters
     ----------
     x : array_like
-        Finite covariate sample, at least n_knots distinct values.
+        Points to evaluate at: a finite, real 1-d sample of at least
+        n_knots distinct values.
     n_knots : int
         Number of knots, an integer of at least 2
         (:func:`~camt.kernel.check_count`).
 
     Returns
     -------
-    numpy.ndarray
-        Strictly increasing knot vector of length n_knots.
+    basis : numpy.ndarray, shape (len(x), n_knots)
+    knots : numpy.ndarray, shape (n_knots,)
+
+    Raises
+    ------
+    ValueError
+        For arguments the gates refuse, and for a degenerate x: fewer
+        than n_knots distinct values, or equiquantile knots that collide.
     """
     n_knots = check_count("n_knots", n_knots, 2)
-    x = np.asarray(x, dtype=float)
+    x = check_finite_array("x", x)
     if x.ndim != 1 or x.size < n_knots:
         raise ValueError("x must be a 1-d sample with at least n_knots values")
-    s = np.sort(x)  # NaN sorts last
-    if not (np.isfinite(s[0]) and np.isfinite(s[-1])):
-        raise ValueError("x must be finite")
+    knots = _equiquantile_knots(x, n_knots)
+    return _evaluate_basis(x, knots), knots
+
+
+def _equiquantile_knots(x, n_knots):
+    """Strictly increasing knots at the empirical j/(n_knots+1)
+    quantiles of the checked sample x (:func:`spline_basis`).
+
+    The knots equal ``np.quantile(x, j / (n_knots + 1))`` with numpy's
+    default "linear" method, bit for bit, from one sort of x that also
+    counts its distinct values; np.quantile and np.unique would import
+    numpy.ma, a cost a fresh process notices.
+    """
+    s = np.sort(x)
     # n_knots distinct knots can still sit on fewer distinct values (a
     # balanced 0/1 column gets knots 0, 0.5, 1), and the basis then has
     # fewer distinct rows than columns
@@ -75,57 +102,9 @@ def equiquantile_knots(x, n_knots):
     return knots
 
 
-def spline_basis(x, n_knots):
-    """Natural cubic spline basis evaluated at x.
-
-    Knots sit at the empirical equiquantile points of x (see
-    :func:`equiquantile_knots`). The returned matrix has n_knots
-    columns spanning the full natural-spline space on those knots:
-    column 0 is the constant, column 1 the identity, and the remaining
-    columns the curvature terms. Callers that already carry an
-    intercept should drop column 0.
-
-    Every column is twice continuously differentiable and linear
-    outside [knots[0], knots[-1]].
-
-    Parameters
-    ----------
-    x : array_like
-        Points to evaluate at (1-d).
-    n_knots : int
-        Number of knots, an integer of at least 2
-        (:func:`~camt.kernel.check_count`).
-
-    Returns
-    -------
-    basis : numpy.ndarray, shape (len(x), n_knots)
-    knots : numpy.ndarray, shape (n_knots,)
-    """
-    x = np.asarray(x, dtype=float)
-    knots = equiquantile_knots(x, n_knots)
-    return evaluate_basis(x, knots), knots
-
-
-def evaluate_basis(x, knots):
-    """Evaluate the natural spline basis for the given knots at x.
-
-    x is finite and knots a 1-d, finite, strictly increasing array of
-    at least 2 values; anything else raises ValueError, where a NaN
-    would give a NaN row or column.
-    """
-    x = np.asarray(x, dtype=float)
-    knots = np.asarray(knots, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError("x must be finite")
-    if not (
-        knots.ndim == 1
-        and knots.size >= 2
-        and np.isfinite(knots).all()
-        and np.all(np.diff(knots) > 0.0)
-    ):
-        raise ValueError(
-            "knots must be a finite, strictly increasing 1-d array of at least 2 values"
-        )
+def _evaluate_basis(x, knots):
+    """The natural spline basis of the strictly increasing knots (at
+    least 2) at the finite 1-d x."""
     kk = knots.size
     cols = np.empty((x.size, kk))
     cols[:, 0] = 1.0

@@ -2,7 +2,9 @@
 transform against the paper's weight form of the rejection rule, the
 p-value cutoff form as the library computes it (E(t)'s log form),
 clamping, the one p-value gate that every public entry passes, the
-scalar gates that every scalar entry passes, and winsorization."""
+finite-array gate that every covariate, design, spline and effect entry
+passes, the scalar gates that every scalar entry passes, and
+winsorization."""
 
 import warnings
 
@@ -12,7 +14,7 @@ from scipy.integrate import quad
 
 from camt.baselines import OracleTruth, bh, lfdr_values, noncentral_gamma_params, storey
 from camt.diagnostics import gif, null_histogram_summary
-from camt.em import FittedHypotheses, fit
+from camt.em import CoefVector, FittedHypotheses, build_design, fit, loglik
 from camt.kernel import (
     P_CLAMP,
     check_alpha,
@@ -27,7 +29,7 @@ from camt.kernel import (
 )
 from camt.pipeline import fit_camt, run_camt
 from camt.simulation import SimulationConfig, generate, resolve_workers
-from camt.splines import equiquantile_knots, spline_basis
+from camt.splines import spline_basis
 from camt.threshold import MirrorStatistics, _expected_count, mirror_statistics, reject
 
 
@@ -70,19 +72,90 @@ _MALFORMED_PVALUES = {
     "1.5": (np.array([0.2, 1.5, 0.4]), _RANGE),
     "nan": (np.array([0.2, np.nan, 0.4]), _RANGE),
     "complex": (np.array([0.2, 0.3, 0.4]) + 0j, r"^p-values must be real, not complex$"),
+    "strings": (
+        np.array(["0.2", "0.3", "0.4"]),
+        r"^p-values must be a real numeric array, not dtype <U3$",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(_MALFORMED_PVALUES))
 @pytest.mark.parametrize("entry", list(_PVALUE_ENTRIES))
 def test_every_pvalue_entry_refuses_malformed_pvalues(entry, case):
-    # lfdr_values checked nothing (1.5 gave a NaN LFDR), and gif,
-    # null_histogram_summary and clamp_pvalues took a 2-d array
+    # lfdr_values checked nothing (1.5 gave a NaN LFDR), gif,
+    # null_histogram_summary and clamp_pvalues took a 2-d array, and every
+    # entry parsed an array of strings
     p, message = _MALFORMED_PVALUES[case]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before a cast or EM can warn
         with pytest.raises(ValueError, match=message):
             _PVALUE_ENTRIES[entry](p)
+
+
+# every public argument that must be a finite real array, by the entry
+# that takes it, called on it alone; each must refuse a complex, non-finite
+# or object array with check_finite_array's message, and a spline's x of
+# the wrong shape with spline_basis' own
+_ARRAY_ROWS = 20
+_ARRAY_SAMPLE = np.linspace(-1.0, 1.0, _ARRAY_ROWS)
+_ARRAY_DESIGN = np.column_stack([np.ones(_ARRAY_ROWS), _ARRAY_SAMPLE])
+_ARRAY_P = np.linspace(0.01, 0.99, _ARRAY_ROWS)
+_ARRAY_ENTRIES = {
+    "build_design.covariates": ("covariates", _ARRAY_SAMPLE, build_design),
+    "em.fit.design": ("design", _ARRAY_DESIGN, lambda X: fit(X, _ARRAY_P)),
+    "em.loglik.design": (
+        "design",
+        _ARRAY_DESIGN,
+        lambda X: loglik(CoefVector(theta=np.zeros(2), beta=np.zeros(2)), X, _ARRAY_P),
+    ),
+    "spline_basis.x": ("x", _ARRAY_SAMPLE, lambda x: spline_basis(x, 3)),
+    "OracleTruth.effect": (
+        "effect",
+        np.full(_ARRAY_ROWS, 2.0),
+        lambda e: OracleTruth(pi0=np.full(_ARRAY_ROWS, 0.9), effect=e),
+    ),
+}
+
+
+def _with_last(x, value):
+    x = x.copy()
+    x.flat[-1] = value
+    return x
+
+
+_BAD_ARRAYS = {
+    "complex": (lambda x: x + 0j, "^{} must be real, not complex$"),
+    "nan": (lambda x: _with_last(x, np.nan), "^{} must be finite$"),
+    "inf": (lambda x: _with_last(x, np.inf), "^{} must be finite$"),
+    "object": (lambda x: x.astype(object), "^{} must be a real numeric array, not dtype object$"),
+}
+_SPLINE_SHAPE = "^x must be a 1-d sample with at least n_knots values$"
+_ARRAY_CASES = [
+    *(
+        pytest.param(entry, case, id=f"{entry}-{case}")
+        for entry in _ARRAY_ENTRIES
+        for case in _BAD_ARRAYS
+    ),
+    pytest.param("spline_basis.x", "2-d", id="spline_basis.x-2-d"),
+    pytest.param("spline_basis.x", "0-d", id="spline_basis.x-0-d"),
+]
+
+
+@pytest.mark.parametrize("entry, case", _ARRAY_CASES)
+def test_every_array_entry_refuses_what_its_gate_refuses(entry, case):
+    # spline_basis built knots from the real parts of a complex x with only
+    # a ComplexWarning, and every entry cast an object array
+    name, good, call = _ARRAY_ENTRIES[entry]
+    if case in _BAD_ARRAYS:
+        make, message = _BAD_ARRAYS[case]
+        value, message = make(good), message.format(name)
+    else:
+        value = good.reshape(-1, 2) if case == "2-d" else np.float64(0.5)
+        message = _SPLINE_SHAPE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before a cast can warn
+        with pytest.raises(ValueError, match=message):
+            call(value)
 
 
 @pytest.mark.parametrize(
@@ -267,10 +340,6 @@ _SCALAR_ENTRIES = {
         _COUNT.format("replicate", 0),
     ),
     "resolve_workers": (resolve_workers, _COUNT.format("n_workers", 0)),
-    "equiquantile_knots": (
-        lambda v: equiquantile_knots(_KNOT_SAMPLE, v),
-        _COUNT.format("n_knots", 2),
-    ),
     "spline_basis": (lambda v: spline_basis(_KNOT_SAMPLE, v), _COUNT.format("n_knots", 2)),
     **{
         f"SimulationConfig.{name}": (
@@ -300,7 +369,6 @@ _COUNT_ENTRIES = (
     "SimulationConfig.seed",
     "generate.replicate",
     "resolve_workers",
-    "equiquantile_knots",
     "spline_basis",
 )
 _BAD_SCALARS = {
