@@ -23,7 +23,6 @@ from .numtext import FLOAT_CELL, INT_CELL, float_cells, int_cells
 from .pipeline import run_camt
 
 MIN_FIT_M = 200
-WARN_FIT_M = 1000
 WRITE_BLOCK_ROWS = 1024
 READ_CHUNK_CHARS = 1 << 16
 
@@ -279,12 +278,6 @@ def cmd_fit(args):
     m = table.pvals.size
     if m < MIN_FIT_M:
         raise CliError(f"too few hypotheses (m={m}); at least {MIN_FIT_M} are required")
-    if m < WARN_FIT_M:
-        print(
-            f"warning: m={m} is small, estimates will be noisy "
-            f"(recommended m >= {WARN_FIT_M})",
-            file=sys.stderr,
-        )
 
     try:
         gif_report = gif(table.pvals)
@@ -292,8 +285,9 @@ def cmd_fit(args):
     except ValueError:
         gif_text, warn_text = "na", "na"
 
-    # the fit's warnings (EM not converging, say) are reported in the
-    # CLI's own format, not as Python warnings with a source line
+    # the fit's warnings (EM not converging, or fewer than 10 hypotheses
+    # per design column, say) are reported in the CLI's own format, not
+    # as Python warnings with a source line
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

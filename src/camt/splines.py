@@ -25,6 +25,42 @@ import numpy as np
 from .kernel import check_count, check_finite_array
 
 
+def _equiquantile_knots(x, n_knots):
+    """Strictly increasing knots at the empirical j/(n_knots+1)
+    quantiles of the checked sample x (:func:`spline_basis`).
+
+    The knots equal ``np.quantile(x, j / (n_knots + 1))`` with numpy's
+    default "linear" method, bit for bit, from one sort of x that also
+    counts its distinct values; np.quantile and np.unique would import
+    numpy.ma, a cost a fresh process notices.
+    """
+    s = np.sort(x)
+    # n_knots distinct knots can still sit on fewer distinct values (a
+    # balanced 0/1 column gets knots 0, 0.5, 1), and the basis then has
+    # fewer distinct rows than columns
+    if 1 + np.count_nonzero(s[1:] != s[:-1]) < n_knots:
+        raise ValueError(
+            f"degenerate covariate: fewer than {n_knots} distinct values for a spline basis"
+        )
+    # numpy's "linear" quantile: the order statistics below and above the
+    # virtual index (n - 1) * prob, which is below n - 1 for every prob
+    # here, joined by its lerp, which works from the nearer of the two
+    probs = np.arange(1, n_knots + 1) / (n_knots + 1)
+    at = (s.size - 1) * probs
+    below = np.floor(at)
+    t = at - below
+    lo = s[below.astype(np.intp)]
+    hi = s[below.astype(np.intp) + 1]
+    diff = hi - lo
+    knots = np.where(t >= 0.5, hi - diff * (1 - t), lo + diff * t)
+    if np.any(np.diff(knots) <= 0.0):
+        raise ValueError(
+            "degenerate covariate: equiquantile knots collide, "
+            "too few distinct values for a spline basis"
+        )
+    return knots
+
+
 def spline_basis(x, n_knots):
     """Natural cubic spline basis evaluated at x.
 
@@ -64,42 +100,6 @@ def spline_basis(x, n_knots):
         raise ValueError("x must be a 1-d sample with at least n_knots values")
     knots = _equiquantile_knots(x, n_knots)
     return _evaluate_basis(x, knots), knots
-
-
-def _equiquantile_knots(x, n_knots):
-    """Strictly increasing knots at the empirical j/(n_knots+1)
-    quantiles of the checked sample x (:func:`spline_basis`).
-
-    The knots equal ``np.quantile(x, j / (n_knots + 1))`` with numpy's
-    default "linear" method, bit for bit, from one sort of x that also
-    counts its distinct values; np.quantile and np.unique would import
-    numpy.ma, a cost a fresh process notices.
-    """
-    s = np.sort(x)
-    # n_knots distinct knots can still sit on fewer distinct values (a
-    # balanced 0/1 column gets knots 0, 0.5, 1), and the basis then has
-    # fewer distinct rows than columns
-    if 1 + np.count_nonzero(s[1:] != s[:-1]) < n_knots:
-        raise ValueError(
-            f"degenerate covariate: fewer than {n_knots} distinct values for a spline basis"
-        )
-    # numpy's "linear" quantile: the order statistics below and above the
-    # virtual index (n - 1) * prob, which is below n - 1 for every prob
-    # here, joined by its lerp, which works from the nearer of the two
-    probs = np.arange(1, n_knots + 1) / (n_knots + 1)
-    at = (s.size - 1) * probs
-    below = np.floor(at)
-    t = at - below
-    lo = s[below.astype(np.intp)]
-    hi = s[below.astype(np.intp) + 1]
-    diff = hi - lo
-    knots = np.where(t >= 0.5, hi - diff * (1 - t), lo + diff * t)
-    if np.any(np.diff(knots) <= 0.0):
-        raise ValueError(
-            "degenerate covariate: equiquantile knots collide, "
-            "too few distinct values for a spline basis"
-        )
-    return knots
 
 
 def _evaluate_basis(x, knots):
