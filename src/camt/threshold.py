@@ -23,9 +23,12 @@ one sort.
 
 The selector returns the largest threshold up to t_up whose estimate
 stays at or below the target. The s-side uses <= and the r-side strict
-<, so a p-value of exactly one half (where s_i == r_i) counts as a
-rejection but not against it at the boundary; no special casing is
-needed.
+<. A hypothesis with s_i == r_i (a p-value of exactly one half, or one
+where psi rounds both sides to one value) carries no sign, as a
+knockoff statistic W = 0 carries none (Barber & Candes 2015): it counts
+neither as a rejection nor as a mirror, it is never rejected, and its
+s_i is no candidate threshold. A table of p-values all equal to one
+half is rejected nowhere.
 """
 
 from __future__ import annotations
@@ -72,9 +75,12 @@ class MirrorStatistics:
     def _candidates(self):
         """Candidate thresholds, the s-values up to t_up in ascending
         order, with their mirror counts #{r_i < t} and rejection counts
-        #{s_i <= t}."""
-        s_sorted = np.sort(self.s)
-        r_sorted = np.sort(self.r)
+        #{s_i <= t}, each over the hypotheses with s_i != r_i."""
+        signed = self.s != self.r
+        s_sorted = self.s[signed]
+        r_sorted = self.r[signed]
+        s_sorted.sort()
+        r_sorted.sort()
         candidates = s_sorted[s_sorted <= self.t_up]
         den = np.searchsorted(s_sorted, candidates, side="right")
         num = np.searchsorted(r_sorted, candidates, side="left")
@@ -151,7 +157,8 @@ def select_threshold(stats, alpha, mixed_fitted=None):
 
 
 def reject(stats, t_hat, mixed_fitted=None):
-    """Rejection set at threshold t_hat: every i with s_i <= t_hat.
+    """Rejection set at threshold t_hat: every i with s_i <= t_hat and
+    s_i != r_i.
 
     fdp_hat is the estimate the selector compares with alpha, the mixed
     one when mixed_fitted is set to the fit's FittedHypotheses (as for
@@ -163,13 +170,17 @@ def reject(stats, t_hat, mixed_fitted=None):
     if not (is_real(t_hat) and 0.0 <= t_hat <= 1.0):
         raise ValueError("t_hat must lie in [0, 1]")
     _check_mixed_fitted(stats, mixed_fitted)
+    signed = stats.s != stats.r
     rejected = stats.s <= t_hat
+    rejected &= signed
     n_rejections = int(np.count_nonzero(rejected))
     # at t_hat = 0, E(0) = 0 and the mirror count is 0, so the mixed
     # estimate is the plain one and needs no pass over the fit
     mixed = mixed_fitted is not None and t_hat > 0.0
     expected = _expected_count(mixed_fitted, t_hat) if mixed else None
-    fdp_hat = _fdp_hat(int(np.count_nonzero(stats.r < t_hat)), n_rejections, expected)
+    mirrors = stats.r < t_hat
+    mirrors &= signed
+    fdp_hat = _fdp_hat(int(np.count_nonzero(mirrors)), n_rejections, expected)
     return RejectionResult(
         t_hat=float(t_hat),
         rejected=rejected,

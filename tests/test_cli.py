@@ -45,12 +45,14 @@ def _dataset_table(path, m, seed, setup="S0"):
     return _write_table(path, data.pvals, data.covariates), data
 
 
-def _run_in_fresh_python(code, timeout=120, **env):
+def _run_in_fresh_python(*argv, timeout=120, **env):
+    """A child Python run with argv ("-c", code or "-m", "camt", ...),
+    the camt this process imported first on its path, and env added."""
     src = str(Path(camt.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path, **env)
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=timeout
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -102,6 +104,15 @@ def test_parse_csv_and_tsv_agree(tmp_path):
     assert np.array_equal(a.pvals, b.pvals)
     assert np.array_equal(a.covariates, b.covariates)
     assert a.covariate_names == b.covariate_names
+    # the same table behind a comment with CRLF line ends, and with one
+    # quoted cell, is the same table
+    lines = Path(tsv_path).read_text().splitlines()
+    crlf = tmp_path / "crlf.tsv"
+    crlf.write_bytes("".join(l + "\r\n" for l in ["# a comment", *lines]).encode())
+    cells = lines[10].split("\t")
+    lines[10] = "\t".join([cells[0], f'"{cells[1]}"', *cells[2:]])
+    quoted = _write_lines(tmp_path / "quoted.tsv", lines)
+    assert _parse_outcome(str(crlf)) == _parse_outcome(quoted) == _parse_outcome(csv_path)
 
 
 def test_parse_skips_comments_and_blank_lines(tmp_path):
@@ -288,7 +299,7 @@ def _parse_in_fresh_python(tmp_path, rows):
         f"table = camt.cli.parse_table({in_path!r}); "
         "print(peak() - base, table.pvals.nbytes + table.covariates.nbytes, *by_cell)"
     )
-    proc = _run_in_fresh_python(code)
+    proc = _run_in_fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     growth, parsed_bytes, *by_cell = map(int, proc.stdout.split())
     return growth, parsed_bytes, by_cell
@@ -370,7 +381,7 @@ def test_fit_command_memory_stays_near_the_fit(tmp_path):
         f"code = camt.cli.main(['fit', '--input', {in_path!r}, '--output', {str(out_path)!r}]); "
         "print(code, peak() - base)"
     )
-    proc = _run_in_fresh_python(code)
+    proc = _run_in_fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     exit_code, growth = map(int, proc.stdout.splitlines()[-1].split())
     assert exit_code == 0
@@ -426,34 +437,47 @@ def _read_fit_output(path):
 
 
 def test_fit_round_trip(tmp_path, capsys):
-    in_path, _ = _dataset_table(tmp_path / "in.csv", 1200, seed=31)
-    out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["fit", "--input", in_path, "--alpha", "0.1", "--output", str(out_a)]) == 0
-    assert "rejections=" in capsys.readouterr().out
-    assert main(["fit", "--input", in_path, "--alpha", "0.1", "--output", str(out_b)]) == 0
-    assert out_a.read_bytes() == out_b.read_bytes()
-
+    # an exact 0 and 1 are clamped into (0, 1) and counted; the 1 is a
+    # mirror at every t > 0, and this draw rejects at alpha 0.1 still
+    data = generate(SimulationConfig(setup="S0", m=1200, seed=33), 0)
+    data.pvals[:2] = 0.0, 1.0
+    in_path = _write_table(tmp_path / "in.csv", data.pvals, data.covariates)
     table = parse_table(in_path)
-    fit, oracle = run_camt(table.pvals, table.covariates, alpha=0.1)
+    for mixed, knots in ((False, 0), (True, 3)):
+        out_a, out_b = tmp_path / f"a-{knots}.csv", tmp_path / f"b-{knots}.csv"
+        args = ["fit", "--input", in_path, "--alpha", "0.1", "--spline-knots", str(knots)]
+        args += ["--mixed"] if mixed else []
+        assert main([*args, "--output", str(out_a)]) == 0
+        assert "rejections=" in capsys.readouterr().out
+        assert main([*args, "--output", str(out_b)]) == 0
+        assert out_a.read_bytes() == out_b.read_bytes()
 
-    meta, header, rows = _read_fit_output(out_a)
-    assert meta["m"] == "1200"
-    assert meta["alpha"] == "0.1"
-    assert meta["seed"] == "none"
-    assert meta["mixed"] == "false"
-    assert float(meta["t_hat"]) == oracle.t_hat
-    assert int(meta["n_rejections"]) == oracle.n_rejections
-    assert float(meta["fdp_hat"]) == oracle.fdp_hat
-    assert meta["em_converged"] in ("true", "false")
-    assert header == ["index", "pvalue", "x1", "pi0_hat", "k_hat", "psi_stat", "rejected"]
-    assert len(rows) == 1200
-    idx = np.array([int(r[0]) for r in rows])
-    assert np.array_equal(idx, np.arange(1200))
-    assert np.array_equal(np.array([float(r[1]) for r in rows]), table.pvals)
-    assert np.array_equal(np.array([float(r[3]) for r in rows]), fit.fitted.pi_hat)
-    assert np.array_equal(np.array([float(r[4]) for r in rows]), fit.fitted.k_hat)
-    assert np.array_equal(np.array([float(r[5]) for r in rows]), fit.stats.s)
-    assert np.array_equal(np.array([int(r[6]) for r in rows]), oracle.rejected.astype(int))
+        fit, oracle = run_camt(
+            table.pvals, table.covariates, alpha=0.1, spline_knots=knots, mixed=mixed
+        )
+        meta, header, rows = _read_fit_output(out_a)
+        assert meta["m"] == "1200"
+        assert meta["n_clamped"] == "2"
+        assert meta["alpha"] == "0.1"
+        assert meta["seed"] == "none"
+        assert meta["mixed"] == str(mixed).lower()
+        t_hat, fdp_hat = float(meta["t_hat"]), float(meta["fdp_hat"])
+        n_rejections = int(meta["n_rejections"])
+        assert (t_hat, fdp_hat) == (oracle.t_hat, oracle.fdp_hat)
+        assert n_rejections == oracle.n_rejections
+        # the selection's own promises, read off the file alone
+        assert n_rejections > 0 and fdp_hat <= 0.1
+        assert round(fdp_hat * n_rejections, 9) >= 1
+        assert [r[6] for r in rows] == [str(int(float(r[5]) <= t_hat)) for r in rows]
+        assert meta["em_converged"] in ("true", "false")
+        assert header == ["index", "pvalue", "x1", "pi0_hat", "k_hat", "psi_stat", "rejected"]
+        assert len(rows) == 1200
+        assert [int(r[0]) for r in rows] == list(range(1200))
+        assert np.array_equal(np.array([float(r[1]) for r in rows]), table.pvals)
+        assert np.array_equal(np.array([float(r[3]) for r in rows]), fit.fitted.pi_hat)
+        assert np.array_equal(np.array([float(r[4]) for r in rows]), fit.fitted.k_hat)
+        assert np.array_equal(np.array([float(r[5]) for r in rows]), fit.stats.s)
+        assert np.array_equal(np.array([int(r[6]) for r in rows]), oracle.rejected.astype(int))
 
 
 def _reference_body(table, fit, result):
@@ -912,10 +936,13 @@ def test_undecodable_byte_after_a_malformed_cell_is_reported(tmp_path, monkeypat
 
 def test_diagnose_reports_fields(tmp_path, capsys):
     rng = np.random.default_rng(47)
-    in_path = _write_table(tmp_path / "in.csv", rng.random(400))
+    p = rng.random(400)
+    p[:2] = 0.0, 1.0
+    in_path = _write_table(tmp_path / "in.csv", p)
     assert main(["diagnose", "--input", in_path]) == 0
     out = capsys.readouterr().out
-    assert "m: 400" in out
+    assert "m: 400" in out.splitlines()
+    assert "n_clamped: 2" in out.splitlines()
     assert "gif: " in out
     assert "n_pvalues_used: " in out
     assert "histogram_bins: 20" in out
@@ -968,49 +995,32 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
-def test_fit_and_diagnose_load_no_scipy(tmp_path):
+def test_fit_and_diagnose_load_no_scipy_numpy_ma_or_statistics(tmp_path):
     # no camt module imports scipy (see test_simulate_runs_with_scipy_blocked);
-    # this pins the fit and diagnose paths, spline knots and mixed mode included
+    # importing numpy.ma costs 8-13 ms and 1.25 MB of peak resident
+    # memory, and np.quantile and np.unique load it; statistics brings in
+    # fractions and decimal, and the gif takes its normal quantile from
+    # camt._special instead. None of them may load on the fit paths,
+    # plain, mixed, with spline knots or both, nor on diagnose
     rng = np.random.default_rng(59)
     in_path = _write_table(tmp_path / "in.csv", rng.random(1000), rng.random((1000, 1)))
     out = str(tmp_path / "o.csv")
-    code = (
-        "import sys, camt.cli; "
-        f"assert camt.cli.main(['fit', '--input', {in_path!r}, '--output', {out!r}]) == 0; "
-        f"assert camt.cli.main(['fit', '--input', {in_path!r}, '--output', {out!r}, "
-        "'--spline-knots', '3', '--mixed']) == 0; "
-        f"assert camt.cli.main(['diagnose', '--input', {in_path!r}]) == 0; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    )
-    proc = _run_in_fresh_python(code)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
-
-
-def test_plain_fit_and_diagnose_load_no_numpy_ma(tmp_path):
-    # importing numpy.ma costs 8-13 ms and 1.25 MB of peak resident
-    # memory; np.quantile and np.unique load it, and the spline knots use
-    # neither, so neither a plain fit, nor a spline one, nor diagnose may;
-    # nor statistics, with the fractions and decimal it imports: the gif
-    # takes its normal quantile from camt._special
-    rng = np.random.default_rng(59)
-    in_path = _write_table(tmp_path / "in.csv", rng.random(1000), rng.random((1000, 1)))
+    knots = ["--spline-knots", "3"]
+    runs = [
+        ["fit", "--input", in_path, "--output", out, *options]
+        for options in ([], ["--mixed"], knots, [*knots, "--mixed"])
+    ] + [["diagnose", "--input", in_path]]
     code = (
         "import sys, camt.cli; "
         "assert 'numpy.ma' not in sys.modules; "
-        f"assert camt.cli.main(['fit', '--input', {in_path!r}, '--mixed', "
-        f"'--output', {str(tmp_path / 'o.csv')!r}]) == 0; "
-        f"assert camt.cli.main(['fit', '--input', {in_path!r}, "
-        f"'--output', {str(tmp_path / 'o.csv')!r}]) == 0; "
-        f"assert camt.cli.main(['fit', '--input', {in_path!r}, '--spline-knots', '3', "
-        f"'--output', {str(tmp_path / 'o.csv')!r}]) == 0; "
-        f"assert camt.cli.main(['diagnose', '--input', {in_path!r}]) == 0; "
+        f"assert [camt.cli.main(args) for args in {runs!r}] == [0] * {len(runs)}; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
         "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma'])); "
         "print(sorted(m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules))"
     )
-    proc = _run_in_fresh_python(code)
+    proc = _run_in_fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
+    assert proc.stdout.strip().splitlines()[-3:] == ["[]", "[]", "[]"]
 
 
 def test_fit_writes_utf8_under_an_ascii_locale(tmp_path):
@@ -1031,7 +1041,8 @@ def test_fit_writes_utf8_under_an_ascii_locale(tmp_path):
         "import sys, camt.cli; "
         f"sys.exit(camt.cli.main(['fit', '--input', {str(in_path)!r}, '--output', {str(out)!r}]))"
     )
-    proc = _run_in_fresh_python(code, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    proc = _run_in_fresh_python("-c", code, **locale)
     assert proc.returncode == 0, proc.stderr
     lines = out.read_text(encoding="utf-8").splitlines()
     assert "index,pvalue,größe,pi0_hat,k_hat,psi_stat,rejected" in lines
@@ -1053,7 +1064,7 @@ def test_simulate_runs_with_scipy_blocked(tmp_path):
         "assert codes == [0, 0, 0], codes; "
         "print(sorted(m for m, mod in sys.modules.items() if m.startswith('scipy') and mod))"
     )
-    proc = _run_in_fresh_python(code, timeout=300, CAMT_THREADS="2")
+    proc = _run_in_fresh_python("-c", code, timeout=300, CAMT_THREADS="2")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
     assert proc.stdout.count("fdp=") == 3 * 5 * 2  # setups x procedures x alphas
@@ -1068,3 +1079,45 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+# ----------------------------------------------------------------------
+# a real process: the exit status entry() gives and the CPUs the OS grants
+
+
+@pytest.mark.parametrize(
+    "setup, options, env, status",
+    [
+        ("S0", [], {}, 0),
+        ("S0", ["--kd", "nan"], {}, 1),
+        ("S0", [], {"CAMT_THREADS": "1_6"}, 1),
+        ("S1", ["--ks", "3e9"], {}, 1),
+    ],
+    ids=["small-sweep", "kd-nan", "threads-with-underscore", "ks-past-the-poisson-limit"],
+)
+def test_python_m_camt_exits_with_mains_status(tmp_path, setup, options, env, status):
+    # main() returns the status; only entry()'s sys.exit makes it the
+    # process's, and a refusal leaves no output file behind
+    out = tmp_path / "sweep.csv"
+    args = ["simulate", "--setup", setup, "--m", "500", "--reps", "1", "--procedures", "bh"]
+    args += ["--alpha-grid", "0.05,0.1", *options, "--output", str(out)]
+    proc = _run_in_fresh_python("-m", "camt", *args, **env)
+    assert proc.returncode == status, proc.stderr
+    if status == 0:
+        rows = [l for l in out.read_text().splitlines() if not l.startswith(("#", "setup,"))]
+        assert len(rows) == 2  # one replicate, bh at two levels
+    else:
+        assert proc.stderr.startswith("error: ")
+        assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity mask here")
+def test_resolve_workers_counts_the_cpus_the_process_may_run_on():
+    # a process pinned to one CPU gets one worker, however many the host has
+    code = (
+        "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+        "from camt.simulation import resolve_workers; print(resolve_workers())"
+    )
+    proc = _run_in_fresh_python("-c", code, CAMT_THREADS="")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]

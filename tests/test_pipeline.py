@@ -71,6 +71,16 @@ def test_mixed_mode_rejects_nothing_from_all_null_pvalues():
         assert (result.n_rejections, result.t_hat, result.fdp_hat) == (0, 0.0, 1.0), seed
 
 
+@pytest.mark.parametrize("m", [300, 5000])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_a_table_of_halves_is_rejected_nowhere(m, mixed):
+    # at p = 0.5, s_i == r_i: no hypothesis carries a sign, so none is a
+    # rejection or a mirror, and BH too rejects none; counting s <= t
+    # against r < t rejected all m at t_hat 0.927
+    _, result = run_camt(np.full(m, 0.5), alpha=0.05, mixed=mixed)
+    assert (result.n_rejections, result.t_hat, result.fdp_hat) == (0, 0.0, 1.0)
+
+
 @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5, float("nan"), np.array([0.1, 0.2])], ids=repr)
 def test_run_camt_refuses_a_bad_alpha_before_the_fit(alpha, monkeypatch):
     def no_fit(*args, **kwargs):

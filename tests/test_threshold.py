@@ -38,10 +38,12 @@ def _cutoff(t, pi, k):
 
 
 def _grid_best(stats, alpha, n_points):
-    """Brute-force threshold search on a uniform grid over [0, t_up]."""
+    """Brute-force threshold search on a uniform grid over [0, t_up]; a
+    hypothesis with s_i == r_i enters neither count."""
     grid = np.linspace(0.0, stats.t_up, n_points)
-    s_sorted = np.sort(stats.s)
-    r_sorted = np.sort(stats.r)
+    signed = stats.s != stats.r
+    s_sorted = np.sort(stats.s[signed])
+    r_sorted = np.sort(stats.r[signed])
     num = np.searchsorted(r_sorted, grid, side="left")
     den = np.searchsorted(s_sorted, grid, side="right")
     estimates = (1 + num) / np.maximum(1, den)
@@ -222,14 +224,19 @@ def test_mirror_statistics_validation():
         mirror_statistics(np.full(5, 0.2), fitted)
 
 
-def test_half_pvalue_counts_for_rejection_not_against():
-    # p = 0.5 makes s equal r; the <= / < convention rejects it at
-    # t = s without charging the mirror side
+def test_half_pvalue_counts_neither_for_rejection_nor_against():
+    # p = 0.5 makes s equal r: the hypothesis carries no sign, so it
+    # counts neither as a rejection nor as a mirror, at t = s or above,
+    # and it is no candidate threshold
     fitted = FittedHypotheses(pi_hat=np.array([0.8]), k_hat=np.array([0.5]))
     stats = mirror_statistics(np.array([0.5]), fitted)
     assert stats.s[0] == stats.r[0]
-    t = stats.s[0]
-    assert reject(stats, t).fdp_hat == 1.0  # (1 + 0) / 1
+    for t in (stats.s[0], 1.0):
+        for mixed_fitted in (None, fitted):
+            result = reject(stats, t, mixed_fitted=mixed_fitted)
+            assert (result.n_rejections, result.fdp_hat) == (0, 1.0)
+    for mixed_fitted in (None, fitted):
+        assert select_threshold(stats, 1.0, mixed_fitted=mixed_fitted) == 0.0
 
 
 def test_a_statistic_that_rounds_to_one_is_a_candidate():
@@ -444,9 +451,11 @@ def test_the_statistics_are_sorted_once_per_fit(monkeypatch):
 
 
 def _reference_select_mixed(stats, alpha, fitted):
-    """The all-candidates mixed selector: E(t) at every candidate at once."""
-    s_sorted = np.sort(stats.s)
-    r_sorted = np.sort(stats.r)
+    """The all-candidates mixed selector: E(t) at every candidate at once;
+    a hypothesis with s_i == r_i enters neither count."""
+    signed = stats.s != stats.r
+    s_sorted = np.sort(stats.s[signed])
+    r_sorted = np.sort(stats.r[signed])
     candidates = s_sorted[s_sorted <= stats.t_up]
     if candidates.size == 0:
         return 0.0
@@ -501,10 +510,11 @@ def test_mixed_select_matches_all_candidates_reference(instance, alpha):
     t_hat = select_threshold(stats, alpha, mixed_fitted=fitted)
     assert t_hat == _reference_select_mixed(stats, alpha, fitted)
     assert t_hat <= stats.t_up
-    # and, bit for bit, the largest candidate whose reported estimate is admissible
+    # and, bit for bit, the largest candidate whose reported estimate is
+    # admissible; a tie s_i == r_i is no candidate
     admitted = [
         t
-        for t in stats.s[stats.s <= stats.t_up]
+        for t in stats.s[(stats.s <= stats.t_up) & (stats.s != stats.r)]
         if reject(stats, t, mixed_fitted=fitted).fdp_hat <= alpha
     ]
     assert t_hat == max(admitted, default=0.0)
