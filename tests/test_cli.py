@@ -995,13 +995,12 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
-def test_fit_and_diagnose_load_no_scipy_numpy_ma_or_statistics(tmp_path):
-    # no camt module imports scipy (see test_simulate_runs_with_scipy_blocked);
-    # importing numpy.ma costs 8-13 ms and 1.25 MB of peak resident
-    # memory, and np.quantile and np.unique load it; statistics brings in
-    # fractions and decimal, and the gif takes its normal quantile from
-    # camt._special instead. None of them may load on the fit paths,
-    # plain, mixed, with spline knots or both, nor on diagnose
+@pytest.fixture(scope="module")
+def modules_loaded_by_fit_and_diagnose(tmp_path_factory):
+    """The scipy, numpy.ma and statistics-family modules one child Python
+    holds after fit (plain, mixed, with spline knots and both) and
+    diagnose, as three printed lists."""
+    tmp_path = tmp_path_factory.mktemp("module_loads")
     rng = np.random.default_rng(59)
     in_path = _write_table(tmp_path / "in.csv", rng.random(1000), rng.random((1000, 1)))
     out = str(tmp_path / "o.csv")
@@ -1020,7 +1019,24 @@ def test_fit_and_diagnose_load_no_scipy_numpy_ma_or_statistics(tmp_path):
     )
     proc = _run_in_fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-3:] == ["[]", "[]", "[]"]
+    return proc.stdout.strip().splitlines()[-3:]
+
+
+def test_fit_and_diagnose_load_no_scipy(modules_loaded_by_fit_and_diagnose):
+    # no camt module imports scipy (see test_simulate_runs_with_scipy_blocked);
+    # this pins the fit and diagnose paths, spline knots and mixed mode included
+    scipy, _, _ = modules_loaded_by_fit_and_diagnose
+    assert scipy == "[]"
+
+
+def test_plain_fit_and_diagnose_load_no_numpy_ma(modules_loaded_by_fit_and_diagnose):
+    # importing numpy.ma costs 8-13 ms and 1.25 MB of peak resident
+    # memory; np.quantile and np.unique load it, and the fit paths use
+    # neither, so no fit nor diagnose may; nor statistics, with the
+    # fractions and decimal it imports: the gif takes its normal quantile
+    # from camt._special
+    _, numpy_ma, statistics = modules_loaded_by_fit_and_diagnose
+    assert [numpy_ma, statistics] == ["[]", "[]"]
 
 
 def test_fit_writes_utf8_under_an_ascii_locale(tmp_path):
