@@ -145,15 +145,15 @@ def _noncentral_gamma_pdf(x, scale, delta):
     pos = x > 0.0
     if not pos.any():
         return out
-    xs, sc, dl = x[pos], scale[pos], delta[pos]
+    sc, dl = scale[pos], delta[pos]
+    x_over_s = x[pos] / sc
     n_max = int(np.ceil(dl.max() + 12.0 * np.sqrt(dl.max()) + 20.0))
-    log_x_over_s = np.log(xs / sc)
-    acc = np.zeros(xs.shape)
+    # Poisson term n is exp(n log_rate + base - log n! - log (n + 1)!)
+    log_rate = np.log(dl * x_over_s)
+    base = np.log(x_over_s) - dl - x_over_s - np.log(sc)
+    acc = np.zeros(x_over_s.shape)
     for n in range(n_max + 1):
-        a = 2.0 + n
-        log_w = n * np.log(dl) - dl - lgamma(n + 1.0)
-        log_pdf = (a - 1.0) * log_x_over_s - xs / sc - lgamma(a) - np.log(sc)
-        acc += np.exp(log_w + log_pdf)
+        acc += np.exp(n * log_rate + (base - (lgamma(n + 1.0) + lgamma(n + 2.0))))
     out[pos] = acc
     return out
 
@@ -161,9 +161,10 @@ def _noncentral_gamma_pdf(x, scale, delta):
 def lfdr_values(pvals, truth):
     """True local false discovery rate of each p-value.
 
-    The z-score behind p is recovered as z = Phi^{-1}(1 - p); densities
-    of p under the null and the alternative are the corresponding
-    z-densities divided by the standard normal density at z.
+    The z-score behind p is recovered as z = Phi^{-1}(1 - p), and the
+    LFDR is pi0 / (pi0 + (1 - pi0) L), with L the likelihood ratio of z
+    under the alternative against the null N(null_mean, 1). An L that
+    overflows to inf takes its exact limit, an LFDR of 0.
 
     pvals pass :func:`~camt.kernel.check_pvalues`, and truth must hold
     one entry per p-value; anything else raises ValueError. An exact 0
@@ -174,20 +175,18 @@ def lfdr_values(pvals, truth):
     p = check_pvalues(pvals)
     if truth.pi0.shape != p.shape:
         raise ValueError(f"truth of shape {truth.pi0.shape} for p-values of shape {p.shape}")
-    p = np.clip(p, *_P_INTERIOR)
-    z = -ndtri(p)  # Phi^{-1}(1 - p), computed in the precise tail
-    # density ratios against the standard normal carrier
-    f0 = np.exp(truth.null_mean * z - 0.5 * truth.null_mean**2)
-    if truth.family == "normal":
-        f1 = np.exp(truth.effect * z - 0.5 * truth.effect**2)
-    else:
-        scale, delta = noncentral_gamma_params(truth.effect)
-        # standard normal density, written as scipy.stats.norm.pdf computes it
-        normal_pdf = np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)
-        f1 = _noncentral_gamma_pdf(z, scale, delta) / normal_pdf
-    null_part = truth.pi0 * f0
-    alt_part = (1.0 - truth.pi0) * f1
-    return null_part / (null_part + alt_part)
+    z = -ndtri(np.clip(p, *_P_INTERIOR))  # Phi^{-1}(1 - p), computed in the precise tail
+    # log of the null density over the standard normal density at z
+    log_null = truth.null_mean * z - 0.5 * truth.null_mean**2
+    with np.errstate(over="ignore"):
+        if truth.family == "normal":
+            ratio = np.exp(truth.effect * z - 0.5 * truth.effect**2 - log_null)
+        else:
+            scale, delta = noncentral_gamma_params(truth.effect)
+            # standard normal density, written as scipy.stats.norm.pdf computes it
+            normal_pdf = np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)
+            ratio = _noncentral_gamma_pdf(z, scale, delta) / normal_pdf * np.exp(-log_null)
+    return truth.pi0 / (truth.pi0 + (1.0 - truth.pi0) * ratio)
 
 
 def oracle_prepare(values):

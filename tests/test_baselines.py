@@ -2,11 +2,14 @@
 
 import itertools
 import warnings
+from math import lgamma
 
 import numpy as np
 import pytest
 import scipy.integrate
 
+import camt.baselines
+from camt._special import ndtri
 from camt.baselines import (
     OracleTruth,
     _noncentral_gamma_pdf,
@@ -17,6 +20,7 @@ from camt.baselines import (
     oracle_select,
     storey,
 )
+from camt.simulation import SimulationConfig, generate
 
 
 def _bh_scan(pvals, alpha):
@@ -36,6 +40,47 @@ def _bh_scan(pvals, alpha):
 def _oracle(pvals, truth, alpha):
     """The sweep's oracle procedure: LFDR values, prepared, then selected."""
     return oracle_select(oracle_prepare(lfdr_values(pvals, truth)), alpha)
+
+
+def _reference_noncentral_gamma_pdf(x, scale, delta):
+    """The density as a sum of Poisson-weighted gamma densities, each
+    term's weight and gamma density formed from scratch."""
+    x = np.asarray(x, dtype=float)
+    scale = np.broadcast_to(np.asarray(scale, dtype=float), x.shape)
+    delta = np.broadcast_to(np.asarray(delta, dtype=float), x.shape)
+    out = np.zeros(x.shape)
+    pos = x > 0.0
+    if not pos.any():
+        return out
+    xs, sc, dl = x[pos], scale[pos], delta[pos]
+    n_max = int(np.ceil(dl.max() + 12.0 * np.sqrt(dl.max()) + 20.0))
+    log_x_over_s = np.log(xs / sc)
+    acc = np.zeros(xs.shape)
+    for n in range(n_max + 1):
+        a = 2.0 + n
+        log_w = n * np.log(dl) - dl - lgamma(n + 1.0)
+        log_pdf = (a - 1.0) * log_x_over_s - xs / sc - lgamma(a) - np.log(sc)
+        acc += np.exp(log_w + log_pdf)
+    out[pos] = acc
+    return out
+
+
+def _reference_lfdr_values(pvals, truth):
+    """The two-density formula: the null and the alternative density of
+    z, each over the standard normal density, weighted by pi0 and
+    1 - pi0; the gamma family takes _reference_noncentral_gamma_pdf."""
+    p = np.clip(np.asarray(pvals, dtype=float), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    z = -ndtri(p)
+    f0 = np.exp(truth.null_mean * z - 0.5 * truth.null_mean**2)
+    if truth.family == "normal":
+        f1 = np.exp(truth.effect * z - 0.5 * truth.effect**2)
+    else:
+        scale, delta = noncentral_gamma_params(truth.effect)
+        normal_pdf = np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)
+        f1 = _reference_noncentral_gamma_pdf(z, scale, delta) / normal_pdf
+    null_part = truth.pi0 * f0
+    alt_part = (1.0 - truth.pi0) * f1
+    return null_part / (null_part + alt_part)
 
 
 def _random_pvalues(rng, m):
@@ -222,6 +267,41 @@ def test_lfdr_at_an_exact_zero_or_one_is_its_nearest_interior_value(family):
     assert order[0] == 0
 
 
+@pytest.mark.parametrize("setup", ["S0", "S2", "complete-null", "S1", "S5.1", "S5.2"])
+def test_lfdr_matches_the_two_density_formula(monkeypatch, setup):
+    # one likelihood ratio against the null keeps the two-density
+    # formula's bits wherever the null is centred; a shifted null
+    # rounds apart by at most 2 ulp of 1. S1 compares the formulas on
+    # one density, the per-term sum
+    monkeypatch.setattr(camt.baselines, "_noncentral_gamma_pdf", _reference_noncentral_gamma_pdf)
+    for seed in range(3):
+        data = generate(SimulationConfig(setup=setup, m=2000, seed=seed))
+        values = lfdr_values(data.pvals, data.truth)
+        want = _reference_lfdr_values(data.pvals, data.truth)
+        if setup.startswith("S5"):
+            assert np.abs(values - want).max() <= 4.5e-16
+        else:
+            assert np.array_equal(values, want)
+
+
+@pytest.mark.parametrize(
+    "setup, k_s, k_f", [("S2", 20.0, 1.0), ("S0", 37.0, 0.0), ("S0", 40.0, 0.0)]
+)
+def test_lfdr_takes_an_overflowing_likelihood_ratio_as_zero(setup, k_s, k_f):
+    # exp(k_s z - k_s^2 / 2) overflows for the largest alternative z at
+    # these effects; the alternative's density alone overflowed with a
+    # RuntimeWarning. The ratio's limit, inf, gives an LFDR of exactly 0
+    data = generate(SimulationConfig(setup=setup, m=10_000, k_s=k_s, k_f=k_f, seed=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = lfdr_values(data.pvals, data.truth)
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    with np.errstate(over="ignore"):
+        want = _reference_lfdr_values(data.pvals, data.truth)
+    assert np.array_equal(values, want)
+    assert (values == 0.0).any()
+
+
 def test_oracle_all_null_rejects_nothing():
     truth = OracleTruth(pi0=np.ones(10), effect=np.full(10, 2.0))
     p = np.linspace(0.01, 0.95, 10)
@@ -304,6 +384,21 @@ def test_noncentral_gamma_pdf_moments_by_quadrature():
     assert total == pytest.approx(1.0, abs=1e-9)
     assert first == pytest.approx(mean, abs=1e-8)
     assert second - first**2 == pytest.approx(1.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("k_s", [2.4, 30.0])
+def test_noncentral_gamma_pdf_matches_the_per_term_sum(k_s):
+    # each Poisson term is one exp of hoisted invariants; the per-term
+    # sum rebuilds every term's weight and gamma density from scratch
+    data = generate(SimulationConfig(setup="S1", m=2000, k_s=k_s, seed=0))
+    z = np.concatenate([data.z, np.linspace(-1.0, 2.0 * k_s, 200)])
+    scale, delta = noncentral_gamma_params(k_s)
+    got = _noncentral_gamma_pdf(z, scale, delta)
+    want = _reference_noncentral_gamma_pdf(z, scale, delta)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    big = want >= 1e-300
+    assert big.sum() > 300
+    assert np.all(np.abs(got[big] - want[big]) <= 1e-9 * want[big])
 
 
 # ----------------------------------------------------------------------

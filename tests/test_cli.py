@@ -4,8 +4,6 @@ import csv
 import io
 import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 from unittest.mock import patch
 
@@ -43,17 +41,6 @@ def _write_table(path, pvals, covariates=None, names=None, sep=","):
 def _dataset_table(path, m, seed, setup="S0"):
     data = generate(SimulationConfig(setup=setup, m=m, seed=seed), 0)
     return _write_table(path, data.pvals, data.covariates), data
-
-
-def _run_in_fresh_python(*argv, timeout=120, **env):
-    """A child Python run with argv ("-c", code or "-m", "camt", ...),
-    the camt this process imported first on its path, and env added."""
-    src = str(Path(camt.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path, **env)
-    return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout
-    )
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +268,7 @@ def test_parse_fast_path_matches_per_cell_parse(tmp_path_factory, drawn, chunk_c
         assert read_by_cell == []
 
 
-def _parse_in_fresh_python(tmp_path, rows):
+def _parse_in_fresh_python(fresh_python, tmp_path, rows):
     """(growth of the peak resident size while parse_table reads a table
     of the given data rows over the peak after import, bytes of the
     returned arrays, line count of each chunk read cell by cell). VmHWM,
@@ -299,7 +286,7 @@ def _parse_in_fresh_python(tmp_path, rows):
         f"table = camt.cli.parse_table({in_path!r}); "
         "print(peak() - base, table.pvals.nbytes + table.covariates.nbytes, *by_cell)"
     )
-    proc = _run_in_fresh_python("-c", code)
+    proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     growth, parsed_bytes, *by_cell = map(int, proc.stdout.split())
     return growth, parsed_bytes, by_cell
@@ -311,25 +298,27 @@ def _random_rows(m, seed):
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
-def test_parse_memory_stays_near_the_parsed_arrays(tmp_path):
+def test_parse_memory_stays_near_the_parsed_arrays(fresh_python, tmp_path):
     # growth of the peak resident size while parsing a 2e5-row table:
     # the streaming parse holds the parsed values, the returned arrays
     # and a few chunks of text (2.2x the returned arrays' bytes,
     # measured); a whole-text parse with a Python float per cell grew 34x
-    growth, parsed_bytes, by_cell = _parse_in_fresh_python(tmp_path, _random_rows(200_000, seed=63))
+    growth, parsed_bytes, by_cell = _parse_in_fresh_python(
+        fresh_python, tmp_path, _random_rows(200_000, seed=63)
+    )
     assert parsed_bytes == 200_000 * 2 * 8
     assert growth < 4 * parsed_bytes
     assert by_cell == []
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
-def test_parse_reads_only_the_chunk_with_a_quoted_cell_cell_by_cell(tmp_path):
+def test_parse_reads_only_the_chunk_with_a_quoted_cell_cell_by_cell(fresh_python, tmp_path):
     # one quoted cell sends one chunk of 64 Ki characters through
     # float(), not the whole table; a whole-text re-read of the table
     # grew the peak 16x the returned arrays' bytes
     rows = _random_rows(200_000, seed=64)
     rows[100_000] = rows[100_000].replace(",", ',"', 1) + '"'
-    growth, parsed_bytes, by_cell = _parse_in_fresh_python(tmp_path, rows)
+    growth, parsed_bytes, by_cell = _parse_in_fresh_python(fresh_python, tmp_path, rows)
     assert parsed_bytes == 200_000 * 2 * 8
     assert growth < 4 * parsed_bytes
     assert len(by_cell) == 1 and 0 < by_cell[0] < 2000
@@ -361,7 +350,7 @@ def test_parse_cuts_chunks_after_any_line_break(tmp_path, monkeypatch, end):
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
-def test_fit_command_memory_stays_near_the_fit(tmp_path):
+def test_fit_command_memory_stays_near_the_fit(fresh_python, tmp_path):
     # growth of the peak resident size over a whole `camt fit` of 2e5
     # rows (parse, EM, select, write), over the peak after import, in
     # m-vectors of 8 * m bytes: measured 16.5, of which EM's own working
@@ -381,7 +370,7 @@ def test_fit_command_memory_stays_near_the_fit(tmp_path):
         f"code = camt.cli.main(['fit', '--input', {in_path!r}, '--output', {str(out_path)!r}]); "
         "print(code, peak() - base)"
     )
-    proc = _run_in_fresh_python("-c", code)
+    proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     exit_code, growth = map(int, proc.stdout.splitlines()[-1].split())
     assert exit_code == 0
@@ -996,7 +985,7 @@ def test_usage_errors_exit_one(capsys):
 
 
 @pytest.fixture(scope="module")
-def modules_loaded_by_fit_and_diagnose(tmp_path_factory):
+def modules_loaded_by_fit_and_diagnose(fresh_python, tmp_path_factory):
     """The scipy, numpy.ma and statistics-family modules one child Python
     holds after fit (plain, mixed, with spline knots and both) and
     diagnose, as three printed lists."""
@@ -1017,7 +1006,7 @@ def modules_loaded_by_fit_and_diagnose(tmp_path_factory):
         "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma'])); "
         "print(sorted(m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules))"
     )
-    proc = _run_in_fresh_python("-c", code)
+    proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-3:]
 
@@ -1039,7 +1028,7 @@ def test_plain_fit_and_diagnose_load_no_numpy_ma(modules_loaded_by_fit_and_diagn
     assert [numpy_ma, statistics] == ["[]", "[]"]
 
 
-def test_fit_writes_utf8_under_an_ascii_locale(tmp_path):
+def test_fit_writes_utf8_under_an_ascii_locale(fresh_python, tmp_path):
     # the input is read as UTF-8 whatever the locale, so the output is
     # written as UTF-8 too: under the C locale a non-ASCII covariate name
     # used to fail the header write after the whole fit (exit 2)
@@ -1058,14 +1047,14 @@ def test_fit_writes_utf8_under_an_ascii_locale(tmp_path):
         f"sys.exit(camt.cli.main(['fit', '--input', {str(in_path)!r}, '--output', {str(out)!r}]))"
     )
     locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
-    proc = _run_in_fresh_python("-c", code, **locale)
+    proc = fresh_python("-c", code, **locale)
     assert proc.returncode == 0, proc.stderr
     lines = out.read_text(encoding="utf-8").splitlines()
     assert "index,pvalue,größe,pi0_hat,k_hat,psi_stat,rejected" in lines
     assert len(lines) - lines.index("index,pvalue,größe,pi0_hat,k_hat,psi_stat,rejected") == m + 1
 
 
-def test_simulate_runs_with_scipy_blocked(tmp_path):
+def test_simulate_runs_with_scipy_blocked(fresh_python, tmp_path):
     # sys.modules["scipy"] = None makes every scipy import fail: the
     # harness runs S1 (the non-central gamma density), S2 and S3.3 (the
     # AR(1) noise) through all five procedures on camt's own special
@@ -1080,7 +1069,7 @@ def test_simulate_runs_with_scipy_blocked(tmp_path):
         "assert codes == [0, 0, 0], codes; "
         "print(sorted(m for m, mod in sys.modules.items() if m.startswith('scipy') and mod))"
     )
-    proc = _run_in_fresh_python("-c", code, timeout=300, CAMT_THREADS="2")
+    proc = fresh_python("-c", code, timeout=300, CAMT_THREADS="2")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
     assert proc.stdout.count("fdp=") == 3 * 5 * 2  # setups x procedures x alphas
@@ -1111,13 +1100,15 @@ def test_help_exits_zero():
     ],
     ids=["small-sweep", "kd-nan", "threads-with-underscore", "ks-past-the-poisson-limit"],
 )
-def test_python_m_camt_exits_with_mains_status(tmp_path, setup, options, env, status):
+def test_python_m_camt_exits_with_mains_status(
+    fresh_python, tmp_path, setup, options, env, status
+):
     # main() returns the status; only entry()'s sys.exit makes it the
     # process's, and a refusal leaves no output file behind
     out = tmp_path / "sweep.csv"
     args = ["simulate", "--setup", setup, "--m", "500", "--reps", "1", "--procedures", "bh"]
     args += ["--alpha-grid", "0.05,0.1", *options, "--output", str(out)]
-    proc = _run_in_fresh_python("-m", "camt", *args, **env)
+    proc = fresh_python("-m", "camt", *args, **env)
     assert proc.returncode == status, proc.stderr
     if status == 0:
         rows = [l for l in out.read_text().splitlines() if not l.startswith(("#", "setup,"))]
@@ -1128,12 +1119,12 @@ def test_python_m_camt_exits_with_mains_status(tmp_path, setup, options, env, st
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity mask here")
-def test_resolve_workers_counts_the_cpus_the_process_may_run_on():
+def test_resolve_workers_counts_the_cpus_the_process_may_run_on(fresh_python):
     # a process pinned to one CPU gets one worker, however many the host has
     code = (
         "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
         "from camt.simulation import resolve_workers; print(resolve_workers())"
     )
-    proc = _run_in_fresh_python("-c", code, CAMT_THREADS="")
+    proc = fresh_python("-c", code, CAMT_THREADS="")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1"]

@@ -1,15 +1,10 @@
 """Tests for the end-to-end fit / select entry points."""
 
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import camt
 from camt.em import FittedHypotheses, build_design, fit
 from camt.pipeline import CamtFit, fit_camt, run_camt
 from camt.simulation import SimulationConfig, generate
@@ -119,16 +114,12 @@ def test_fit_path_never_writes_the_callers_pvalues():
     assert np.array_equal(stats.s, state.stats.s) and np.array_equal(stats.r, state.stats.r)
 
 
-def test_import_camt_loads_only_the_pipeline():
+def test_import_camt_loads_only_the_pipeline(fresh_python):
     code = (
         "import sys, camt; "
         "print(' '.join(sorted(n for n in sys.modules if n.split('.')[0] in ('camt', 'scipy'))))"
     )
-    src = str(Path(camt.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
+    proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout.split()
     assert not [n for n in out if n.split(".")[0] == "scipy"]

@@ -4,10 +4,7 @@ import concurrent.futures
 import io
 import os
 import re
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,6 +414,20 @@ def _masked(report):
     ]
 
 
+def test_oracle_sweep_runs_where_the_alternative_density_overflows():
+    # at S2 with k_s = 20 and k_f = 1 the largest alternative effects
+    # near 40 overflowed exp(k_s z - k_s^2 / 2), and the sweep died on
+    # the RuntimeWarning; the oracle's LFDR of 0 there ranks them first
+    config = SimulationConfig(setup="S2", m=10_000, k_s=20.0, k_f=1.0, n_replicates=1, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_sweep(config, procedures=("oracle",), n_workers=1)
+    (row,) = report.rows
+    assert row.procedure == "oracle"
+    assert row.n_rejections > 0
+    assert 0.0 <= row.fdp <= 1.0 and row.tpr > 0.9
+
+
 def test_run_sweep_refuses_an_empty_procedure_list(monkeypatch):
     monkeypatch.setattr(camt.simulation, "generate", lambda *args: pytest.fail("a replicate ran"))
     config = SimulationConfig(setup="S0", m=500, n_replicates=1)
@@ -470,11 +481,9 @@ def test_run_sweep_pool_has_at_most_one_worker_per_replicate(monkeypatch):
     assert _masked(report) == _masked(run_sweep(config, procedures=("bh",), n_workers=1))
 
 
-def test_one_worker_sweep_loads_no_process_pool():
+def test_one_worker_sweep_loads_no_process_pool(fresh_python):
     # a one-worker sweep runs its replicates in the calling process, so
     # only a sweep with more workers imports the pool and multiprocessing
-    src = str(Path(camt.simulation.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, camt.simulation as s; "
         "config = s.SimulationConfig(setup='S0', m=300, n_replicates=2, seed=3); "
@@ -482,9 +491,7 @@ def test_one_worker_sweep_loads_no_process_pool():
         "print(sorted(m for m in sys.modules if m == 'concurrent.futures.process' "
         "or m.split('.')[0] == 'multiprocessing'))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
+    proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
