@@ -164,7 +164,8 @@ def lfdr_values(pvals, truth):
     The z-score behind p is recovered as z = Phi^{-1}(1 - p), and the
     LFDR is pi0 / (pi0 + (1 - pi0) L), with L the likelihood ratio of z
     under the alternative against the null N(null_mean, 1). An L that
-    overflows to inf takes its exact limit, an LFDR of 0.
+    overflows to inf takes its exact limit, an LFDR of 0, or of 1 where
+    pi0 = 1.
 
     pvals pass :func:`~camt.kernel.check_pvalues`, and truth must hold
     one entry per p-value; anything else raises ValueError. An exact 0
@@ -186,7 +187,9 @@ def lfdr_values(pvals, truth):
             # standard normal density, written as scipy.stats.norm.pdf computes it
             normal_pdf = np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)
             ratio = _noncentral_gamma_pdf(z, scale, delta) / normal_pdf * np.exp(-log_null)
-    return truth.pi0 / (truth.pi0 + (1.0 - truth.pi0) * ratio)
+    # where pi0 = 1 the alternative's part is 0, also for an L of inf
+    alt = np.multiply(1.0 - truth.pi0, ratio, out=np.zeros_like(ratio), where=truth.pi0 < 1.0)
+    return truth.pi0 / (truth.pi0 + alt)
 
 
 def oracle_prepare(values):

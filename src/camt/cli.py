@@ -18,7 +18,7 @@ import numpy as np
 
 from .diagnostics import gif, null_histogram_summary
 from .em import CovariateError, _check_spline_knots
-from .kernel import check_alpha, clamp_pvalues
+from .kernel import check_alpha, clamp_pvalues, psi
 from .numtext import FLOAT_CELL, INT_CELL, float_cells, int_cells
 from .pipeline import run_camt
 
@@ -332,9 +332,10 @@ def cmd_fit(args):
         csv.writer(out, lineterminator="\n").writerow(
             ["index", "pvalue", *table.covariate_names, "pi0_hat", "k_hat", "psi_stat", "rejected"]
         )
-        columns = [
-            table.pvals, *table.covariates.T, fit.fitted.pi_hat, fit.fitted.k_hat, fit.stats.s
-        ]
+        # psi(p) on every row: fit.stats holds entry times, inf on a side not entered
+        pi_hat, k_hat = fit.fitted.pi_hat, fit.fitted.k_hat
+        psi_stat = psi(table.pvals, pi_hat, k_hat)
+        columns = [table.pvals, *table.covariates.T, pi_hat, k_hat, psi_stat]
         _write_rows(out, columns, result.rejected)
     print(
         f"fit: m={m}, t_hat={result.t_hat:.6g}, rejections={result.n_rejections}, "

@@ -57,7 +57,7 @@ def clamp_pvalues(pvals):
     numpy.ndarray
         Clamped copy, dtype float64, never the caller's array. The fit
         path writes its own transforms of p into it in place
-        (-log p in :func:`camt.em.fit`, 1 - p in
+        (-log p in :func:`camt.em.fit`, min(p, 1 - p) in
         :func:`camt.threshold.mirror_statistics`).
     """
     return np.clip(check_pvalues(pvals), P_CLAMP, 1.0 - P_CLAMP)

@@ -39,7 +39,7 @@ def fit_camt(pvals, covariates=None, spline_knots=0):
     The p-values are validated without a copy
     (:func:`~camt.kernel.check_pvalues`): :func:`~camt.em.fit` and
     :func:`~camt.threshold.mirror_statistics` each clamp their own and
-    use that copy as their working buffer (-log p, then 1 - p), so no
+    use that copy as their working buffer (-log p, min(p, 1 - p)), so no
     clamped copy stays alive through EM and the caller's array is never
     written.
 

@@ -1,10 +1,12 @@
 """Mirror FDP estimation and threshold selection.
 
-For each hypothesis the psi transform is applied twice, to the p-value
-itself, s_i = psi(p_i), and to its reflection, r_i = psi(1 - p_i).
-Rejecting whenever s_i <= t makes the r_i that fall below t a stand-in
-for the unobservable count of false rejections (a null p-value and its
-reflection are exchangeable), which gives the estimate
+As the threshold t grows, each hypothesis enters one of two counts: a
+p-value below one half the rejection count at s_i = psi(p_i), one above
+one half the mirror count at r_i = psi(1 - p_i), and one of one half
+neither (an entry time that never comes is inf), so a table of p-values
+all equal to one half is rejected nowhere. As a null p-value and its
+reflection are exchangeable, the mirror count stands in for the
+unobservable count of false rejections among the s_i <= t, giving
 
     FDP(t) = (1 + #{r_i < t}) / max(1, #{s_i <= t}),
 
@@ -21,14 +23,13 @@ it is asked for. The sorted statistics are kept with their
 :class:`MirrorStatistics`, so any number of selections on one fit share
 one sort.
 
-The selector returns the largest threshold up to t_up whose estimate
-stays at or below the target. The s-side uses <= and the r-side strict
-<. A hypothesis with s_i == r_i (a p-value of exactly one half, or one
-where psi rounds both sides to one value) carries no sign, as a
-knockoff statistic W = 0 carries none (Barber & Candes 2015): it counts
-neither as a rejection nor as a mirror, it is never rejected, and its
-s_i is no candidate threshold. A table of p-values all equal to one
-half is rejected nowhere.
+This is the knockoff filter's SeqStep+ estimate (Barber & Candes 2015)
+on psi of AdaPT's masked p-value min(p_i, 1 - p_i) (Lei & Fithian
+2018), signed by the side of one half; a p-value of one half, like a
+knockoff W = 0, has no sign. The selector returns the largest threshold
+up to t_up = min_i psi_i(1/2) whose estimate stays at or below the
+target; below t_up the counts are those of psi(p_i) <= t and
+psi(1 - p_i) < t over all hypotheses, as psi is increasing.
 """
 
 from __future__ import annotations
@@ -38,19 +39,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import check_alpha, check_unit, clamp_pvalues, is_real, psi
+from .kernel import check_alpha, clamp_pvalues, is_real, psi, real_array
 
 
 @dataclass
 class MirrorStatistics:
-    """Per-hypothesis psi statistics and the search cap.
+    """Per-hypothesis entry times and the search cap.
 
-    s : psi at the p-value (the rejection statistic)
-    r : psi at one minus the p-value (the mirror statistic)
-    t_up : the largest threshold the mirror argument supports,
-        min_i psi_i(0.5); above it a rejection region would cross the
-        midpoint of the null distribution. A real scalar
-        (:func:`~camt.kernel.is_real`) in (0, 1].
+    s : entry time into the rejection count, psi(p) if p < 1/2, else inf
+    r : entry time into the mirror count, psi(1 - p) if p > 1/2, else inf
+    t_up : min_i psi_i(1/2), the largest threshold the mirror argument
+        supports, above which a rejection region would cross the null's
+        midpoint; a real scalar (:func:`~camt.kernel.is_real`) in (0, 1].
 
     Not changed after it is built, so it caches the sorted candidate
     thresholds with their counts (``_candidates``), built on the first
@@ -63,11 +63,14 @@ class MirrorStatistics:
 
     def __post_init__(self):
         # psi rounds to 1 where (1 - pi) h is below half an ulp of pi
-        self.s = check_unit("s", self.s, include_one=True)
-        self.r = check_unit("r", self.r, include_one=True)
+        for name in ("s", "r"):
+            x = real_array(name, getattr(self, name))
+            if x.size and not (x.min() > 0.0 and ((x <= 1.0) | (x == np.inf)).all()):
+                raise ValueError(f"{name} must lie in (0, 1] or be inf")
+            setattr(self, name, x)
         if self.s.shape != self.r.shape or self.s.ndim != 1:
             raise ValueError("s and r must be 1-d arrays of equal length")
-        # the comparisons are false for NaN, so NaN fails too
+        # here and above, the comparisons are false for NaN, so NaN fails too
         if not (is_real(self.t_up) and 0.0 < self.t_up <= 1.0):
             raise ValueError("t_up must lie in (0, 1]")
 
@@ -75,14 +78,12 @@ class MirrorStatistics:
     def _candidates(self):
         """Candidate thresholds, the s-values up to t_up in ascending
         order, with their mirror counts #{r_i < t} and rejection counts
-        #{s_i <= t}, each over the hypotheses with s_i != r_i."""
-        signed = self.s != self.r
-        s_sorted = self.s[signed]
-        r_sorted = self.r[signed]
-        s_sorted.sort()
+        #{s_i <= t}; an entry time past t_up enters no count there."""
+        candidates = self.s[self.s <= self.t_up]
+        r_sorted = self.r[self.r < self.t_up]
+        candidates.sort()
         r_sorted.sort()
-        candidates = s_sorted[s_sorted <= self.t_up]
-        den = np.searchsorted(s_sorted, candidates, side="right")
+        den = np.searchsorted(candidates, candidates, side="right")
         num = np.searchsorted(r_sorted, candidates, side="left")
         return candidates, num, den
 
@@ -99,17 +100,21 @@ def mirror_statistics(pvals, fitted):
     """Build :class:`MirrorStatistics` from p-values and fitted parameters.
 
     The p-values pass :func:`~camt.kernel.check_pvalues` and are clamped
-    (:func:`~camt.kernel.clamp_pvalues`) into a copy; once s is built,
-    1 - p is formed in that copy's own buffer, so the caller's array is
-    never written.
+    (:func:`~camt.kernel.clamp_pvalues`) into a copy; min(p, 1 - p) is
+    formed in that copy's own buffer, so one psi pass gives both entry
+    times and the caller's array is never written. No p-value is an error.
     """
     p = clamp_pvalues(pvals)
+    if p.size == 0:
+        raise ValueError("need at least one p-value")
     if p.shape != fitted.pi_hat.shape:
         raise ValueError(
             f"p-values of shape {p.shape} for fitted hypotheses of shape {fitted.pi_hat.shape}"
         )
-    s = psi(p, fitted.pi_hat, fitted.k_hat)
-    r = psi(np.subtract(1.0, p, out=p), fitted.pi_hat, fitted.k_hat)
+    lower, upper = p < 0.5, p > 0.5
+    entry = psi(np.minimum(p, np.subtract(1.0, p), out=p), fitted.pi_hat, fitted.k_hat)
+    with np.errstate(divide="ignore"):  # psi > 0, so entry / False is inf
+        s, r = entry / lower, entry / upper
     t_up = float(np.min(psi(0.5, fitted.pi_hat, fitted.k_hat)))
     return MirrorStatistics(s=s, r=r, t_up=t_up)
 
@@ -157,8 +162,12 @@ def select_threshold(stats, alpha, mixed_fitted=None):
 
 
 def reject(stats, t_hat, mixed_fitted=None):
-    """Rejection set at threshold t_hat: every i with s_i <= t_hat and
-    s_i != r_i.
+    """Rejection set at threshold t_hat: every i with s_i <= t_hat.
+
+    Every count reads the entry times, at any t_hat: a p-value above one
+    half is never rejected, even at a t_hat above t_up, which no
+    selection reaches, and a psi rounding tie psi(p) == psi(1 - p) counts
+    on its side of one half, which under the cap matters only at t_up.
 
     fdp_hat is the estimate the selector compares with alpha, the mixed
     one when mixed_fitted is set to the fit's FittedHypotheses (as for
@@ -170,23 +179,14 @@ def reject(stats, t_hat, mixed_fitted=None):
     if not (is_real(t_hat) and 0.0 <= t_hat <= 1.0):
         raise ValueError("t_hat must lie in [0, 1]")
     _check_mixed_fitted(stats, mixed_fitted)
-    signed = stats.s != stats.r
     rejected = stats.s <= t_hat
-    rejected &= signed
     n_rejections = int(np.count_nonzero(rejected))
     # at t_hat = 0, E(0) = 0 and the mirror count is 0, so the mixed
     # estimate is the plain one and needs no pass over the fit
     mixed = mixed_fitted is not None and t_hat > 0.0
     expected = _expected_count(mixed_fitted, t_hat) if mixed else None
-    mirrors = stats.r < t_hat
-    mirrors &= signed
-    fdp_hat = _fdp_hat(int(np.count_nonzero(mirrors)), n_rejections, expected)
-    return RejectionResult(
-        t_hat=float(t_hat),
-        rejected=rejected,
-        n_rejections=n_rejections,
-        fdp_hat=float(fdp_hat),
-    )
+    fdp_hat = _fdp_hat(int(np.count_nonzero(stats.r < t_hat)), n_rejections, expected)
+    return RejectionResult(float(t_hat), rejected, n_rejections, float(fdp_hat))
 
 
 def _check_mixed_fitted(stats, mixed_fitted):

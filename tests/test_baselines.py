@@ -302,6 +302,17 @@ def test_lfdr_takes_an_overflowing_likelihood_ratio_as_zero(setup, k_s, k_f):
     assert (values == 0.0).any()
 
 
+@pytest.mark.parametrize("family", ["normal", "noncentral-gamma"])
+def test_lfdr_is_one_where_pi0_is_one_even_if_the_ratio_overflows(family):
+    # at p = 1e-320 the likelihood ratio of an effect of 38 overflows to
+    # inf, and (1 - pi0) inf was 0 inf = NaN with a RuntimeWarning
+    truth = OracleTruth(pi0=np.array([1.0, 1.0, 0.5]), effect=np.full(3, 38.0), family=family)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = lfdr_values([1e-320, 0.5, 1e-320], truth)
+    assert np.array_equal(values, [1.0, 1.0, 0.0])
+
+
 def test_oracle_all_null_rejects_nothing():
     truth = OracleTruth(pi0=np.ones(10), effect=np.full(10, 2.0))
     p = np.linspace(0.01, 0.95, 10)

@@ -18,7 +18,7 @@ import camt.simulation
 from camt.baselines import storey
 from camt.cli import CliError, main, parse_table
 from camt.em import MAX_ITER
-from camt.kernel import P_CLAMP
+from camt.kernel import P_CLAMP, psi
 from camt.pipeline import run_camt
 from camt.simulation import DEFAULT_PROCEDURES, SimulationConfig, generate
 
@@ -465,13 +465,18 @@ def test_fit_round_trip(tmp_path, capsys):
         assert np.array_equal(np.array([float(r[1]) for r in rows]), table.pvals)
         assert np.array_equal(np.array([float(r[3]) for r in rows]), fit.fitted.pi_hat)
         assert np.array_equal(np.array([float(r[4]) for r in rows]), fit.fitted.k_hat)
-        assert np.array_equal(np.array([float(r[5]) for r in rows]), fit.stats.s)
+        # psi_stat is psi(p) on every row; the mirror statistics are entry times
+        psi_stat = psi(table.pvals, fit.fitted.pi_hat, fit.fitted.k_hat)
+        assert np.array_equal(np.array([float(r[5]) for r in rows]), psi_stat)
+        assert np.array_equal(fit.stats.s, np.where(table.pvals < 0.5, psi_stat, np.inf))
         assert np.array_equal(np.array([int(r[6]) for r in rows]), oracle.rejected.astype(int))
 
 
 def _reference_body(table, fit, result):
     """The column-name row and data rows as the per-row csv writer
-    camt fit used before block writing produced them."""
+    camt fit used before block writing produced them, with psi_stat
+    psi(p)."""
+    psi_stat = psi(table.pvals, fit.fitted.pi_hat, fit.fitted.k_hat)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(
@@ -485,7 +490,7 @@ def _reference_body(table, fit, result):
                 *(repr(float(v)) for v in table.covariates[i]),
                 repr(float(fit.fitted.pi_hat[i])),
                 repr(float(fit.fitted.k_hat[i])),
-                repr(float(fit.stats.s[i])),
+                repr(float(psi_stat[i])),
                 int(result.rejected[i]),
             ]
         )

@@ -18,6 +18,9 @@ def test_empty_input_is_a_clear_error():
             run_camt(np.array([]))
         with pytest.raises(ValueError, match="need at least one p-value"):
             fit_camt([], np.empty((0, 2)))
+    empty = FittedHypotheses(pi_hat=np.empty(0), k_hat=np.empty(0))
+    with pytest.raises(ValueError, match="need at least one p-value"):
+        mirror_statistics(np.array([]), empty)
 
 
 def test_covariate_rows_must_match_the_p_values():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camt.em import FittedHypotheses
-from camt.kernel import psi
+from camt.kernel import clamp_pvalues, psi
 from camt.pipeline import fit_camt
 from camt.simulation import SimulationConfig, generate
 from camt.threshold import (
@@ -38,14 +38,10 @@ def _cutoff(t, pi, k):
 
 
 def _grid_best(stats, alpha, n_points):
-    """Brute-force threshold search on a uniform grid over [0, t_up]; a
-    hypothesis with s_i == r_i enters neither count."""
+    """Brute-force threshold search on a uniform grid over [0, t_up]."""
     grid = np.linspace(0.0, stats.t_up, n_points)
-    signed = stats.s != stats.r
-    s_sorted = np.sort(stats.s[signed])
-    r_sorted = np.sort(stats.r[signed])
-    num = np.searchsorted(r_sorted, grid, side="left")
-    den = np.searchsorted(s_sorted, grid, side="right")
+    num = np.searchsorted(np.sort(stats.r), grid, side="left")
+    den = np.searchsorted(np.sort(stats.s), grid, side="right")
     estimates = (1 + num) / np.maximum(1, den)
     admissible = estimates <= alpha
     if not admissible.any():
@@ -186,13 +182,19 @@ def test_reject_nested_thresholds():
 
 
 def test_mirror_statistics_definition():
+    # entry times: psi(p) into the rejection count below one half,
+    # psi(1 - p) into the mirror count above it, inf where never entered
     rng = np.random.default_rng(55)
     m = 40
     p = rng.uniform(0.01, 0.99, m)
+    p[:2] = 0.5
     fitted = FittedHypotheses(pi_hat=rng.uniform(0.2, 0.95, m), k_hat=rng.uniform(0.1, 0.9, m))
     stats = mirror_statistics(p, fitted)
-    assert np.array_equal(stats.s, psi(p, fitted.pi_hat, fitted.k_hat))
-    assert np.array_equal(stats.r, psi(1.0 - p, fitted.pi_hat, fitted.k_hat))
+    s = psi(p, fitted.pi_hat, fitted.k_hat)
+    r = psi(1.0 - p, fitted.pi_hat, fitted.k_hat)
+    assert np.array_equal(stats.s, np.where(p < 0.5, s, np.inf))
+    assert np.array_equal(stats.r, np.where(p > 0.5, r, np.inf))
+    assert np.all(np.isinf(stats.s[:2]) & np.isinf(stats.r[:2]))
     assert stats.t_up == float(np.min(psi(0.5, fitted.pi_hat, fitted.k_hat)))
 
 
@@ -218,6 +220,11 @@ def test_mirror_statistics_validation():
         MirrorStatistics(s=np.array([0.0]), r=np.array([0.5]), t_up=0.5)
     with pytest.raises(ValueError):
         MirrorStatistics(s=np.array([0.5]), r=np.array([0.5]), t_up=0.0)
+    # an entry time lies in (0, 1] or is inf, never entered
+    MirrorStatistics(s=np.array([1.0, np.inf]), r=np.array([np.inf, 0.3]), t_up=0.5)
+    for bad in (np.nan, -np.inf, 1.5, 0.0):
+        with pytest.raises(ValueError, match=r"^r must lie in \(0, 1\] or be inf$"):
+            MirrorStatistics(s=np.array([0.2, np.inf]), r=np.array([np.inf, bad]), t_up=0.5)
     fitted = FittedHypotheses(pi_hat=np.full(3, 0.9), k_hat=np.full(3, 0.5))
     message = r"^p-values of shape \(5,\) for fitted hypotheses of shape \(3,\)$"
     with pytest.raises(ValueError, match=message):
@@ -225,13 +232,12 @@ def test_mirror_statistics_validation():
 
 
 def test_half_pvalue_counts_neither_for_rejection_nor_against():
-    # p = 0.5 makes s equal r: the hypothesis carries no sign, so it
-    # counts neither as a rejection nor as a mirror, at t = s or above,
-    # and it is no candidate threshold
+    # p = 0.5 carries no sign: it enters neither count, at t = psi(0.5)
+    # or above, so it is no candidate threshold
     fitted = FittedHypotheses(pi_hat=np.array([0.8]), k_hat=np.array([0.5]))
     stats = mirror_statistics(np.array([0.5]), fitted)
-    assert stats.s[0] == stats.r[0]
-    for t in (stats.s[0], 1.0):
+    assert stats.s[0] == stats.r[0] == np.inf
+    for t in (stats.t_up, 1.0):
         for mixed_fitted in (None, fitted):
             result = reject(stats, t, mixed_fitted=mixed_fitted)
             assert (result.n_rejections, result.fdp_hat) == (0, 1.0)
@@ -240,13 +246,14 @@ def test_half_pvalue_counts_neither_for_rejection_nor_against():
 
 
 def test_a_statistic_that_rounds_to_one_is_a_candidate():
+    assert select_threshold(MirrorStatistics(np.array([1.0]), np.array([np.inf]), 1.0), 1.0) == 1.0
     # pi_hat sits at the winsorize cap 1 - 1e-5 and k_hat at 1 - 2.4e-12,
     # so at p = 0.72 (1 - pi) h is below half an ulp of pi and psi is 1.0
     data = generate(SimulationConfig(setup="complete-null", m=500, seed=0), 94)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "EM did not converge", RuntimeWarning)
         state = fit_camt(data.pvals, data.covariates)
-    assert state.stats.s.max() == 1.0
+    assert psi(clamp_pvalues(data.pvals), state.fitted.pi_hat, state.fitted.k_hat).max() == 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for mixed in (False, True):
@@ -255,13 +262,49 @@ def test_a_statistic_that_rounds_to_one_is_a_candidate():
                 assert result.t_hat == 0.0 or result.fdp_hat <= alpha
                 assert result.t_hat <= state.stats.t_up
         # the selection stops at t_up < 1, but rejecting at t = 1 reaches
-        # E(1) = sum(pi), where the statistic of one is rejected too
+        # E(1) = sum(pi), where every p-value below one half is rejected
         result = reject(state.stats, 1.0, mixed_fitted=state.fitted)
-        assert result.n_rejections == 500
+        n_below = np.count_nonzero(data.pvals < 0.5)
+        assert result.n_rejections == n_below == 249
         expected = _expected_count(state.fitted, 1.0)
         assert expected == pytest.approx(state.fitted.pi_hat.sum(), rel=1e-12)
         mirror_count = np.count_nonzero(state.stats.r < 1.0)
-        assert result.fdp_hat == max(1.0, expected, mirror_count) / 500
+        assert result.fdp_hat == max(1.0, expected, mirror_count) / n_below
+
+
+def test_reject_above_t_up_never_rejects_a_pvalue_above_one_half():
+    # at t = 1 > t_up, psi(0.7) <= t, but 0.7 only ever enters the
+    # mirror count, at psi(0.3); no selection goes above t_up
+    fitted = FittedHypotheses(pi_hat=np.full(3, 0.8), k_hat=np.full(3, 0.5))
+    stats = mirror_statistics(np.array([0.3, 0.7, 0.9]), fitted)
+    assert stats.t_up < psi(0.7, 0.8, 0.5) < 1.0
+    result = reject(stats, 1.0)
+    assert np.array_equal(result.rejected, [True, False, False])
+    assert result.fdp_hat == (1 + 2) / 1
+    for alpha in (0.5, 1.0):
+        assert select_threshold(stats, alpha) <= stats.t_up
+
+
+def test_a_rounding_tie_counts_on_its_side_of_one_half():
+    # with pi at the winsorize cap and k_hat at 1 - 2.4e-12, psi rounds
+    # to 1.0 on both sides of 0.45 and 0.55, so t_up = 1.0 too; each
+    # p-value still enters the count of its side of one half, at t_up
+    fitted = FittedHypotheses(pi_hat=np.full(2, 1.0 - 1e-5), k_hat=np.full(2, 1.0 - 2.4e-12))
+    p = np.array([0.45, 0.55])
+    assert np.all(psi(p, fitted.pi_hat, fitted.k_hat) == 1.0)
+    assert np.all(psi(1.0 - p, fitted.pi_hat, fitted.k_hat) == 1.0)
+    stats = mirror_statistics(p, fitted)
+    assert stats.t_up == 1.0
+    assert np.array_equal(stats.s, [1.0, np.inf]) and np.array_equal(stats.r, [np.inf, 1.0])
+    # the statistic of one is the plain selection's candidate; the mirror
+    # count is strict, so r = t does not count
+    assert select_threshold(stats, 1.0) == 1.0
+    result = reject(stats, 1.0)
+    assert np.array_equal(result.rejected, [True, False]) and result.fdp_hat == 1.0
+    # the mixed estimate at t = 1 reads E(1) = sum(pi), near 2
+    result = reject(stats, 1.0, mixed_fitted=fitted)
+    assert np.array_equal(result.rejected, [True, False])
+    assert result.fdp_hat == fitted.pi_hat.sum() > 1.0
 
 
 def test_a_mixed_selection_refuses_another_fits_hypotheses():
@@ -451,11 +494,9 @@ def test_the_statistics_are_sorted_once_per_fit(monkeypatch):
 
 
 def _reference_select_mixed(stats, alpha, fitted):
-    """The all-candidates mixed selector: E(t) at every candidate at once;
-    a hypothesis with s_i == r_i enters neither count."""
-    signed = stats.s != stats.r
-    s_sorted = np.sort(stats.s[signed])
-    r_sorted = np.sort(stats.r[signed])
+    """The all-candidates mixed selector: E(t) at every candidate at once."""
+    s_sorted = np.sort(stats.s)
+    r_sorted = np.sort(stats.r)
     candidates = s_sorted[s_sorted <= stats.t_up]
     if candidates.size == 0:
         return 0.0
@@ -478,8 +519,10 @@ def _reference_select_mixed(stats, alpha, fitted):
 
 
 @st.composite
-def _instances(draw):
-    """Mirror statistics and fits with ties, p = 0.5 and m up to 500."""
+def _pvalues_and_fits(draw, rounding=False):
+    """P-values and fits with ties, p = 0.5 and m up to 500; with
+    rounding, some draws put hypotheses on a fit where psi rounds to 1.0
+    for every p-value from 0.44 to 0.56."""
     m = draw(st.integers(1, 500))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):  # one shared fit: tied p-values give tied statistics
@@ -493,7 +536,16 @@ def _instances(draw):
     if draw(st.booleans()):
         p = np.round(p, 2)  # ties, exact zeros and ones
     p[rng.random(m) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.5
-    fitted = FittedHypotheses(pi_hat=pi, k_hat=k)
+    if rounding:
+        extreme = rng.random(m) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+        pi[extreme], k[extreme] = 1.0 - 1e-5, 1.0 - 2.4e-12
+    return p, FittedHypotheses(pi_hat=pi, k_hat=k)
+
+
+@st.composite
+def _instances(draw):
+    """Mirror statistics and fits from :func:`_pvalues_and_fits`."""
+    p, fitted = draw(_pvalues_and_fits())
     return mirror_statistics(p, fitted), fitted
 
 
@@ -511,10 +563,10 @@ def test_mixed_select_matches_all_candidates_reference(instance, alpha):
     assert t_hat == _reference_select_mixed(stats, alpha, fitted)
     assert t_hat <= stats.t_up
     # and, bit for bit, the largest candidate whose reported estimate is
-    # admissible; a tie s_i == r_i is no candidate
+    # admissible
     admitted = [
         t
-        for t in stats.s[(stats.s <= stats.t_up) & (stats.s != stats.r)]
+        for t in stats.s[stats.s <= stats.t_up]
         if reject(stats, t, mixed_fitted=fitted).fdp_hat <= alpha
     ]
     assert t_hat == max(admitted, default=0.0)
@@ -586,3 +638,26 @@ def test_permuting_hypotheses_permutes_the_mask(instance, alpha, mixed, seed):
     assert t_perm == t_hat
     assert t_hat <= stats.t_up
     assert np.array_equal(reject(shuffled, t_perm).rejected, reject(stats, t_hat).rejected[perm])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pvalues_and_fits(rounding=True), st.floats(0.0, 1.0))
+def test_each_hypothesis_enters_at_most_one_count(instance, t):
+    p, fitted = instance
+    stats = mirror_statistics(p, fitted)
+    assert not np.any(np.isfinite(stats.s) & np.isfinite(stats.r))
+    result = reject(stats, t)
+    assert np.array_equal(result.rejected, stats.s <= t)
+    mirrors = np.count_nonzero(stats.r < t)
+    assert result.fdp_hat == (1 + mirrors) / max(1, result.n_rejections)
+    if t <= stats.t_up:
+        # the reference: psi at the p-value and at its reflection for
+        # every hypothesis, each count over its side of one half
+        q = clamp_pvalues(p)
+        s = psi(q, fitted.pi_hat, fitted.k_hat)
+        r = psi(1.0 - q, fitted.pi_hat, fitted.k_hat)
+        assert result.n_rejections == np.count_nonzero((s <= t) & (p < 0.5))
+        assert mirrors == np.count_nonzero((r < t) & (p > 0.5))
+        if t < stats.t_up:  # below the cap no side needs naming
+            assert result.n_rejections == np.count_nonzero(s <= t)
+            assert mirrors == np.count_nonzero(r < t)
