@@ -3,7 +3,7 @@
 expit, the standard normal CDF (ndtr) and its inverse (ndtri), and the
 AR(1) recursion of the dependent-noise setups. They stand in for the
 scipy functions of the same names (and for scipy.signal.lfilter), so
-`camt.simulation` and `camt.baselines` load no scipy, and ndtri gives
+`camt.simulation` loads no scipy, and ndtri gives
 `camt.diagnostics` its chi-square(1) quantiles. Each is vectorized:
 one numpy pass per arithmetic step, no per-element Python.
 

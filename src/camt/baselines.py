@@ -2,8 +2,8 @@
 
 The first two operate on p-values alone. The oracle rule sees the true
 generating mechanism (per-hypothesis null probabilities and the exact
-null and alternative p-value densities) and provides the power ceiling
-simulations are judged against.
+null and alternative densities of the z-scores behind the p-values) and
+provides the power ceiling simulations are judged against.
 """
 
 from __future__ import annotations
@@ -13,12 +13,9 @@ from math import lgamma
 
 import numpy as np
 
-from ._special import ndtri
 from .kernel import check_alpha, check_finite, check_finite_array, check_pvalues, real_array
 
 STOREY_LAMBDA = 0.5  # the tail above it estimates the null fraction
-# the doubles next to 0 and 1, where lfdr_values evaluates an exact 0 or 1
-_P_INTERIOR = (np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 # the largest lam numpy's Generator.poisson takes, int64 max - 10 sqrt(int64 max)
 _POISSON_LAM_MAX = 9.223372006484771e18
 
@@ -158,38 +155,40 @@ def _noncentral_gamma_pdf(x, scale, delta):
     return out
 
 
-def lfdr_values(pvals, truth):
-    """True local false discovery rate of each p-value.
+def lfdr_values(z, truth):
+    """True local false discovery rate of each z-score.
 
-    The z-score behind p is recovered as z = Phi^{-1}(1 - p), and the
-    LFDR is pi0 / (pi0 + (1 - pi0) L), with L the likelihood ratio of z
-    under the alternative against the null N(null_mean, 1). An L that
-    overflows to inf takes its exact limit, an LFDR of 0, or of 1 where
-    pi0 = 1.
+    The LFDR is pi0 / (pi0 + (1 - pi0) L), with L the likelihood ratio
+    of z under the alternative against the null N(null_mean, 1). An L
+    that overflows to inf takes its exact limit, an LFDR of 0, and one
+    that underflows to 0 an LFDR of 1; where pi0 = 1 the LFDR is 1 and
+    where pi0 = 0 it is 0, whatever L is.
 
-    pvals pass :func:`~camt.kernel.check_pvalues`, and truth must hold
-    one entry per p-value; anything else raises ValueError. An exact 0
-    or 1, whose z-score is infinite, is evaluated at its nearest interior
-    double, so its LFDR is finite and ranks it next to its neighbours;
-    every p strictly inside (0, 1) is evaluated as it is.
+    z passes :func:`~camt.kernel.check_finite_array` and must be a 1-d
+    array with one entry per entry of truth; anything else raises
+    ValueError.
     """
-    p = check_pvalues(pvals)
-    if truth.pi0.shape != p.shape:
-        raise ValueError(f"truth of shape {truth.pi0.shape} for p-values of shape {p.shape}")
-    z = -ndtri(np.clip(p, *_P_INTERIOR))  # Phi^{-1}(1 - p), computed in the precise tail
+    z = check_finite_array("z", z)
+    if z.ndim != 1 or z.shape != truth.pi0.shape:
+        raise ValueError(f"z must be 1-d with truth's shape {truth.pi0.shape}, not {z.shape}")
     # log of the null density over the standard normal density at z
     log_null = truth.null_mean * z - 0.5 * truth.null_mean**2
     with np.errstate(over="ignore"):
         if truth.family == "normal":
             ratio = np.exp(truth.effect * z - 0.5 * truth.effect**2 - log_null)
         else:
+            # L is 0 where the density is 0 and formed in logs elsewhere, so a
+            # standard normal density that underflows (|z| > 38.6) divides nothing
             scale, delta = noncentral_gamma_params(truth.effect)
-            # standard normal density, written as scipy.stats.norm.pdf computes it
-            normal_pdf = np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)
-            ratio = _noncentral_gamma_pdf(z, scale, delta) / normal_pdf * np.exp(-log_null)
+            pdf = _noncentral_gamma_pdf(z, scale, delta)
+            pos = pdf > 0.0
+            log_ratio = np.log(pdf[pos]) + 0.5 * (z[pos] ** 2 + np.log(2 * np.pi)) - log_null[pos]
+            ratio = np.zeros_like(pdf)
+            ratio[pos] = np.exp(log_ratio)
     # where pi0 = 1 the alternative's part is 0, also for an L of inf
     alt = np.multiply(1.0 - truth.pi0, ratio, out=np.zeros_like(ratio), where=truth.pi0 < 1.0)
-    return truth.pi0 / (truth.pi0 + alt)
+    # where pi0 = 0 the LFDR is 0, also for an L of 0
+    return np.divide(truth.pi0, truth.pi0 + alt, out=np.zeros_like(ratio), where=truth.pi0 > 0.0)
 
 
 def oracle_prepare(values):

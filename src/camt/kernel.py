@@ -14,9 +14,9 @@ function that takes p-values, one per hypothesis, passes them through
 it, directly or by :func:`clamp_pvalues`, and it refuses anything but a
 real 1-d array with every entry in [0, 1]. :func:`check_finite_array`
 is the one gate of the covariates, a design, a spline's points and the
-oracle's effects; each caller adds its own shape rule. The formulas and
-the other range checks broadcast over numpy arrays and accept plain
-floats.
+oracle's effects and z-scores; each caller adds its own shape rule. The
+formulas and the other range checks broadcast over numpy arrays and
+accept plain floats.
 
 Each kind of scalar argument has one gate here, built on the two type
 tests :func:`is_real` and :func:`is_integer`: :func:`check_alpha` for a

@@ -119,6 +119,12 @@ class SimulationConfig:
 
 @dataclass
 class SimulatedDataset:
+    """One replicate: the p-values and covariates a procedure sees, the
+    alternative labels the metrics score against, and the drawn z-scores,
+    with p = 1 - Phi(z), and the truth behind them, which the oracle reads
+    (:func:`~camt.baselines.lfdr_values` takes z, not p, so a p-value that
+    rounds to 0 keeps its z)."""
+
     pvals: np.ndarray
     covariates: np.ndarray
     is_alternative: np.ndarray
@@ -245,6 +251,8 @@ class _Procedure:
 def make_procedure(name):
     """Procedure registry used by sweeps and the CLI.
 
+    Every procedure prepares from a replicate's p-values and covariates
+    except the oracle, which reads the drawn z-scores and the truth.
     The baselines and fit_camt are looked up when a procedure runs, not
     when it is made, so a patched module attribute is what runs."""
     key = str(name).strip().lower()
@@ -258,7 +266,7 @@ def make_procedure(name):
         return _Procedure(
             key,
             key,
-            lambda data: oracle_prepare(lfdr_values(data.pvals, data.truth)),
+            lambda data: oracle_prepare(lfdr_values(data.z, data.truth)),
             lambda state, alpha: oracle_select(state, alpha),
         )
     if key in ("camt", "camt-mixed"):

@@ -7,6 +7,8 @@ from math import lgamma
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import camt.baselines
 from camt._special import ndtri
@@ -37,9 +39,9 @@ def _bh_scan(pvals, alpha):
     return p <= ps[kstar - 1]
 
 
-def _oracle(pvals, truth, alpha):
+def _oracle(z, truth, alpha):
     """The sweep's oracle procedure: LFDR values, prepared, then selected."""
-    return oracle_select(oracle_prepare(lfdr_values(pvals, truth)), alpha)
+    return oracle_select(oracle_prepare(lfdr_values(z, truth)), alpha)
 
 
 def _reference_noncentral_gamma_pdf(x, scale, delta):
@@ -65,19 +67,18 @@ def _reference_noncentral_gamma_pdf(x, scale, delta):
     return out
 
 
-def _reference_lfdr_values(pvals, truth):
+def _reference_lfdr_values(z, truth):
     """The two-density formula: the null and the alternative density of
     z, each over the standard normal density, weighted by pi0 and
-    1 - pi0; the gamma family takes _reference_noncentral_gamma_pdf."""
-    p = np.clip(np.asarray(pvals, dtype=float), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
-    z = -ndtri(p)
+    1 - pi0; the gamma family's alternative density is
+    _noncentral_gamma_pdf, or what a test patches in its place."""
     f0 = np.exp(truth.null_mean * z - 0.5 * truth.null_mean**2)
     if truth.family == "normal":
         f1 = np.exp(truth.effect * z - 0.5 * truth.effect**2)
     else:
         scale, delta = noncentral_gamma_params(truth.effect)
         normal_pdf = np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)
-        f1 = _reference_noncentral_gamma_pdf(z, scale, delta) / normal_pdf
+        f1 = camt.baselines._noncentral_gamma_pdf(z, scale, delta) / normal_pdf
     null_part = truth.pi0 * f0
     alt_part = (1.0 - truth.pi0) * f1
     return null_part / (null_part + alt_part)
@@ -221,14 +222,14 @@ def test_lfdr_is_pi0_when_alternative_matches_null():
     # the prior; dyadic priors keep the arithmetic exact
     pi0 = np.array([0.5, 0.25, 0.75, 0.125])
     truth = OracleTruth(pi0=pi0, effect=np.zeros(4))
-    p = np.array([0.02, 0.3, 0.77, 0.5])
-    assert lfdr_values(p, truth).tolist() == pi0.tolist()
+    z = np.array([2.05, 0.52, -0.74, 0.0])
+    assert lfdr_values(z, truth).tolist() == pi0.tolist()
 
 
 def test_lfdr_increases_with_p_for_positive_effect():
     p = np.linspace(0.001, 0.999, 500)
     truth = OracleTruth(pi0=np.full(500, 0.8), effect=np.full(500, 2.0))
-    values = lfdr_values(p, truth)
+    values = lfdr_values(-ndtri(p), truth)
     assert np.all(np.diff(values) > 0)
     assert np.all((values > 0) & (values < 1))
 
@@ -241,30 +242,10 @@ def test_lfdr_shifted_null_raises_small_p_lfdr():
     shifted = OracleTruth(
         pi0=np.full(2, 0.9), effect=np.full(2, 2.0), null_mean=-0.15
     )
-    lo = lfdr_values(p, base)
-    hi = lfdr_values(p, shifted)
+    lo = lfdr_values(-ndtri(p), base)
+    hi = lfdr_values(-ndtri(p), shifted)
     assert hi[0] < lo[0]
     assert hi[1] > lo[1]
-
-
-@pytest.mark.parametrize("family", ["normal", "noncentral-gamma"])
-def test_lfdr_at_an_exact_zero_or_one_is_its_nearest_interior_value(family):
-    # z = -ndtri(p) is infinite at p = 0 or 1, which gave a NaN LFDR and
-    # a RuntimeWarning; an exact 0 or 1 now reads the LFDR of the double
-    # next to it, and every p inside (0, 1) keeps its own bits
-    truth = OracleTruth(pi0=np.full(4, 0.9), effect=np.full(4, 2.0), family=family)
-    p = np.array([0.0, 1e-300, 1.0, 0.5])
-    interior = np.array([np.nextafter(0.0, 1.0), 1e-300, np.nextafter(1.0, 0.0), 0.5])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        values = lfdr_values(p, truth)
-        want = lfdr_values(interior, truth)
-    assert np.array_equal(values, want)
-    assert np.all((values >= 0.0) & (values <= 1.0))
-    assert values[0] < values[1] < values[3] <= values[2]
-    # the oracle ranks the most significant p-value first
-    order, _ = oracle_prepare(values)
-    assert order[0] == 0
 
 
 @pytest.mark.parametrize("setup", ["S0", "S2", "complete-null", "S1", "S5.1", "S5.2"])
@@ -272,14 +253,17 @@ def test_lfdr_matches_the_two_density_formula(monkeypatch, setup):
     # one likelihood ratio against the null keeps the two-density
     # formula's bits wherever the null is centred; a shifted null
     # rounds apart by at most 2 ulp of 1. S1 compares the formulas on
-    # one density, the per-term sum
+    # one density, the per-term sum; its ratio is formed in logs, so it
+    # rounds apart too
     monkeypatch.setattr(camt.baselines, "_noncentral_gamma_pdf", _reference_noncentral_gamma_pdf)
     for seed in range(3):
         data = generate(SimulationConfig(setup=setup, m=2000, seed=seed))
-        values = lfdr_values(data.pvals, data.truth)
-        want = _reference_lfdr_values(data.pvals, data.truth)
+        values = lfdr_values(data.z, data.truth)
+        want = _reference_lfdr_values(data.z, data.truth)
         if setup.startswith("S5"):
             assert np.abs(values - want).max() <= 4.5e-16
+        elif setup == "S1":
+            assert np.all(np.abs(values - want) <= 1e-12 * want)
         else:
             assert np.array_equal(values, want)
 
@@ -294,29 +278,100 @@ def test_lfdr_takes_an_overflowing_likelihood_ratio_as_zero(setup, k_s, k_f):
     data = generate(SimulationConfig(setup=setup, m=10_000, k_s=k_s, k_f=k_f, seed=0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values = lfdr_values(data.pvals, data.truth)
+        values = lfdr_values(data.z, data.truth)
     assert np.all((values >= 0.0) & (values <= 1.0))
     with np.errstate(over="ignore"):
-        want = _reference_lfdr_values(data.pvals, data.truth)
+        want = _reference_lfdr_values(data.z, data.truth)
     assert np.array_equal(values, want)
     assert (values == 0.0).any()
 
 
 @pytest.mark.parametrize("family", ["normal", "noncentral-gamma"])
 def test_lfdr_is_one_where_pi0_is_one_even_if_the_ratio_overflows(family):
-    # at p = 1e-320 the likelihood ratio of an effect of 38 overflows to
+    # at z = 40 the likelihood ratio of an effect of 38 overflows to
     # inf, and (1 - pi0) inf was 0 inf = NaN with a RuntimeWarning
     truth = OracleTruth(pi0=np.array([1.0, 1.0, 0.5]), effect=np.full(3, 38.0), family=family)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values = lfdr_values([1e-320, 0.5, 1e-320], truth)
+        values = lfdr_values([40.0, 0.5, 40.0], truth)
     assert np.array_equal(values, [1.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("family", ["normal", "noncentral-gamma"])
+def test_lfdr_is_zero_where_pi0_is_zero_even_if_the_ratio_underflows(family):
+    # near z = 0 the likelihood ratio of an effect of 40 underflows to 0,
+    # and pi0 / (pi0 + (1 - pi0) L) was 0 / 0 = NaN with a RuntimeWarning
+    truth = OracleTruth(pi0=np.array([0.0, 0.0, 0.5]), effect=np.full(3, 40.0), family=family)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = lfdr_values([0.5, 0.999, 0.5], truth)
+    assert np.array_equal(values, [0.0, 0.0, 1.0])
+
+
+_RECOVERY_SETUPS = [
+    pytest.param("S0", {}, id="S0"),
+    pytest.param("S2", {"k_f": 1.0}, id="S2-kf1"),
+    pytest.param("S3.3", {}, id="S3.3"),
+    pytest.param("S4", {}, id="S4"),
+    pytest.param("S5.1", {}, id="S5.1"),
+    pytest.param("S5.2", {}, id="S5.2"),
+    pytest.param("S1", {}, id="S1"),
+]
+
+
+@pytest.mark.parametrize("setup, params", _RECOVERY_SETUPS)
+def test_lfdr_of_the_drawn_z_matches_the_z_recovered_from_p(setup, params):
+    # the oracle read each z back as -ndtri(p); it now reads the drawn z,
+    # which changes its values by rounding and none of its selections.
+    # S1's ratio changed form too, so it is compared with the two-density
+    # formula on the recovered z, whose bits the ratio over the standard
+    # normal density kept
+    for seed in range(3):
+        data = generate(SimulationConfig(setup=setup, m=2000, seed=seed, **params))
+        recovered = -ndtri(data.pvals)
+        values = lfdr_values(data.z, data.truth)
+        if setup == "S1":
+            tol, want = 1e-12, _reference_lfdr_values(recovered, data.truth)
+        else:
+            tol, want = 1e-13, lfdr_values(recovered, data.truth)
+        assert np.all(np.abs(values - want) <= tol * want)
+        for alpha in (0.05, 0.1):
+            mask = oracle_select(oracle_prepare(values), alpha)
+            assert np.array_equal(mask, oracle_select(oracle_prepare(want), alpha))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(["normal", "noncentral-gamma"]),
+    z=st.lists(st.floats(-60.0, 200.0), min_size=1, max_size=30),
+    pi0=st.floats(0.0, 1.0),
+    effect=st.floats(0.0, 30.0),
+    null_mean=st.floats(-0.2, 0.2),
+)
+def test_lfdr_is_a_probability_for_any_finite_z(family, z, pi0, effect, null_mean):
+    # z reaches past the normal density's underflow near 38.6, where the
+    # gamma family's ratio divided by a density of 0
+    if family == "noncentral-gamma":
+        effect = max(effect, 1.5)  # the gamma law needs a mean above sqrt(2)
+    z = np.sort(z)
+    n = z.size
+    truth = OracleTruth(
+        pi0=np.full(n, pi0), effect=np.full(n, effect), family=family, null_mean=null_mean
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = lfdr_values(z, truth)
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    if family == "normal" and effect > null_mean:
+        # L grows with z; the exponent's two rounded products may cross
+        # by a few ulp of its size, which moves L by about 1e-12
+        assert np.all(values[1:] <= values[:-1] * (1.0 + 1e-11))
 
 
 def test_oracle_all_null_rejects_nothing():
     truth = OracleTruth(pi0=np.ones(10), effect=np.full(10, 2.0))
-    p = np.linspace(0.01, 0.95, 10)
-    assert not _oracle(p, truth, 0.05).any()
+    z = np.linspace(-2.0, 4.0, 10)
+    assert not _oracle(z, truth, 0.05).any()
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.5, 0.9])
@@ -450,11 +505,11 @@ def test_oracle_truth_refuses_what_is_no_truth(pi0, effect, message):
 @pytest.mark.parametrize("n_truth", [1, 2, 4])
 def test_lfdr_values_needs_one_truth_entry_per_pvalue(n_truth):
     # two entries raised numpy's bare broadcast error, and one was
-    # silently broadcast over all three p-values
+    # silently broadcast over all three z-scores
     truth = OracleTruth(pi0=np.full(n_truth, 0.9), effect=np.full(n_truth, 2.0))
-    message = rf"^truth of shape \({n_truth},\) for p-values of shape \(3,\)$"
+    message = rf"^z must be 1-d with truth's shape \({n_truth},\), not \(3,\)$"
     with pytest.raises(ValueError, match=message):
-        lfdr_values(np.array([0.01, 0.5, 0.9]), truth)
+        lfdr_values(np.array([2.3, 0.0, -1.3]), truth)
 
 
 def test_procedures_are_permutation_equivariant():

@@ -710,6 +710,19 @@ def test_simulate_smoke_and_determinism(tmp_path, capsys):
     assert len(data_rows) == 5 * 2 * 2
 
 
+def test_simulate_oracle_rejects_s1_alternatives_whose_p_value_rounds_to_zero(tmp_path, capsys):
+    # at k_s = 120 every alternative's p-value underflows to 0; the oracle
+    # read them back at z = 38.47, where the gamma density is 0, and its
+    # row read tpr 0.0. It reads the drawn z
+    out_path = tmp_path / "o.csv"
+    args = ["simulate", "--setup", "S1", "--ks", "120", "--m", "500", "--reps", "1"]
+    assert main([*args, "--procedures", "oracle", "--output", str(out_path)]) == 0
+    capsys.readouterr()
+    rows = [l for l in out_path.read_text().splitlines() if l.startswith("S1,oracle,")]
+    assert len(rows) == 1
+    assert rows[0].split(",")[5] == "1.0"
+
+
 def test_simulate_rejects_unknown_setup(tmp_path, capsys):
     code = main(
         ["simulate", "--setup", "S9", "--reps", "1", "--output", str(tmp_path / "o.csv")]

@@ -2,8 +2,8 @@
 transform against the paper's weight form of the rejection rule, the
 p-value cutoff form as the library computes it (E(t)'s log form),
 clamping, the one p-value gate that every public entry passes, the
-finite-array gate that every covariate, design, spline and effect entry
-passes, the scalar gates that every scalar entry passes, and
+finite-array gate that every covariate, design, spline, effect and
+z-score entry passes, the scalar gates that every scalar entry passes, and
 winsorization."""
 
 import warnings
@@ -56,7 +56,6 @@ _PVALUE_ENTRIES = {
     "clamp_pvalues": clamp_pvalues,
     "bh": lambda p: bh(p, 0.1),
     "storey": lambda p: storey(p, 0.1),
-    "lfdr_values": lambda p: lfdr_values(p, OracleTruth(pi0=np.full(3, 0.9), effect=np.full(3, 2.0))),
     "gif": gif,
     "null_histogram_summary": null_histogram_summary,
     "fit_camt": fit_camt,
@@ -82,8 +81,7 @@ _MALFORMED_PVALUES = {
 @pytest.mark.parametrize("case", list(_MALFORMED_PVALUES))
 @pytest.mark.parametrize("entry", list(_PVALUE_ENTRIES))
 def test_every_pvalue_entry_refuses_malformed_pvalues(entry, case):
-    # lfdr_values checked nothing (1.5 gave a NaN LFDR), gif,
-    # null_histogram_summary and clamp_pvalues took a 2-d array, and every
+    # gif, null_histogram_summary and clamp_pvalues took a 2-d array, and every
     # entry parsed an array of strings
     p, message = _MALFORMED_PVALUES[case]
     with warnings.catch_warnings():
@@ -94,8 +92,8 @@ def test_every_pvalue_entry_refuses_malformed_pvalues(entry, case):
 
 # every public argument that must be a finite real array, by the entry
 # that takes it, called on it alone; each must refuse a complex, non-finite
-# or object array with check_finite_array's message, and a spline's x of
-# the wrong shape with spline_basis' own
+# or object array with check_finite_array's message, and a spline's x or
+# the oracle's z of the wrong shape with its entry's own
 _ARRAY_ROWS = 20
 _ARRAY_SAMPLE = np.linspace(-1.0, 1.0, _ARRAY_ROWS)
 _ARRAY_DESIGN = np.column_stack([np.ones(_ARRAY_ROWS), _ARRAY_SAMPLE])
@@ -114,6 +112,13 @@ _ARRAY_ENTRIES = {
         np.full(_ARRAY_ROWS, 2.0),
         lambda e: OracleTruth(pi0=np.full(_ARRAY_ROWS, 0.9), effect=e),
     ),
+    "lfdr_values.z": (
+        "z",
+        _ARRAY_SAMPLE,
+        lambda z: lfdr_values(
+            z, OracleTruth(pi0=np.full(_ARRAY_ROWS, 0.9), effect=np.full(_ARRAY_ROWS, 2.0))
+        ),
+    ),
 }
 
 
@@ -130,6 +135,10 @@ _BAD_ARRAYS = {
     "object": (lambda x: x.astype(object), "^{} must be a real numeric array, not dtype object$"),
 }
 _SPLINE_SHAPE = "^x must be a 1-d sample with at least n_knots values$"
+_SHAPE_MESSAGES = {
+    "spline_basis.x": _SPLINE_SHAPE,
+    "lfdr_values.z": r"^z must be 1-d with truth's shape \(20,\), not \(10, 2\)$",
+}
 _ARRAY_CASES = [
     *(
         pytest.param(entry, case, id=f"{entry}-{case}")
@@ -138,6 +147,7 @@ _ARRAY_CASES = [
     ),
     pytest.param("spline_basis.x", "2-d", id="spline_basis.x-2-d"),
     pytest.param("spline_basis.x", "0-d", id="spline_basis.x-0-d"),
+    pytest.param("lfdr_values.z", "2-d", id="lfdr_values.z-2-d"),
 ]
 
 
@@ -151,7 +161,7 @@ def test_every_array_entry_refuses_what_its_gate_refuses(entry, case):
         value, message = make(good), message.format(name)
     else:
         value = good.reshape(-1, 2) if case == "2-d" else np.float64(0.5)
-        message = _SPLINE_SHAPE
+        message = _SHAPE_MESSAGES[entry]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before a cast can warn
         with pytest.raises(ValueError, match=message):

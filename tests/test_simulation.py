@@ -428,6 +428,22 @@ def test_oracle_sweep_runs_where_the_alternative_density_overflows():
     assert 0.0 <= row.fdp <= 1.0 and row.tpr > 0.9
 
 
+def test_oracle_rejects_s1_alternatives_whose_p_value_rounds_to_zero():
+    # at k_s = 120 every alternative's p-value underflows to 0; read back
+    # from p they sat at z = 38.47, where the gamma density is 0, and the
+    # oracle rejected none of them. It reads the drawn z
+    data = generate(SimulationConfig(setup="S1", m=500, k_s=120.0, seed=0))
+    assert np.count_nonzero(data.is_alternative) == 48
+    assert np.all(data.pvals[data.is_alternative] == 0.0)
+    oracle = make_procedure("oracle")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = oracle.prepare(data)
+        rejected = oracle.reject(state, 0.05)
+    assert not np.isnan(state[1]).any()
+    assert np.all(rejected[data.is_alternative])
+
+
 def test_run_sweep_refuses_an_empty_procedure_list(monkeypatch):
     monkeypatch.setattr(camt.simulation, "generate", lambda *args: pytest.fail("a replicate ran"))
     config = SimulationConfig(setup="S0", m=500, n_replicates=1)
