@@ -1,19 +1,16 @@
 """Special functions of the simulation harness, in numpy alone.
 
-expit, the standard normal CDF (ndtr) and its inverse (ndtri), and the
-AR(1) recursion of the dependent-noise setups. They stand in for the
-scipy functions of the same names (and for scipy.signal.lfilter), so
-`camt.simulation` loads no scipy, and ndtri gives
-`camt.diagnostics` its chi-square(1) quantiles. Each is vectorized:
-one numpy pass per arithmetic step, no per-element Python.
+expit, the standard normal CDF (ndtr) and the AR(1) recursion of the
+dependent-noise setups. They stand in for the scipy functions of the
+same names (and for scipy.signal.lfilter), so `camt.simulation` loads
+no scipy; `camt fit` and `camt diagnose` do not import this module.
+Each is vectorized: one numpy pass per arithmetic step, no
+per-element Python.
 
 ndtr follows Cephes' ndtr (S. L. Moshier), the algorithm behind
 scipy.special.ndtr, with the same split and rational approximations:
 with x = z / sqrt(2), Phi(z) = 0.5 + 0.5 erf(x) for |x| < sqrt(1/2),
-else 0.5 erfc(|x|), reflected as 1 - that for x > 0. ndtri is Wichura's
-AS241 (PPND16), the algorithm of statistics.NormalDist.inv_cdf, with
-the same operations in the same order: on the central region
-|p - 1/2| <= 0.425 the two agree bit for bit.
+else 0.5 erfc(|x|), reflected as 1 - that for x > 0.
 """
 
 from __future__ import annotations
@@ -40,28 +37,6 @@ _R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.0190504225118047741
       6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
 _S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
       1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-
-# AS241 coefficients, highest power first: the central region |p - 1/2| <= 0.425
-# in r = 0.180625 - q^2, then the tail in r = sqrt(-log(min(p, 1 - p))), shifted
-# by 1.6 for r <= 5 and by 5 beyond. Every denominator has a trailing 1.
-_A = (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
-      4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
-      1.3314166789178437745e2, 3.3871328727963666080e0)
-_B = (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
-      2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
-      4.2313330701600911252e1, 1.0)
-_C = (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
-      1.2704582524523683826e0, 3.6478483247632046050e0, 5.7694972214606914055e0,
-      4.6303378461565452959e0, 1.4234371107496835773e0)
-_D = (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
-      1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
-      2.0531916266377588219e0, 1.0)
-_E = (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
-      2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e0,
-      5.4637849111641143699e0, 6.6579046435011037772e0)
-_F = (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
-      7.8686913114561329059e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
-      5.9983220655588793769e-1, 1.0)
 
 
 def _horner(x, coeffs):
@@ -119,33 +94,6 @@ def ndtr(z):
     y = 0.5 * erfc
     out[tail] = np.where(x[tail] > 0.0, 1.0 - y, y)
     return out.reshape(z.shape)[()]
-
-
-def ndtri(p):
-    """Standard normal quantile Phi^{-1}(p), elementwise (AS241).
-
-    -inf at 0, +inf at 1, NaN for NaN or p outside [0, 1]. The tails
-    are computed from min(p, 1 - p), so ndtri(p) keeps its relative
-    precision for tiny p. As in :func:`ndtr`, the central formula runs
-    on every entry and the tail formulas on gathered indices.
-    """
-    shape = np.shape(p)
-    p = np.asarray(p, dtype=float).ravel()
-    q = p - 0.5
-    with np.errstate(divide="ignore", invalid="ignore"):  # log(0); p < 0; inf / inf
-        r = 0.180625 - q * q
-        out = q * _horner(r, _A) / _horner(r, _B)
-        tail = np.flatnonzero(np.abs(q) > 0.425)
-        pt = p[tail]
-        r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
-        rn = r - 1.6
-        x = _horner(rn, _C) / _horner(rn, _D)
-        far = np.flatnonzero(r > 5.0)
-        if far.size:
-            rf = r[far] - 5.0
-            x[far] = np.where(np.isinf(rf), np.inf, _horner(rf, _E) / _horner(rf, _F))
-    out[tail] = np.copysign(x, q[tail])
-    return out.reshape(shape)[()]
 
 
 def ar1(eps, rho):

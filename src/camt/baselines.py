@@ -162,7 +162,10 @@ def lfdr_values(z, truth):
     of z under the alternative against the null N(null_mean, 1). An L
     that overflows to inf takes its exact limit, an LFDR of 0, and one
     that underflows to 0 an LFDR of 1; where pi0 = 1 the LFDR is 1 and
-    where pi0 = 0 it is 0, whatever L is.
+    where pi0 = 0 it is 0, whatever L is. In the non-central-gamma
+    family, a density that underflows to 0 at a z above the effect (the
+    gamma's mean) gives L its limit there, inf, so an LFDR of 0; below
+    the effect it gives an L of 0.
 
     z passes :func:`~camt.kernel.check_finite_array` and must be a 1-d
     array with one entry per entry of truth; anything else raises
@@ -177,14 +180,18 @@ def lfdr_values(z, truth):
         if truth.family == "normal":
             ratio = np.exp(truth.effect * z - 0.5 * truth.effect**2 - log_null)
         else:
-            # L is 0 where the density is 0 and formed in logs elsewhere, so a
-            # standard normal density that underflows (|z| > 38.6) divides nothing
+            # L is formed in logs where the density is positive, so a standard
+            # normal density that underflows (|z| > 38.6) divides nothing
             scale, delta = noncentral_gamma_params(truth.effect)
             pdf = _noncentral_gamma_pdf(z, scale, delta)
             pos = pdf > 0.0
             log_ratio = np.log(pdf[pos]) + 0.5 * (z[pos] ** 2 + np.log(2 * np.pi)) - log_null[pos]
             ratio = np.zeros_like(pdf)
             ratio[pos] = np.exp(log_ratio)
+            # where the density underflows L is 0, except above its mean: there the
+            # gamma's tail is heavier than a unit normal's around that mean, so the
+            # null's density is smaller by a factor beyond e^50, and L takes its limit
+            ratio[~pos & (z > truth.effect)] = np.inf
     # where pi0 = 1 the alternative's part is 0, also for an L of inf
     alt = np.multiply(1.0 - truth.pi0, ratio, out=np.zeros_like(ratio), where=truth.pi0 < 1.0)
     # where pi0 = 0 the LFDR is 0, also for an L of 0

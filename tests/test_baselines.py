@@ -9,9 +9,9 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 import camt.baselines
-from camt._special import ndtri
 from camt.baselines import (
     OracleTruth,
     _noncentral_gamma_pdf,
@@ -362,10 +362,24 @@ def test_lfdr_is_a_probability_for_any_finite_z(family, z, pi0, effect, null_mea
         warnings.simplefilter("error")
         values = lfdr_values(z, truth)
     assert np.all((values >= 0.0) & (values <= 1.0))
-    if family == "normal" and effect > null_mean:
-        # L grows with z; the exponent's two rounded products may cross
-        # by a few ulp of its size, which moves L by about 1e-12
-        assert np.all(values[1:] <= values[:-1] * (1.0 + 1e-11))
+    # L grows with z, in the normal family for an effect above the null
+    # mean and in the gamma family above its mean, also where its density
+    # underflows; the exponent's rounded terms may cross by a few ulp of
+    # its size, which moves L by about 1e-12
+    if family == "noncentral-gamma":
+        values = values[z >= effect]
+    elif effect <= null_mean:
+        return
+    assert np.all(values[1:] <= values[:-1] * (1.0 + 1e-11))
+
+
+def test_lfdr_of_a_gamma_density_that_underflows_above_its_mean_is_zero():
+    # at k_s = 2.4 the density underflows to 0 at these z, where the
+    # null's is smaller still; L's limit there is inf, not 0
+    z = np.array([250.0, 300.0, 400.0])
+    truth = OracleTruth(pi0=np.full(3, 0.9), effect=np.full(3, 2.4), family="noncentral-gamma")
+    assert (_noncentral_gamma_pdf(z, *noncentral_gamma_params(2.4)) == 0.0).all()
+    assert lfdr_values(z, truth).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_oracle_all_null_rejects_nothing():

@@ -1,5 +1,6 @@
 """Tests for table parsing and the fit / simulate / diagnose commands."""
 
+import ast
 import csv
 import io
 import os
@@ -1004,9 +1005,9 @@ def test_usage_errors_exit_one(capsys):
 
 @pytest.fixture(scope="module")
 def modules_loaded_by_fit_and_diagnose(fresh_python, tmp_path_factory):
-    """The scipy, numpy.ma and statistics-family modules one child Python
-    holds after fit (plain, mixed, with spline knots and both) and
-    diagnose, as three printed lists."""
+    """The scipy, numpy.ma, statistics-family and camt modules one child
+    Python holds after fit (plain, mixed, with spline knots and both) and
+    diagnose, as four printed lists."""
     tmp_path = tmp_path_factory.mktemp("module_loads")
     rng = np.random.default_rng(59)
     in_path = _write_table(tmp_path / "in.csv", rng.random(1000), rng.random((1000, 1)))
@@ -1022,17 +1023,18 @@ def modules_loaded_by_fit_and_diagnose(fresh_python, tmp_path_factory):
         f"assert [camt.cli.main(args) for args in {runs!r}] == [0] * {len(runs)}; "
         "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
         "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma'])); "
-        "print(sorted(m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules))"
+        "print(sorted(m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules)); "
+        "print(sorted(m for m in sys.modules if m.startswith('camt.')))"
     )
     proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip().splitlines()[-3:]
+    return proc.stdout.strip().splitlines()[-4:]
 
 
 def test_fit_and_diagnose_load_no_scipy(modules_loaded_by_fit_and_diagnose):
     # no camt module imports scipy (see test_simulate_runs_with_scipy_blocked);
     # this pins the fit and diagnose paths, spline knots and mixed mode included
-    scipy, _, _ = modules_loaded_by_fit_and_diagnose
+    scipy, _, _, _ = modules_loaded_by_fit_and_diagnose
     assert scipy == "[]"
 
 
@@ -1040,10 +1042,19 @@ def test_plain_fit_and_diagnose_load_no_numpy_ma(modules_loaded_by_fit_and_diagn
     # importing numpy.ma costs 8-13 ms and 1.25 MB of peak resident
     # memory; np.quantile and np.unique load it, and the fit paths use
     # neither, so no fit nor diagnose may; nor statistics, with the
-    # fractions and decimal it imports: the gif takes its normal quantile
-    # from camt._special
-    _, numpy_ma, statistics = modules_loaded_by_fit_and_diagnose
+    # fractions and decimal it imports: the gif evaluates AS241's central
+    # rational itself
+    _, numpy_ma, statistics, _ = modules_loaded_by_fit_and_diagnose
     assert [numpy_ma, statistics] == ["[]", "[]"]
+
+
+def test_fit_and_diagnose_load_no_simulation_module(modules_loaded_by_fit_and_diagnose):
+    # the special functions, the simulation harness and its baselines
+    # serve `camt simulate` alone
+    *_, camt_modules = modules_loaded_by_fit_and_diagnose
+    loaded = set(ast.literal_eval(camt_modules))
+    assert "camt.diagnostics" in loaded
+    assert not loaded & {"camt._special", "camt.simulation", "camt.baselines"}
 
 
 def test_fit_writes_utf8_under_an_ascii_locale(fresh_python, tmp_path):

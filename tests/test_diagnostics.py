@@ -70,6 +70,8 @@ def _tails():
     yield np.concatenate([np.full(10, 0.6), np.full(10, 0.9)])  # middle pair 0.6, 0.9
     yield np.concatenate([rng.random(300) * 0.5, 0.5 + 0.5 * rng.random(MIN_TAIL_PVALUES)])
     yield np.array([0.5] * 11 + [1.0] * 10)  # the edges of the tail
+    yield np.array([0.7] * 10 + [1.0] * 12)  # middle pair 1.0, 1.0: gif 0
+    yield np.array([0.7] * 10 + [1.0 - 1e-15] * 12)  # middle pair at the upper clamp
 
 
 @pytest.mark.parametrize("p", list(_tails()))
@@ -91,8 +93,8 @@ def _normal_dist_gif(p):
 
 
 def test_gif_equals_the_normal_dist_quantile_bit_for_bit():
-    # camt._special.ndtri and NormalDist.inv_cdf run the same AS241
-    # operations on gif's domain, p / 2 in [0.25, 0.5]
+    # gif and NormalDist.inv_cdf run the same operations of AS241's
+    # central rational on gif's domain, p / 2 in [0.25, 0.5]
     rng = np.random.default_rng(6)
     sizes = rng.integers(MIN_TAIL_PVALUES, 500, size=300)
     random_tails = (0.5 + 0.5 * rng.random(n) for n in sizes)

@@ -1,11 +1,10 @@
 """Accuracy of camt's numpy special functions against scipy's.
 
-scipy is a test dependency only: camt.simulation and camt.baselines use
-camt._special, and these tests pin it to the scipy functions it replaces.
+scipy is a test dependency only: camt.simulation uses camt._special,
+and these tests pin it to the scipy functions it replaces.
 """
 
 import warnings
-from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
-from camt._special import ar1, expit, ndtr, ndtri
+from camt._special import ar1, expit, ndtr
 
 
 def _float_lists(lo, hi):
@@ -81,61 +80,6 @@ def test_ndtr_upper_tail_keeps_relative_precision():
     z = np.array([5.0, 10.0, 20.0, 30.0])
     assert np.all(np.abs(ndtr(-z) / scipy.special.ndtr(-z) - 1.0) <= 1e-12)
     assert np.all(ndtr(-z) > 0.0)
-
-
-# ----------------------------------------------------------------------
-# ndtri
-
-
-def _assert_ndtri_close(p):
-    ref = scipy.special.ndtri(p)
-    got = ndtri(p)
-    assert np.all(np.abs(got - ref) <= 4e-15 * np.abs(ref))
-
-
-def test_ndtri_matches_scipy_on_a_dense_grid():
-    rng = np.random.default_rng(1)
-    p = np.concatenate([
-        10.0 ** rng.uniform(-300.0, 0.0, 300_000),
-        rng.random(300_000),
-        1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 100_000),
-        # the boundaries of the formulas: |p - 1/2| = 0.425 and r = 5
-        [1e-300, 0.075, 0.925, np.exp(-25.0), 0.5, 1.0 - 1e-16, np.nextafter(1.0, 0.0)],
-    ])
-    _assert_ndtri_close(p[(p >= 1e-300) & (p <= 1.0 - 1e-16)])
-
-
-@settings(deadline=None)
-@given(_float_lists(1e-300, 1.0 - 1e-16))
-def test_ndtri_matches_scipy(values):
-    _assert_ndtri_close(np.array(values))
-
-
-def test_ndtri_special_values_and_shapes():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = ndtri(np.array([0.0, 1.0, np.nan, -0.1, 1.1, np.inf, -np.inf, 0.5]))
-    assert out[0] == -np.inf and out[1] == np.inf
-    assert np.isnan(out[2:7]).all()
-    assert out[7] == 0.0
-    assert ndtri(np.full((2, 2), 0.3)).shape == (2, 2)
-    assert isinstance(ndtri(0.3), np.floating)
-    assert ndtri(np.empty(0)).shape == (0,)
-
-
-def test_ndtri_is_statistics_normal_quantile():
-    # the same AS241 coefficients as the standard library's NormalDist;
-    # only the log may round differently
-    rng = np.random.default_rng(2)
-    p = np.concatenate([10.0 ** rng.uniform(-300.0, 0.0, 2000), rng.random(2000)])
-    ref = np.array([NormalDist().inv_cdf(v) for v in p.tolist()])
-    assert np.all(np.abs(ndtri(p) - ref) <= 1e-15 * np.abs(ref))
-
-
-def test_ndtri_inverts_ndtr():
-    # below zero, where ndtr(z) carries its full relative precision
-    z = np.linspace(-37.0, 0.0, 10_001)
-    assert np.all(np.abs(ndtri(ndtr(z)) - z) <= 1e-12 * np.maximum(1.0, np.abs(z)))
 
 
 # ----------------------------------------------------------------------
